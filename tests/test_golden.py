@@ -1,0 +1,121 @@
+"""Golden digests: pinned sha256 of every artifact a run writes.
+
+A refactor is behaviour-preserving only if these stay unchanged. A
+change that alters an artifact on purpose re-pins the digest here and
+says why in CHANGES.md. To print the current digests, run
+`PYTHONPATH=src python tests/test_golden.py`.
+"""
+import hashlib
+import json
+
+import pytest
+
+from phykey import pipeline
+from phykey.cli import main
+from phykey.config import config_from_mapping
+
+ARTIFACTS = ("report.json", "trace.csv", "alice.bits", "alice.bits.rounds",
+             "bob.bits", "commitments.bin")
+
+CONFIGS = {
+    "rakg_attacked": {"seed": 5, "rounds": 20_000},
+    "rakg_repeat": {"seed": 6, "rounds": 20_000, "attack": {"repeat_injection": True}},
+    "rakg_clean": {"seed": 7, "rounds": 20_000, "attack": {"enabled": False}},
+    "rakg_noisy": {"seed": 8, "rounds": 20_000, "noise_sigma_db": 2.0},
+    "oakg_attacked": {"seed": 9, "scheme": "OAKG", "rounds": 20_000},
+}
+
+GOLDEN = {
+    "oakg_attacked": {
+        "report.json": "397eb6ce5db2343855fd79a9bb409bf0a18d07bc083cd9eb8f51b920c92523d7",
+        "trace.csv": "9798dc02cc4a160b03f893716fac8c7b887a4e108e2f40f3fbc7971d3dc1e63b",
+        "alice.bits": "48554ce7b5b2e6e044ef679ad3823777df562d908b341350a5a2a4b3c9cccd09",
+        "alice.bits.rounds": "1e2e67927a27566a1d96b84ff9cc584c22fa1ec7251434f0c7404ccf3773cff3",
+        "bob.bits": "48554ce7b5b2e6e044ef679ad3823777df562d908b341350a5a2a4b3c9cccd09",
+        "commitments.bin": "54bfb5dee39910e15a9078e918053b1c42bdec2958e45fd16107c436d38124e0"
+    },
+    "rakg_attacked": {
+        "report.json": "8e55883187e6353e64c886aab9ebddcb7c40923bfc62951ec4ae80f812e6fa8f",
+        "trace.csv": "387317bd82af50a1fbe46a4597264bc7412c6797950c9d2354f30913c9c9f0a4",
+        "alice.bits": "95b29eea53dee0da61ea1fe88b1042a3612c0a9b770346316a20abbab09a350c",
+        "alice.bits.rounds": "9e7739c16323301eb9509595175209230a8837cec36e34a2b807a8d833fc2aae",
+        "bob.bits": "26cca58043567553020d54d543f6bbb0a9d948f72037451bd84ea4e7af452297",
+        "commitments.bin": "fec03fff91124994f783b6c5c91cccf21829068282fff279f5d07242a0f47d5b"
+    },
+    "rakg_clean": {
+        "report.json": "730d7898738089cf6b851ff7a0bb8d4ba36c61799c9d5c7515a860b2220cb4d5",
+        "trace.csv": "1fda46ebb6c170abbf6a90f743168ec76ce25bbb0846606b6efbb85db0065a13",
+        "alice.bits": "7a2f87814de7c94a97f8573be0b459deaa3685de440b4f569eff16be69768712",
+        "alice.bits.rounds": "1b12e8bc5d7616ef4eb0db9819da1eeae3e05480c1fc7abd32096e7d17f2bbed",
+        "bob.bits": "7a2f87814de7c94a97f8573be0b459deaa3685de440b4f569eff16be69768712",
+        "commitments.bin": "aee50e104fdd7d515b9a698c528d74237d25e654c4f085f3195284f7b9f9186c"
+    },
+    "rakg_noisy": {
+        "report.json": "51da9de5569c516a64acfc444650de4e170000016c30fcb255a27dc64828a6b2",
+        "trace.csv": "997cd7eb9a4be435bd89325841d95cdeaeba7bbcf6134d06f86a9cc180192634",
+        "alice.bits": "e5a61d8f339d07f67619536ef3c4776189e6ebaea84c0d24aa207070ba8baf42",
+        "alice.bits.rounds": "f3bceb1b9d82e6570f8ab80c0b07cb5aa9bce3c57934cdbc5038eccf7e794a19",
+        "bob.bits": "9d36b48a261848d9a76f534d7bc1986ebb8bb81a1e8b1baff481f863278b4d4c",
+        "commitments.bin": "1c085fbf0e7d3f55cab2390176833b6537ee0c660b90586c98cbc0b6e8eece13"
+    },
+    "rakg_repeat": {
+        "report.json": "579fd31b29287b35be8e2478a34d7f2148168ecffb3737288a2ffffd569ae232",
+        "trace.csv": "c86d375406388ae45adb795c949b9ccb07271be7c9961d9baa3fe473e3a6c5fe",
+        "alice.bits": "9f88297e3c97458c96b36cd0a5a7f84e725b19834725d6009e7d33eeac585a4f",
+        "alice.bits.rounds": "95887253fc93975c362ab9b7f77c717bf1538b1989785e83f8e019d06d504950",
+        "bob.bits": "e0eb82094fda4d0e15fffedc18cea44e2a297e64fe3394925479d52f70e136ee",
+        "commitments.bin": "c9ffeae5eff9372193a3d3c6769d56eacb9455ede639f7d47735af64d049d6d8"
+    }
+}
+
+REPLAY_GOLDEN = "7ad0dbd4d0021eae1f0dbb6d740a207f4228fc488c5903516ab23ad092a60372"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_digests(name, out_dir) -> dict:
+    pipeline.run_experiment(config_from_mapping(CONFIGS[name]), out_dir)
+    return {a: _sha256(out_dir / a) for a in ARTIFACTS}
+
+
+def replay_digest(tmp_dir) -> str:
+    """report.json of `replay` applying the attack offline to the clean capture."""
+    run_digests("rakg_clean", tmp_dir / "clean")
+    cfg_path = tmp_dir / "attack.yaml"
+    cfg_path.write_text(json.dumps(dict(CONFIGS["rakg_clean"], attack={"enabled": True})))
+    code = main(["replay", str(tmp_dir / "clean" / "trace.csv"), "--config", str(cfg_path),
+                 "--out-dir", str(tmp_dir / "replay")])
+    assert code == 0
+    return _sha256(tmp_dir / "replay" / "report.json")
+
+
+def test_attacked_report_lists_attack_rounds():
+    report, _, _ = pipeline.run_experiment(config_from_mapping(CONFIGS["rakg_attacked"]))
+    assert 0 < report.attacked_total <= 10_000
+    assert len(report.attack_rounds) == report.attacked_total
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_artifact_digests(name, tmp_path):
+    assert run_digests(name, tmp_path) == GOLDEN[name]
+
+
+def test_offline_replay_report_digest(tmp_path, capsys):
+    assert replay_digest(tmp_path) == REPLAY_GOLDEN
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        digests = {name: run_digests(name, tmp / name) for name in sorted(CONFIGS)}
+        with contextlib.redirect_stdout(io.StringIO()):
+            replay = replay_digest(tmp / "replay")
+        print("GOLDEN =", json.dumps(digests, indent=4))
+        print("REPLAY_GOLDEN =", json.dumps(replay))
