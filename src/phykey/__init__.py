@@ -6,7 +6,7 @@ the channel-randomization defense (per-round antenna mode switching),
 and provides the matching closed-form security analysis.
 """
 
-from .adversary import AttackTrace, OpportunityKind, detect_opportunity
+from .adversary import AttackTrace, OpportunityKind, opportunity_masks
 from .analysis import (
     AnalysisResult,
     closed_form_p0_p1,

@@ -9,12 +9,16 @@ jamming, so after injecting round i+1 she resumes watching at i+2
 (one-shot attacks; repeat_injection extends each opportunity to two
 injected rounds).
 
-Attack accounting is a pure function of the trace columns, so
-simulated sessions and replayed trace files go through the same code.
+The opportunity rule lives only in `opportunity_masks`, which both the
+scheduler and the accounting apply to whole series. Attack accounting
+is a pure function of the trace columns, so simulated sessions and
+replayed trace files go through the same code, and its result is one
+columnar `AttackTrace`: equal-length arrays with one entry per
+injected round.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -28,19 +32,18 @@ class OpportunityKind(IntEnum):
     O1 = 1
 
 
-def detect_opportunity(
-    rss_ma: float, rss_mb: float, q_minus: float, q_plus: float, d: float
-) -> OpportunityKind | None:
-    """O1 if both observations > q_plus, O0 if both < q_minus, within d."""
-    if not (np.isfinite(rss_ma) and np.isfinite(rss_mb)):
-        return None
-    if abs(rss_ma - rss_mb) >= d:
-        return None
-    if rss_ma > q_plus and rss_mb > q_plus:
-        return OpportunityKind.O1
-    if rss_ma < q_minus and rss_mb < q_minus:
-        return OpportunityKind.O0
-    return None
+def opportunity_masks(
+    rss_ma: np.ndarray, rss_mb: np.ndarray, q_minus: float, q_plus: float, d: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(o0, o1) masks: both finite observations within d of each other
+    and both below q_minus (O0) or both above q_plus (O1)."""
+    rss_ma = np.asarray(rss_ma, dtype=float)
+    rss_mb = np.asarray(rss_mb, dtype=float)
+    with np.errstate(invalid="ignore"):
+        close = np.isfinite(rss_ma) & np.isfinite(rss_mb) & (np.abs(rss_ma - rss_mb) < d)
+    o0 = close & (rss_ma < q_minus) & (rss_mb < q_minus)
+    o1 = close & (rss_ma > q_plus) & (rss_mb > q_plus)
+    return o0, o1
 
 
 def schedule_attacks(
@@ -57,24 +60,16 @@ def schedule_attacks(
     and rounds Mallory spends jamming are blind: they trigger nothing.
     """
     n = len(rss_ma)
+    o0, o1 = opportunity_masks(rss_ma, rss_mb, q_minus, q_plus, d)
+    step = 3 if repeat_injection else 2
     injected = np.zeros(n, dtype=bool)
-    # precompute the per-round opportunity test on Mallory's observations
-    finite = np.isfinite(rss_ma) & np.isfinite(rss_mb)
-    close = np.abs(rss_ma - rss_mb) < d
-    o1 = close & finite & (rss_ma > q_plus) & (rss_mb > q_plus)
-    o0 = close & finite & (rss_ma < q_minus) & (rss_mb < q_minus)
-    opportunity = o1 | o0
-    i = 0
-    while i < n - 1:
-        if opportunity[i]:
-            injected[i + 1] = True
-            if repeat_injection and i + 2 < n:
-                injected[i + 2] = True
-                i += 3
-            else:
-                i += 2
-        else:
-            i += 1
+    free = 0  # first round Mallory observes again
+    for i in np.flatnonzero(o0 | o1).tolist():
+        if i >= n - 1:
+            break
+        if i >= free:
+            injected[i + 1 : i + step] = True
+            free = i + step
     return injected
 
 
@@ -105,70 +100,70 @@ def apply_attack(
     return out_a, out_b, injected
 
 
-@dataclass(frozen=True)
-class AttackRound:
-    round_index: int
-    kind: OpportunityKind
-    guessed_bit: int
-    injected_rss_a: float
-    injected_rss_b: float
-    survived_to_key: bool
-    correct: bool | None  # None when the round yielded no key bit
-    tail_success: bool  # Alice's injected RSS landed on the guessed side
-
-
 @dataclass
 class AttackTrace:
-    """Per-attack records plus the totals the metrics are built from.
+    """Columnar attack record: one entry per injected round, in round order.
 
-    n counts attacked rounds that produced a key bit (appear in L_b);
-    n0 is the O0 share of those; m the correct guesses among them.
-    Attacked rounds that failed to quantize are tallied separately.
+    `kind` is the opportunity Mallory acted on, which is also the bit
+    she guessed. `survived` marks attacked rounds that produced a key
+    bit (appear in L_b); `correct` marks surviving rounds whose key bit
+    equals the guess (always False where not survived); `tail_success`
+    marks rounds where Alice's injected RSS landed on the guessed side.
+    n counts surviving rounds, n0 the O0 share of those, m the correct
+    guesses among them; attacked rounds that failed to quantize only
+    count towards attacked_total.
     """
 
     d: float
     q_minus: float
     q_plus: float
-    rounds: list[AttackRound] = field(default_factory=list)
+    round_index: np.ndarray
+    kind: np.ndarray
+    survived: np.ndarray
+    correct: np.ndarray
+    tail_success: np.ndarray
 
     @property
     def attacked_total(self) -> int:
-        return len(self.rounds)
+        return int(self.round_index.size)
 
     @property
     def n(self) -> int:
-        return sum(1 for r in self.rounds if r.survived_to_key)
+        return int(np.count_nonzero(self.survived))
 
     @property
     def n0(self) -> int:
-        return sum(
-            1 for r in self.rounds if r.survived_to_key and r.kind == OpportunityKind.O0
-        )
+        return int(np.count_nonzero(self.survived & (self.kind == OpportunityKind.O0)))
 
     @property
     def m(self) -> int:
-        return sum(1 for r in self.rounds if r.survived_to_key and r.correct)
+        return int(np.count_nonzero(self.correct))
 
     def tail_stats(self, kind: OpportunityKind) -> tuple[int, int]:
         """(#successes, #attacks) of the guessed-side tail event, all attacks."""
-        hits = tot = 0
-        for r in self.rounds:
-            if r.kind == kind:
-                tot += 1
-                hits += bool(r.tail_success)
-        return hits, tot
+        mine = self.kind == kind
+        return int(np.count_nonzero(self.tail_success & mine)), int(np.count_nonzero(mine))
 
     def to_records(self) -> list[dict]:
+        columns = (self.round_index, self.kind, self.survived, self.correct)
         return [
             {
-                "round": r.round_index,
-                "kind": f"O{int(r.kind)}",
-                "guessed": int(r.guessed_bit),
-                "correct": r.correct,
-                "survived_to_key": r.survived_to_key,
+                "round": r,
+                "kind": f"O{k}",
+                "guessed": k,
+                "correct": c if s else None,
+                "survived_to_key": s,
             }
-            for r in self.rounds
+            for r, k, s, c in zip(*(col.tolist() for col in columns))
         ]
+
+
+def _key_positions(bits: Bitstream, rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(positions in the bitstream, found mask) of the given rounds."""
+    pos = np.searchsorted(bits.source_rounds, rounds)
+    found = pos < len(bits)
+    found[found] = bits.source_rounds[pos[found]] == rounds[found]
+    return pos, found
 
 
 def account_attacks(
@@ -193,46 +188,36 @@ def account_attacks(
     which side of the band midpoint the observation pair leans to.
     """
     x_a = np.asarray(x_a, dtype=float)
-    x_b = np.asarray(x_b, dtype=float)
     injected = np.asarray(injected, dtype=bool)
     if injected.size != x_a.size:
         raise ContractError("injected mask and series length mismatch")
     if injected.size and injected[0]:
         raise ContractError("round 0 cannot be an attacked round")
-    clean = x_a[~injected]
-    q_minus, q_plus = thresholds(clean, beta)
-    midpoint = 0.5 * (q_minus + q_plus)
-    bit_by_round = dict(
-        zip(bits_a.source_rounds.tolist(), bits_a.bits.tolist())
+    q_minus, q_plus = thresholds(x_a[~injected], beta)
+    rounds = np.flatnonzero(injected)
+    last_clean = np.maximum.accumulate(np.where(injected, 0, np.arange(injected.size)))
+    obs = last_clean[rounds]
+    ma = np.asarray(rss_ma, dtype=float)[obs]
+    mb = np.asarray(rss_mb, dtype=float)[obs]
+    o0, o1 = opportunity_masks(ma, mb, q_minus, q_plus, d)
+    with np.errstate(invalid="ignore"):
+        lean_o1 = 0.5 * (ma + mb) >= 0.5 * (q_minus + q_plus)
+    kind = (o1 | (~o0 & lean_o1)).astype(np.uint8)
+    pos, survived = _key_positions(bits_a, rounds)
+    correct = survived.copy()
+    correct[survived] = bits_a.bits[pos[survived]] == kind[survived]
+    x_r = x_a[rounds]
+    tail = np.where(kind == OpportunityKind.O1, x_r > q_plus, x_r < q_minus)
+    return AttackTrace(
+        d=d,
+        q_minus=q_minus,
+        q_plus=q_plus,
+        round_index=rounds,
+        kind=kind,
+        survived=survived,
+        correct=correct,
+        tail_success=tail,
     )
-    trace = AttackTrace(d=d, q_minus=q_minus, q_plus=q_plus)
-    for r in np.flatnonzero(injected):
-        r = int(r)
-        obs = r - 1
-        while injected[obs]:
-            obs -= 1
-        kind = detect_opportunity(rss_ma[obs], rss_mb[obs], q_minus, q_plus, d)
-        if kind is None:
-            lean = 0.5 * (rss_ma[obs] + rss_mb[obs])
-            kind = OpportunityKind.O1 if lean >= midpoint else OpportunityKind.O0
-        guessed = int(kind)
-        key_bit = bit_by_round.get(r)
-        survived = key_bit is not None
-        correct = (key_bit == guessed) if survived else None
-        tail = x_a[r] > q_plus if kind == OpportunityKind.O1 else x_a[r] < q_minus
-        trace.rounds.append(
-            AttackRound(
-                round_index=r,
-                kind=kind,
-                guessed_bit=guessed,
-                injected_rss_a=float(x_a[r]),
-                injected_rss_b=float(x_b[r]),
-                survived_to_key=survived,
-                correct=correct,
-                tail_success=bool(tail),
-            )
-        )
-    return trace
 
 
 def assemble_guess(
@@ -240,11 +225,7 @@ def assemble_guess(
 ) -> np.ndarray:
     """Mallory's full-key guess: recorded bits where she attacked, coin
     flips everywhere else."""
-    ell = len(bits_a)
-    guess = rng.integers(0, 2, size=ell, dtype=np.uint8)
-    position = {int(r): i for i, r in enumerate(bits_a.source_rounds)}
-    for rec in attack_trace.rounds:
-        pos = position.get(rec.round_index)
-        if pos is not None:
-            guess[pos] = rec.guessed_bit
+    guess = rng.integers(0, 2, size=len(bits_a), dtype=np.uint8)
+    pos, found = _key_positions(bits_a, attack_trace.round_index)
+    guess[pos[found]] = attack_trace.kind[found]
     return guess

@@ -9,7 +9,6 @@ the simulator does it.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,11 +19,14 @@ from .analysis import AnalysisResult, closed_form_p0_p1, expected_rates, guess_c
 from .antenna import calibrate_tx_power, omni_profile
 from .config import ExperimentConfig
 from .errors import ContractError
+from .geometry import Topology
 from .quantize import Bitstream, confirm_excursions, find_excursions, quantize, thresholds
-from .session import MeasurementTrace, build_links, simulate_session
+from .session import LinkSet, MeasurementTrace, build_links, simulate_session
 from .traceio import export_trace_csv, write_bitstream, write_commitments
 
 _PMF_REPORT_LIMIT = 20_000
+# reports list per-attack records only up to this many attacked rounds
+_ATTACK_ROUNDS_REPORT_LIMIT = 10_000
 
 
 @dataclass
@@ -65,12 +67,11 @@ def run_protocol(trace: MeasurementTrace, beta: float, excursion_len: int, d: fl
     )
 
 
-def _simulate_from_config(cfg: ExperimentConfig, rng: np.random.Generator) -> MeasurementTrace:
-    topology = cfg.build_topology()
-    profile = cfg.build_profile()
-    links = build_links(topology, cfg.fading)
+def _simulate_from_config(
+    cfg: ExperimentConfig, rng: np.random.Generator, topology: Topology, links: LinkSet
+) -> MeasurementTrace:
     return simulate_session(
-        profile=profile,
+        profile=cfg.build_profile(),
         topology=topology,
         links=links,
         scheme=cfg.scheme,
@@ -87,14 +88,11 @@ def _simulate_from_config(cfg: ExperimentConfig, rng: np.random.Generator) -> Me
     )
 
 
-def _tx_power_gap_vs_oa(cfg: ExperimentConfig) -> float:
+def _tx_power_gap_vs_oa(
+    cfg: ExperimentConfig, topology: Topology, links: LinkSet, p_ra: float
+) -> float:
     """Calibrated RA power minus the OA baseline on the same geometry."""
-    topology = cfg.build_topology()
-    links = build_links(topology, cfg.fading)
     amp, sig = abs(links.fading_ab.los_mean), links.fading_ab.sigma0
-    p_ra = calibrate_tx_power(
-        cfg.build_profile(), topology, cfg.detection_threshold_dbm, amp, sig, links.ab
-    )
     p_oa = calibrate_tx_power(
         omni_profile(), topology, cfg.detection_threshold_dbm, amp, sig, links.ab
     )
@@ -180,18 +178,21 @@ def run_experiment(
     files, and the commitment blob into it.
     """
     rng = np.random.default_rng(cfg.seed)
-    trace = _simulate_from_config(cfg, rng)
+    topology = cfg.build_topology()
+    links = build_links(topology, cfg.fading)
+    trace = _simulate_from_config(cfg, rng, topology, links)
     protocol = run_protocol(trace, cfg.beta, cfg.excursion_len, cfg.attack.d)
     if include_attack_rounds is None:
         include_attack_rounds = (
-            protocol.attack is not None and protocol.attack.attacked_total <= 10_000
+            protocol.attack is not None
+            and protocol.attack.attacked_total <= _ATTACK_ROUNDS_REPORT_LIMIT
         )
     report = build_report(
         cfg, trace, protocol, rng=rng, include_attack_rounds=include_attack_rounds
     )
     if cfg.scheme == "RAKG":
-        report.tx_power_gap_vs_oa_db = _tx_power_gap_vs_oa(cfg)
-    links = build_links(cfg.build_topology(), cfg.fading)
+        # the session calibrated the RA power on this same geometry
+        report.tx_power_gap_vs_oa_db = _tx_power_gap_vs_oa(cfg, topology, links, trace.p_x_dbm)
     paths = links.ab.path_count
     report.extra["fading_k_factor"] = {
         "ab": links.fading_ab.k_factor(paths),
@@ -257,24 +258,23 @@ def replay_trace(
         )
     protocol = run_protocol(trace, cfg.beta, cfg.excursion_len, cfg.attack.d)
     rng = np.random.default_rng(cfg.seed)
-    include = protocol.attack is not None and protocol.attack.attacked_total <= 10_000
+    include = (
+        protocol.attack is not None
+        and protocol.attack.attacked_total <= _ATTACK_ROUNDS_REPORT_LIMIT
+    )
     report = build_report(cfg, trace, protocol, rng=rng, include_attack_rounds=include)
     return report, trace, protocol
 
 
-def run_trials(cfg: ExperimentConfig, trials: int, max_workers: int | None = None):
-    """Run seeded sessions concurrently; results ordered by trial index."""
+def run_trials(cfg: ExperimentConfig, trials: int):
+    """Run seeded sessions one after another; results ordered by trial index."""
     if trials < 1:
         raise ContractError("trials must be >= 1")
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(trials)]
-
-    def one(i: int):
-        sub = cfg.model_copy(update={"seed": seeds[i]})
-        report, _, _ = run_experiment(sub, include_attack_rounds=False)
-        return report
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(one, range(trials)))
+    return [
+        run_experiment(cfg.model_copy(update={"seed": seed}), include_attack_rounds=False)[0]
+        for seed in seeds
+    ]
 
 
 def analyze_config(
@@ -309,7 +309,9 @@ def analyze_config(
                 "attack": cfg.attack.model_copy(update={"enabled": False}),
             }
         )
-        cal_trace = _simulate_from_config(cal_cfg, np.random.default_rng(cfg.seed))
+        cal_trace = _simulate_from_config(
+            cal_cfg, np.random.default_rng(cfg.seed), topology, links
+        )
         q_minus, q_plus = thresholds(cal_trace.x_a, cfg.beta)
     p0, p1 = closed_form_p0_p1(
         profile,

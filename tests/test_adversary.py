@@ -7,26 +7,30 @@ from phykey.adversary import (
     account_attacks,
     apply_attack,
     assemble_guess,
-    detect_opportunity,
+    opportunity_masks,
     schedule_attacks,
 )
-from phykey.quantize import Bitstream
+from phykey.quantize import Bitstream, thresholds
 
 
-def test_detect_o1():
-    assert detect_opportunity(-40, -41.5, q_minus=-58, q_plus=-42, d=2) == OpportunityKind.O1
-
-
-def test_detect_difference_too_large():
-    assert detect_opportunity(-40, -45, q_minus=-58, q_plus=-42, d=2) is None
-
-
-def test_detect_o0():
-    assert detect_opportunity(-60, -60.5, q_minus=-58, q_plus=-42, d=2) == OpportunityKind.O0
-
-
-def test_detect_requires_both_beyond_same_threshold():
-    assert detect_opportunity(-40, -60, q_minus=-58, q_plus=-42, d=100) is None
+@pytest.mark.parametrize(
+    "rss_ma, rss_mb, d, expected",
+    [
+        (-40, -41.5, 2, OpportunityKind.O1),
+        (-40, -45, 2, None),
+        (-60, -60.5, 2, OpportunityKind.O0),
+        (-40, -60, 100, None),
+        (-40, -42, 2, None),
+    ],
+    ids=["o1", "difference_too_large", "o0", "requires_both_beyond_same_threshold",
+         "difference_equal_to_d"],
+)
+def test_opportunity_masks(rss_ma, rss_mb, d, expected):
+    o0, o1 = opportunity_masks(rss_ma, rss_mb, q_minus=-58, q_plus=-42, d=d)
+    assert (bool(o0), bool(o1)) == (
+        expected == OpportunityKind.O0,
+        expected == OpportunityKind.O1,
+    )
 
 
 def test_round_zero_never_attacked():
@@ -102,11 +106,10 @@ def test_account_attacks_kinds_guesses_and_correctness():
     trace = account_attacks(x_a, x_b, rss_ma, rss_mb, injected, d=2.0, beta=0.4, bits_a=bits)
     assert trace.attacked_total == 2
     assert trace.n == 2 and trace.n0 == 1 and trace.m == 2
-    kinds = [r.kind for r in trace.rounds]
-    assert kinds == [OpportunityKind.O1, OpportunityKind.O0]
-    assert all(r.correct for r in trace.rounds)
-    assert [r.guessed_bit for r in trace.rounds] == [1, 0]
-    assert trace.rounds[0].injected_rss_b == pytest.approx(-40.5)
+    assert trace.round_index.tolist() == [1, 3]
+    assert trace.kind.tolist() == [OpportunityKind.O1, OpportunityKind.O0]
+    assert trace.correct.all()
+    assert [r["guessed"] for r in trace.to_records()] == [1, 0]
 
 
 def test_account_attacks_counts_non_surviving_rounds_separately():
@@ -115,17 +118,17 @@ def test_account_attacks_counts_non_surviving_rounds_separately():
     trace = account_attacks(x_a, x_b, rss_ma, rss_mb, injected, d=2.0, beta=0.4, bits_a=bits)
     assert trace.attacked_total == 2
     assert trace.n == 1  # round 3 yielded no key bit
-    assert trace.rounds[1].survived_to_key is False
-    assert trace.rounds[1].correct is None
+    assert not trace.survived[1] and not trace.correct[1]
+    record = trace.to_records()[1]
+    assert record["survived_to_key"] is False
+    assert record["correct"] is None
 
 
 def test_n0_plus_n1_equals_n():
     x_a, x_b, rss_ma, rss_mb, injected = _toy_attacked_trace()
     bits = Bitstream(bits=np.array([1, 0], dtype=np.uint8), source_rounds=np.array([1, 3]))
     trace = account_attacks(x_a, x_b, rss_ma, rss_mb, injected, d=2.0, beta=0.4, bits_a=bits)
-    n1 = sum(
-        1 for r in trace.rounds if r.survived_to_key and r.kind == OpportunityKind.O1
-    )
+    n1 = int(np.count_nonzero(trace.survived & (trace.kind == OpportunityKind.O1)))
     assert trace.n0 + n1 == trace.n
 
 
@@ -138,30 +141,29 @@ def test_account_attacks_repeat_injection_shares_observation():
     rss_mb = np.array([-40.5, -40.5, -40.5, -55.5, -55.5])
     bits = Bitstream(bits=np.array([1, 1], dtype=np.uint8), source_rounds=np.array([1, 2]))
     trace = account_attacks(x_a, x_b, rss_ma, rss_mb, injected, d=2.0, beta=0.4, bits_a=bits)
-    assert [r.kind for r in trace.rounds] == [OpportunityKind.O1, OpportunityKind.O1]
+    assert trace.kind.tolist() == [OpportunityKind.O1, OpportunityKind.O1]
     assert trace.m == 2
+
+
+def _columns(rounds, kinds, survived, correct, q_minus=-53.0, q_plus=-51.0):
+    n = len(rounds)
+    return AttackTrace(
+        d=2.0,
+        q_minus=q_minus,
+        q_plus=q_plus,
+        round_index=np.asarray(rounds, dtype=np.int64),
+        kind=np.asarray(kinds, dtype=np.uint8),
+        survived=np.asarray(survived, dtype=bool).reshape(n),
+        correct=np.asarray(correct, dtype=bool).reshape(n),
+        tail_success=np.ones(n, dtype=bool),
+    )
 
 
 def test_assemble_guess_all_attacked_and_correct_reproduces_key(rng):
     bits = Bitstream(
         bits=np.array([1, 0, 1], dtype=np.uint8), source_rounds=np.array([1, 3, 5])
     )
-    trace = AttackTrace(d=2.0, q_minus=-53.0, q_plus=-51.0)
-    from phykey.adversary import AttackRound
-
-    for r, b in zip((1, 3, 5), (1, 0, 1)):
-        trace.rounds.append(
-            AttackRound(
-                round_index=r,
-                kind=OpportunityKind(b),
-                guessed_bit=b,
-                injected_rss_a=0.0,
-                injected_rss_b=0.0,
-                survived_to_key=True,
-                correct=True,
-                tail_success=True,
-            )
-        )
+    trace = _columns([1, 3, 5], [1, 0, 1], [True] * 3, [True] * 3)
     guess = assemble_guess(trace, bits, rng)
     np.testing.assert_array_equal(guess, bits.bits)
 
@@ -170,7 +172,7 @@ def test_assemble_guess_pure_random_hits_at_coin_rate():
     bits = Bitstream(
         bits=np.zeros(6, dtype=np.uint8), source_rounds=np.arange(6)
     )
-    empty = AttackTrace(d=2.0, q_minus=0.0, q_plus=1.0)
+    empty = _columns([], [], [], [], q_minus=0.0, q_plus=1.0)
     hits = 0
     trials = 20_000
     rng = np.random.default_rng(8)
@@ -185,15 +187,129 @@ def test_assemble_guess_positional_audit(rng):
     bits = Bitstream(
         bits=np.array([1, 1, 0, 0], dtype=np.uint8), source_rounds=np.array([2, 4, 6, 8])
     )
-    trace = AttackTrace(d=2.0, q_minus=0.0, q_plus=1.0)
-    from phykey.adversary import AttackRound
-
-    trace.rounds.append(
-        AttackRound(4, OpportunityKind.O1, 1, 0.0, 0.0, True, True, True)
-    )
-    trace.rounds.append(
-        AttackRound(8, OpportunityKind.O1, 1, 0.0, 0.0, True, False, True)
-    )
+    trace = _columns([4, 8], [1, 1], [True, True], [True, False], q_minus=0.0, q_plus=1.0)
     guess = assemble_guess(trace, bits, rng)
     assert guess[1] == 1  # round 4, attacked: recorded guess
     assert guess[3] == 1  # round 8, attacked: recorded (wrong) guess
+
+
+# ------------------------------------------------------------ reference oracle
+# The sequential scheduler and per-round accounting the columnar code
+# replaced, kept as an independent statement of the same rules.
+
+
+def _oracle_opportunity(rss_ma, rss_mb, q_minus, q_plus, d):
+    if not (np.isfinite(rss_ma) and np.isfinite(rss_mb)):
+        return None
+    if abs(rss_ma - rss_mb) >= d:
+        return None
+    if rss_ma > q_plus and rss_mb > q_plus:
+        return OpportunityKind.O1
+    if rss_ma < q_minus and rss_mb < q_minus:
+        return OpportunityKind.O0
+    return None
+
+
+def _oracle_schedule(rss_ma, rss_mb, q_minus, q_plus, d, repeat_injection):
+    n = len(rss_ma)
+    injected = np.zeros(n, dtype=bool)
+    i = 0
+    while i < n - 1:
+        if _oracle_opportunity(rss_ma[i], rss_mb[i], q_minus, q_plus, d) is not None:
+            injected[i + 1] = True
+            if repeat_injection and i + 2 < n:
+                injected[i + 2] = True
+                i += 3
+            else:
+                i += 2
+        else:
+            i += 1
+    return injected
+
+
+def _oracle_account(x_a, rss_ma, rss_mb, injected, d, beta, bits_a):
+    """Per-round records (with the tail event) of every injected round."""
+    q_minus, q_plus = thresholds(x_a[~injected], beta)
+    midpoint = 0.5 * (q_minus + q_plus)
+    bit_by_round = dict(zip(bits_a.source_rounds.tolist(), bits_a.bits.tolist()))
+    records = []
+    for r in np.flatnonzero(injected).tolist():
+        obs = r - 1
+        while injected[obs]:
+            obs -= 1
+        kind = _oracle_opportunity(rss_ma[obs], rss_mb[obs], q_minus, q_plus, d)
+        if kind is None:
+            lean = 0.5 * (rss_ma[obs] + rss_mb[obs])
+            kind = OpportunityKind.O1 if lean >= midpoint else OpportunityKind.O0
+        key_bit = bit_by_round.get(r)
+        survived = key_bit is not None
+        tail = x_a[r] > q_plus if kind == OpportunityKind.O1 else x_a[r] < q_minus
+        records.append({
+            "round": r,
+            "kind": f"O{int(kind)}",
+            "guessed": int(kind),
+            "correct": (key_bit == int(kind)) if survived else None,
+            "survived_to_key": survived,
+            "tail": bool(tail),
+        })
+    return records
+
+
+def _oracle_guess(records, bits_a, rng):
+    guess = rng.integers(0, 2, size=len(bits_a), dtype=np.uint8)
+    position = {int(r): i for i, r in enumerate(bits_a.source_rounds)}
+    for rec in records:
+        pos = position.get(rec["round"])
+        if pos is not None:
+            guess[pos] = rec["guessed"]
+    return guess
+
+
+@pytest.mark.parametrize("repeat_injection", [False, True])
+def test_columnar_adversary_matches_sequential_oracle(repeat_injection):
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 600))
+        x = rng.normal(-50.0, 6.0, size=n)
+        rss_ma = x + rng.normal(0.0, 2.0, size=n)
+        rss_mb = rss_ma + rng.normal(0.0, 1.5, size=n)
+        rss_ma[rng.random(n) < 0.05] = -np.inf  # erasures
+        rss_mb[rng.random(n) < 0.05] = -np.inf
+        d = float(rng.choice([1.0, 3.0, 8.0]))
+        beta = float(rng.uniform(0.1, 0.9))
+
+        q_minus, q_plus = thresholds(x, beta)
+        injected = schedule_attacks(rss_ma, rss_mb, q_minus, q_plus, d, repeat_injection)
+        np.testing.assert_array_equal(
+            injected, _oracle_schedule(rss_ma, rss_mb, q_minus, q_plus, d, repeat_injection)
+        )
+        x_a = np.where(injected, rss_ma, x)
+        # perturb Mallory's observations after scheduling, as a lossy
+        # replay would: some observations now straddle the band or erase
+        obs_ma = rss_ma + rng.normal(0.0, 3.0, size=n)
+        obs_mb = rss_mb + rng.normal(0.0, 3.0, size=n)
+        obs_ma[rng.random(n) < 0.05] = -np.inf
+        obs_mb[rng.random(n) < 0.02] = np.nan
+        keyed = np.flatnonzero(rng.random(n) < 0.6)
+        bits_a = Bitstream(
+            bits=rng.integers(0, 2, size=keyed.size, dtype=np.uint8), source_rounds=keyed
+        )
+
+        trace = account_attacks(x_a, x_a, obs_ma, obs_mb, injected, d, beta, bits_a)
+        oracle = _oracle_account(x_a, obs_ma, obs_mb, injected, d, beta, bits_a)
+        assert trace.to_records() == [
+            {k: v for k, v in rec.items() if k != "tail"} for rec in oracle
+        ]
+        for kind in OpportunityKind:
+            mine = [rec for rec in oracle if rec["kind"] == f"O{int(kind)}"]
+            assert trace.tail_stats(kind) == (sum(rec["tail"] for rec in mine), len(mine))
+        kept = [rec for rec in oracle if rec["survived_to_key"]]
+        assert (trace.n, trace.n0, trace.m) == (
+            len(kept),
+            sum(rec["kind"] == "O0" for rec in kept),
+            sum(bool(rec["correct"]) for rec in kept),
+        )
+        np.testing.assert_array_equal(
+            assemble_guess(trace, bits_a, np.random.default_rng(seed)),
+            _oracle_guess(oracle, bits_a, np.random.default_rng(seed)),
+        )

@@ -31,10 +31,11 @@ def test_kre_krr_recount_from_raw_trace():
     report, trace, proto = pipeline.run_experiment(small_cfg())
     bit_at = dict(zip(proto.s_a.source_rounds.tolist(), proto.s_a.bits.tolist()))
     n = m = 0
-    for rec in proto.attack.rounds:
-        if rec.round_index in bit_at:
+    at = proto.attack
+    for r, kind in zip(at.round_index.tolist(), at.kind.tolist()):
+        if r in bit_at:
             n += 1
-            m += int(bit_at[rec.round_index] == rec.guessed_bit)
+            m += int(bit_at[r] == kind)
     assert (n, m) == (report.n, report.m)
 
 
