@@ -11,6 +11,7 @@ import json
 import pytest
 
 from phykey import pipeline
+from phykey.antenna import AntennaProfile, save_antenna_profile
 from phykey.cli import main
 from phykey.config import config_from_mapping
 
@@ -70,6 +71,13 @@ GOLDEN = {
 
 REPLAY_GOLDEN = "7ad0dbd4d0021eae1f0dbb6d740a207f4228fc488c5903516ab23ad092a60372"
 
+# sha256 of analyze_config(...).to_dict() (p0/p1, rates, p_key, pmf)
+ANALYSIS_GOLDEN = {
+    "oakg_attacked_seed5": "1921c98bf737ac4a1297adab34241a45985904d93aa45df4c3d88a3aa648cd7b",
+    "rakg_attacked": "a1ba29291b858366ae967d5ee87bff3d4757f3ddc0c2e084a19c2172576c5fd0",
+    "zero_gain_mode": "aad31f828c2a868e3207151792a959062ff60b9cc5c72864c08738f89bcc72d1",
+}
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -91,6 +99,46 @@ def replay_digest(tmp_dir) -> str:
     return _sha256(tmp_dir / "replay" / "report.json")
 
 
+def _zero_gain_profile(path):
+    """Three modes on a coarse table; mode 1 has zero gain over [20, 70]
+    degrees, so on every M-A path of the default geometry (bearings 60,
+    49.1 and 35.7) while it still reaches Bob's LoS at 0 degrees."""
+    profile = AntennaProfile(
+        modes=(0, 1, 2),
+        angles_deg=[0.0, 20.0, 30.0, 70.0, 180.0, 270.0],
+        gains=[[1.0, 0.8, 0.6, 0.4, 0.3, 0.9],
+               [1.0, 0.0, 0.0, 0.0, 0.5, 0.7],
+               [0.3, 0.6, 1.0, 0.7, 0.2, 0.1]],
+    )
+    save_antenna_profile(profile, path)
+    return path
+
+
+def analysis_digest(name, tmp_dir) -> str:
+    """analyze_config of a session's thresholds and counts, or of a
+    calibration session for the hand-built profile with a dead mode."""
+    if name == "zero_gain_mode":
+        csv = _zero_gain_profile(tmp_dir / "profile.csv")
+        cfg = config_from_mapping({"seed": 10, "rounds": 5_000,
+                                   "antenna": {"profile_csv": str(csv)}})
+        with pytest.warns(UserWarning, match="excluding 1 degenerate mode"):
+            result = pipeline.analyze_config(cfg, counts=(400, 40, 18))
+        assert result.excluded_modes == 1
+    else:
+        mapping = dict(CONFIGS["rakg_attacked"])
+        if name == "oakg_attacked_seed5":
+            mapping["scheme"] = "OAKG"
+        cfg = config_from_mapping(mapping)
+        report, _, _ = pipeline.run_experiment(cfg)
+        q_minus, q_plus = report.thresholds_alice
+        result = pipeline.analyze_config(
+            cfg, q_minus=q_minus, q_plus=q_plus, counts=(report.ell, report.n, report.n0)
+        )
+    assert result.pmf is not None
+    blob = json.dumps(result.to_dict(), sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
 def test_attacked_report_lists_attack_rounds():
     report, _, _ = pipeline.run_experiment(config_from_mapping(CONFIGS["rakg_attacked"]))
     assert 0 < report.attacked_total <= 10_000
@@ -106,6 +154,11 @@ def test_offline_replay_report_digest(tmp_path, capsys):
     assert replay_digest(tmp_path) == REPLAY_GOLDEN
 
 
+@pytest.mark.parametrize("name", sorted(ANALYSIS_GOLDEN))
+def test_analysis_digests(name, tmp_path):
+    assert analysis_digest(name, tmp_path) == ANALYSIS_GOLDEN[name]
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -117,5 +170,10 @@ if __name__ == "__main__":
         digests = {name: run_digests(name, tmp / name) for name in sorted(CONFIGS)}
         with contextlib.redirect_stdout(io.StringIO()):
             replay = replay_digest(tmp / "replay")
+        analyses = {}
+        for name in ("oakg_attacked_seed5", "rakg_attacked", "zero_gain_mode"):
+            (tmp / "analysis" / name).mkdir(parents=True)
+            analyses[name] = analysis_digest(name, tmp / "analysis" / name)
         print("GOLDEN =", json.dumps(digests, indent=4))
         print("REPLAY_GOLDEN =", json.dumps(replay))
+        print("ANALYSIS_GOLDEN =", json.dumps(analyses, indent=4))
