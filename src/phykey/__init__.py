@@ -18,7 +18,6 @@ from .analysis import (
 from .antenna import (
     AntennaProfile,
     calibrate_tx_power,
-    gain,
     load_antenna_profile,
     omni_profile,
     save_antenna_profile,
@@ -26,14 +25,14 @@ from .antenna import (
 )
 from .config import ExperimentConfig, parse_config
 from .errors import PhykeyError
-from .fading import FadingParams, FadingState, channel_gain, rss_from_gain, sample_fading_block
+from .fading import FadingParams
 from .fuzzy import Commitment, ReconcileFailure, commit, derive_key, open_commitment, verify_keys
 from .geometry import LinkPathSet, Topology, path_angles
 from .metrics import approximate_entropy, attack_metrics, bit_mismatch_rate, randomness_tests, secret_bit_rate
 from .pipeline import analyze_config, replay_trace, run_experiment, run_protocol, run_trials
 from .quantize import Bitstream, QuantizerConfig, confirm_excursions, find_excursions, quantize, thresholds
 from .reed_solomon import DecodeFailure, ReedSolomon, RsParams, rs_decode, rs_encode
-from .rician import RicianModeParams, rician_params
+from .rician import rician_params
 from .session import MeasurementTrace, build_links, simulate_session
 
 __version__ = "0.1.0"

@@ -9,12 +9,13 @@ jamming, so after injecting round i+1 she resumes watching at i+2
 (one-shot attacks; repeat_injection extends each opportunity to two
 injected rounds).
 
-The opportunity rule lives only in `opportunity_masks`, which both the
-scheduler and the accounting apply to whole series. Attack accounting
-is a pure function of the trace columns, so simulated sessions and
-replayed trace files go through the same code, and its result is one
-columnar `AttackTrace`: equal-length arrays with one entry per
-injected round.
+The opportunity rule lives only in `opportunity_masks`, which the
+scheduler applies to whole series; accounting reads each attack's kind
+from the midpoint lean of its observation round, which agrees with the
+rule on every real opportunity. Attack accounting is a pure function
+of the trace columns, so simulated sessions and replayed trace files
+go through the same code, and its result is one columnar
+`AttackTrace`: equal-length arrays with one entry per injected round.
 """
 from __future__ import annotations
 
@@ -168,7 +169,6 @@ def _key_positions(bits: Bitstream, rounds: np.ndarray) -> tuple[np.ndarray, np.
 
 def account_attacks(
     x_a: np.ndarray,
-    x_b: np.ndarray,
     rss_ma: np.ndarray,
     rss_mb: np.ndarray,
     injected: np.ndarray,
@@ -183,9 +183,13 @@ def account_attacks(
     reproduce a simulated session's accounting exactly. Each flagged
     round's opportunity is the nearest earlier non-injected round
     (consecutive injections under repeat_injection share one
-    observation). A flagged round whose observations straddle the
-    thresholds (possible only on borderline replays) is classified by
-    which side of the band midpoint the observation pair leans to.
+    observation). Its kind is the side of the band midpoint the
+    observation pair leans to. For a real opportunity that is the
+    opportunity's kind: both observations above q_plus put their mean at
+    or above the midpoint, both below q_minus put it below (rounding is
+    monotone), and a NaN or -inf observation leans to O0. The lean also
+    classifies rounds whose observations straddle the thresholds
+    (possible only on borderline replays).
     """
     x_a = np.asarray(x_a, dtype=float)
     injected = np.asarray(injected, dtype=bool)
@@ -199,10 +203,8 @@ def account_attacks(
     obs = last_clean[rounds]
     ma = np.asarray(rss_ma, dtype=float)[obs]
     mb = np.asarray(rss_mb, dtype=float)[obs]
-    o0, o1 = opportunity_masks(ma, mb, q_minus, q_plus, d)
     with np.errstate(invalid="ignore"):
-        lean_o1 = 0.5 * (ma + mb) >= 0.5 * (q_minus + q_plus)
-    kind = (o1 | (~o0 & lean_o1)).astype(np.uint8)
+        kind = (0.5 * (ma + mb) >= 0.5 * (q_minus + q_plus)).astype(np.uint8)
     pos, survived = _key_positions(bits_a, rounds)
     correct = survived.copy()
     correct[survived] = bits_a.bits[pos[survived]] == kind[survived]

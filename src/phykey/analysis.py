@@ -2,7 +2,9 @@
 
 Under i.i.d. uniform mode selection the per-attack success
 probabilities reduce to unconditional Rician tails of the M-A link,
-averaged over modes (Marcum Q kernels). From (p0, p1) and the attack
+averaged over modes (Marcum Q kernels), with each mode's Rician
+parameters taken from the profile's gain matrix on the M-A paths.
+From (p0, p1) and the attack
 counts follow the guess-count PMF, the expected recovery rates, and
 the whole-key guessing probability with its random-guess comparison.
 """
@@ -17,12 +19,11 @@ from scipy.signal import fftconvolve
 from scipy.stats import binom
 
 from .errors import ContractError
-from .rician import RicianModeParams, rician_params
+from .rician import rician_params
 
 __all__ = [
     "marcum_q1",
     "rician_params",
-    "RicianModeParams",
     "closed_form_p0_p1",
     "guess_count_pmf",
     "expected_rates",
@@ -77,28 +78,28 @@ def closed_form_p0_p1(
     p1 = mean over modes of Q1(nu/varsigma, r_plus/varsigma) and
     p0 = mean of the complementary CDF term at r_minus, with
     r = 10^((q - P_x)/20) the amplitude matching threshold q in dBm.
-    Degenerate modes (zero gain on every M-A path) are excluded with a
-    warning, mirroring power calibration.
+    Degenerate modes (varsigma == 0: zero gain on every M-A path) are
+    excluded with a warning, mirroring power calibration.
     """
     r_plus = 10.0 ** ((q_plus - p_x_dbm) / 20.0)
     r_minus = 10.0 ** ((q_minus - p_x_dbm) / 20.0)
-    p0_terms, p1_terms, dead = [], [], []
-    for mode in profile.modes:
-        try:
-            rp = rician_params(profile, mode, los_mean_amplitude, sigma0, paths_ma)
-        except ContractError:
-            dead.append(mode)
-            continue
-        ratio = rp.nu / rp.varsigma
-        p1_terms.append(marcum_q1(ratio, r_plus / rp.varsigma))
-        p0_terms.append(1.0 - marcum_q1(ratio, r_minus / rp.varsigma))
-    if not p1_terms:
+    nu, varsigma = rician_params(
+        profile.gain_matrix(paths_ma.angles_deg), los_mean_amplitude, sigma0
+    )
+    live = varsigma > 0.0
+    if not np.any(live):
         raise ContractError("every mode is degenerate on the M-A link")
-    if dead:
+    if not np.all(live):
+        dead = [profile.modes[i] for i in np.flatnonzero(~live)]
         warnings.warn(
             f"excluding {len(dead)} degenerate mode(s) from p0/p1: {dead[:8]}",
             stacklevel=2,
         )
+    p0_terms, p1_terms = [], []
+    for nu_u, vs_u in zip(nu[live].tolist(), varsigma[live].tolist()):
+        ratio = nu_u / vs_u
+        p1_terms.append(marcum_q1(ratio, r_plus / vs_u))
+        p0_terms.append(1.0 - marcum_q1(ratio, r_minus / vs_u))
     return float(np.mean(p0_terms)), float(np.mean(p1_terms))
 
 

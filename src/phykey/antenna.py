@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CalibrationError, ProfileError
 from .geometry import LinkPathSet, Topology, path_angles
-from .rician import rician_mean_amplitude
+from .rician import rician_mean_amplitude, rician_params
 
 OA_KIND = "OA"
 RA_KIND = "RA"
@@ -62,17 +62,10 @@ class AntennaProfile:
         object.__setattr__(self, "angles_deg", angles)
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
-        object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.modes)})
 
     @property
     def mode_count(self) -> int:
         return len(self.modes)
-
-    def mode_row(self, mode: int) -> np.ndarray:
-        try:
-            return self.gains[self._index[mode]]
-        except KeyError:
-            raise ProfileError(f"unknown mode {mode}") from None
 
     def gain_matrix(self, angles_deg) -> np.ndarray:
         """Interpolated gains for every mode at the given angles.
@@ -89,16 +82,6 @@ class AntennaProfile:
         for i in range(self.mode_count):
             out[i] = np.interp(query, self.angles_deg, self.gains[i], period=360.0)
         return out
-
-
-def gain(profile: AntennaProfile, mode: int, angle_deg: float) -> float:
-    """Linear gain of `mode` at `angle_deg` (wrapping linear interpolation)."""
-    row = profile.mode_row(mode)
-    if profile.angles_deg.size == 1:
-        return float(row[0])
-    return float(
-        np.interp(float(angle_deg) % 360.0, profile.angles_deg, row, period=360.0)
-    )
 
 
 def omni_profile() -> AntennaProfile:
@@ -231,8 +214,7 @@ def calibrate_tx_power(
             f"excluding {len(dead)} zero-gain mode(s) from calibration: {dead[:8]}...",
             stacklevel=2,
         )
-    nu = g[usable, 0] * los_mean_amplitude
-    varsigma = sigma0 * np.sqrt(np.sum(g[usable] ** 2, axis=1))
+    nu, varsigma = rician_params(g[usable], los_mean_amplitude, sigma0)
     mean_amp = rician_mean_amplitude(nu, varsigma)
     if np.any(mean_amp <= 0.0):
         raise CalibrationError("degenerate mode with zero mean amplitude")

@@ -12,7 +12,7 @@ from typing import Literal, Optional
 import yaml
 from pydantic import BaseModel, ConfigDict, Field, ValidationError
 
-from .antenna import AntennaProfile, load_antenna_profile, synthesize_rotated_beam
+from .antenna import AntennaProfile, load_antenna_profile, omni_profile, synthesize_rotated_beam
 from .errors import ConfigError
 from .geometry import Topology
 from .reed_solomon import RsParams
@@ -100,6 +100,10 @@ class ExperimentConfig(_StrictModel):
         )
 
     def build_profile(self) -> AntennaProfile:
+        """Alice's antenna: the omni profile under OAKG, otherwise the
+        configured CSV or synthesized beam (OAKG reads no `antenna.*`)."""
+        if self.scheme == "OAKG":
+            return omni_profile()
         a = self.antenna
         if a.profile_csv is not None:
             return load_antenna_profile(a.profile_csv)

@@ -1,10 +1,11 @@
-"""Multipath fading coefficients and RSS mapping.
+"""Multipath fading coefficients.
 
 Each link has P+1 complex path coefficients, redrawn once per
 coherence block. The LoS coefficient (index 0) has mean los_mean,
 NLoS coefficients are zero-mean; all quadratures share the same
 standard deviation sigma0 and are independent across paths, links,
-and blocks.
+and blocks. The session weights them with the antenna's gain matrix
+and maps the sum to RSS.
 """
 from __future__ import annotations
 
@@ -15,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-
-NEG_INF_DBM = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -52,36 +51,6 @@ class FadingParams:
         )
 
 
-@dataclass(frozen=True)
-class FadingState:
-    """Path coefficients of one link within one coherence block."""
-
-    coefficients: np.ndarray
-    block_index: int
-
-    def __post_init__(self):
-        coeff = np.asarray(self.coefficients, dtype=complex)
-        coeff.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeff)
-
-    @property
-    def path_count(self) -> int:
-        return self.coefficients.size
-
-
-def sample_fading_block(
-    rng: np.random.Generator, params: FadingParams, path_count: int, block_index: int = 0
-) -> FadingState:
-    """Draw one block's coefficients: LoS mean on path 0, zero-mean NLoS."""
-    if path_count < 1:
-        raise ContractError("path_count must be >= 1")
-    z = params.sigma0 * (
-        rng.standard_normal(path_count) + 1j * rng.standard_normal(path_count)
-    )
-    z[0] += params.los_mean
-    return FadingState(coefficients=z, block_index=block_index)
-
-
 def sample_fading_blocks(
     rng: np.random.Generator, params: FadingParams, path_count: int, n_blocks: int
 ) -> np.ndarray:
@@ -95,37 +64,3 @@ def sample_fading_blocks(
     z[:, 0] += params.los_mean
     return z
 
-
-def channel_gain(state: FadingState, profile, mode, paths) -> complex:
-    """h = sum_l g(mode, theta_l) * a_l, the mode-weighted path sum."""
-    from .antenna import gain
-
-    if paths.path_count != state.path_count:
-        raise ContractError(
-            f"path set has {paths.path_count} angles but state has "
-            f"{state.path_count} coefficients"
-        )
-    g = np.array([gain(profile, mode, a) for a in paths.angles_deg])
-    return complex(np.sum(g * state.coefficients))
-
-
-def rss_from_gain(
-    h: complex,
-    p_x_dbm: float,
-    noise_sigma_db: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """RSS in dBm: 20*log10|h| + P_x plus optional Gaussian dB noise.
-
-    |h| = 0 maps to -inf, the erasure sentinel (below any detection
-    threshold; treated as packet loss downstream).
-    """
-    mag = abs(h)
-    if mag == 0.0:
-        return NEG_INF_DBM
-    rss = 20.0 * math.log10(mag) + p_x_dbm
-    if noise_sigma_db > 0.0:
-        if rng is None:
-            raise ContractError("rng required when noise_sigma_db > 0")
-        rss += noise_sigma_db * rng.standard_normal()
-    return rss

@@ -53,8 +53,7 @@ def run_protocol(trace: MeasurementTrace, beta: float, excursion_len: int, d: fl
     attack = None
     if np.any(trace.injected):
         attack = adversary.account_attacks(
-            trace.x_a, trace.x_b, trace.rss_ma, trace.rss_mb, trace.injected,
-            d, beta, s_a,
+            trace.x_a, trace.rss_ma, trace.rss_mb, trace.injected, d, beta, s_a,
         )
     return ProtocolResult(
         thresholds_alice=q_a,
@@ -292,7 +291,7 @@ def analyze_config(
     (ell, n, n0) from a measured or simulated run.
     """
     topology = cfg.build_topology()
-    profile = omni_profile() if cfg.scheme == "OAKG" else cfg.build_profile()
+    profile = cfg.build_profile()
     links = build_links(topology, cfg.fading)
     p_x = calibrate_tx_power(
         profile,

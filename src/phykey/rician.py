@@ -4,45 +4,26 @@ The channel under one antenna mode is a complex Gaussian with mean
 g(u, theta_0) * los_mean and per-quadrature variance
 sigma0^2 * sum_l g(u, theta_l)^2, so its amplitude is Rician with
 noncentrality nu(u) = g(u, theta_0) * |los_mean| and scale
-varsigma(u) = sigma0 * sqrt(sum_l g(u, theta_l)^2).
+varsigma(u) = sigma0 * sqrt(sum_l g(u, theta_l)^2). The gains g are
+the rows of `AntennaProfile.gain_matrix`, the same matrix the simulator
+weights its path coefficients with.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import i0e, i1e
 
-from .errors import ContractError
 
+def rician_params(gains, los_mean_amplitude: float, sigma0: float):
+    """Rician (nu, varsigma) of |h| for every mode of a (modes, paths) gain matrix.
 
-@dataclass(frozen=True)
-class RicianModeParams:
-    """Noncentrality amplitude and scale of one mode's amplitude law."""
-
-    nu: float
-    varsigma: float
-
-    def __post_init__(self):
-        if not (self.nu >= 0.0 and np.isfinite(self.nu)):
-            raise ContractError(f"nu must be finite and >= 0, got {self.nu}")
-        if not (self.varsigma > 0.0 and np.isfinite(self.varsigma)):
-            raise ContractError(
-                f"varsigma must be finite and > 0, got {self.varsigma} "
-                "(degenerate mode: zero gain on every path)"
-            )
-
-
-def rician_params(profile, mode, los_mean_amplitude: float, sigma0: float, paths):
-    """Rician (nu, varsigma) of |h| for one mode on one link."""
-    from .antenna import gain  # local import avoids a module cycle
-
-    if paths.path_count < 1:
-        raise ContractError("need at least one path")
-    g = np.array([gain(profile, mode, a) for a in paths.angles_deg])
-    nu = float(g[0] * los_mean_amplitude)
-    varsigma = float(sigma0 * np.sqrt(np.sum(g**2)))
-    return RicianModeParams(nu=nu, varsigma=varsigma)
+    Column 0 is the LoS path. A mode with varsigma == 0 (zero gain on
+    every path) is degenerate: its amplitude law is not Rician.
+    """
+    gains = np.asarray(gains, dtype=float)
+    nu = gains[:, 0] * los_mean_amplitude
+    varsigma = sigma0 * np.sqrt(np.sum(gains**2, axis=1))
+    return nu, varsigma
 
 
 def rician_mean_amplitude(nu, varsigma):

@@ -2,11 +2,11 @@
 
 Rounds are grouped into coherence blocks during which all links keep
 the same path coefficients. Alice redraws her antenna mode uniformly at
-random every round (RAKG) or keeps the single omni mode (OAKG); within
-one round both probe directions see the identical channel, so with
-zero measurement noise x_a(i) == x_b(i) exactly on clean rounds.
-Mallory's per-round observations of Alice's and Bob's probes ride on
-the same frozen fading.
+random every round; under OAKG the profile is the single omni mode, so
+the draw always lands on it. Within one round both probe directions see
+the identical channel, so with zero measurement noise x_a(i) == x_b(i)
+exactly on clean rounds. Mallory's per-round observations of Alice's
+and Bob's probes ride on the same frozen fading.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adversary
-from .antenna import AntennaProfile, calibrate_tx_power, omni_profile
+from .antenna import OA_KIND, AntennaProfile, calibrate_tx_power
 from .errors import ContractError
 from .fading import FadingParams, sample_fading_blocks
 from .geometry import LinkPathSet, Topology, path_angles
@@ -100,6 +100,8 @@ def build_links(topology: Topology, fading_cfg) -> LinkSet:
 
 
 def _rss(h: np.ndarray, p_x: float) -> np.ndarray:
+    """RSS in dBm, 20*log10|h| + P_x; |h| = 0 maps to -inf, the erasure
+    sentinel (below any threshold, treated as packet loss downstream)."""
     mag = np.abs(h)
     with np.errstate(divide="ignore"):
         return 20.0 * np.log10(mag) + p_x
@@ -128,7 +130,7 @@ def simulate_session(
     through Alice's per-round mode; Bob and Mallory are omnidirectional
     so the M-B channel only changes across coherence blocks. Transmit
     power is calibrated so every usable mode reaches the detection
-    threshold on the A-B link.
+    threshold on the A-B link. OAKG requires the omni (OA) profile.
     """
     if n_rounds < 1:
         raise ContractError("n_rounds must be >= 1")
@@ -136,8 +138,8 @@ def simulate_session(
         raise ContractError("coherence_block_rounds must be >= 1")
     if scheme not in (RAKG, OAKG):
         raise ContractError(f"unknown scheme {scheme!r}")
-    if scheme == OAKG:
-        profile = omni_profile()
+    if scheme == OAKG and profile.kind != OA_KIND:
+        raise ContractError("OAKG needs the omni (OA) profile")
 
     p_x = calibrate_tx_power(
         profile,
@@ -155,10 +157,7 @@ def simulate_session(
     a_am = sample_fading_blocks(rng, links.fading_am, links.am.path_count, n_blocks)
     a_mb = sample_fading_blocks(rng, links.fading_mb, links.mb_path_count, n_blocks)
 
-    if scheme == RAKG:
-        mode_idx = rng.integers(0, profile.mode_count, size=n_rounds)
-    else:
-        mode_idx = np.zeros(n_rounds, dtype=np.int64)
+    mode_idx = rng.integers(0, profile.mode_count, size=n_rounds)
     g_ab = profile.gain_matrix(links.ab.angles_deg)
     g_am = profile.gain_matrix(links.am.angles_deg)
 

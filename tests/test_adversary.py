@@ -92,18 +92,17 @@ def test_apply_attack_disabled_equivalent_is_identity():
 def _toy_attacked_trace():
     # rounds: 0 observe (O1), 1 injected, 2 observe (O0), 3 injected, 4 clean
     x_a = np.array([-50.0, -40.0, -50.0, -70.0, -55.0])
-    x_b = np.array([-50.0, -40.5, -50.0, -70.5, -55.0])
     injected = np.array([False, True, False, True, False])
     rss_ma = np.array([-40.0, -40.0, -70.0, -70.0, -55.0])
     rss_mb = np.array([-40.5, -40.5, -70.5, -70.5, -55.0])
-    return x_a, x_b, rss_ma, rss_mb, injected
+    return x_a, rss_ma, rss_mb, injected
 
 
 def test_account_attacks_kinds_guesses_and_correctness():
-    x_a, x_b, rss_ma, rss_mb, injected = _toy_attacked_trace()
+    x_a, rss_ma, rss_mb, injected = _toy_attacked_trace()
     # clean rounds are -50, -50, -55 -> q band roughly (-53.2, -51.2)
     bits = Bitstream(bits=np.array([1, 0], dtype=np.uint8), source_rounds=np.array([1, 3]))
-    trace = account_attacks(x_a, x_b, rss_ma, rss_mb, injected, d=2.0, beta=0.4, bits_a=bits)
+    trace = account_attacks(x_a, rss_ma, rss_mb, injected, d=2.0, beta=0.4, bits_a=bits)
     assert trace.attacked_total == 2
     assert trace.n == 2 and trace.n0 == 1 and trace.m == 2
     assert trace.round_index.tolist() == [1, 3]
@@ -113,9 +112,9 @@ def test_account_attacks_kinds_guesses_and_correctness():
 
 
 def test_account_attacks_counts_non_surviving_rounds_separately():
-    x_a, x_b, rss_ma, rss_mb, injected = _toy_attacked_trace()
+    x_a, rss_ma, rss_mb, injected = _toy_attacked_trace()
     bits = Bitstream(bits=np.array([1], dtype=np.uint8), source_rounds=np.array([1]))
-    trace = account_attacks(x_a, x_b, rss_ma, rss_mb, injected, d=2.0, beta=0.4, bits_a=bits)
+    trace = account_attacks(x_a, rss_ma, rss_mb, injected, d=2.0, beta=0.4, bits_a=bits)
     assert trace.attacked_total == 2
     assert trace.n == 1  # round 3 yielded no key bit
     assert not trace.survived[1] and not trace.correct[1]
@@ -125,9 +124,9 @@ def test_account_attacks_counts_non_surviving_rounds_separately():
 
 
 def test_n0_plus_n1_equals_n():
-    x_a, x_b, rss_ma, rss_mb, injected = _toy_attacked_trace()
+    x_a, rss_ma, rss_mb, injected = _toy_attacked_trace()
     bits = Bitstream(bits=np.array([1, 0], dtype=np.uint8), source_rounds=np.array([1, 3]))
-    trace = account_attacks(x_a, x_b, rss_ma, rss_mb, injected, d=2.0, beta=0.4, bits_a=bits)
+    trace = account_attacks(x_a, rss_ma, rss_mb, injected, d=2.0, beta=0.4, bits_a=bits)
     n1 = int(np.count_nonzero(trace.survived & (trace.kind == OpportunityKind.O1)))
     assert trace.n0 + n1 == trace.n
 
@@ -135,12 +134,11 @@ def test_n0_plus_n1_equals_n():
 def test_account_attacks_repeat_injection_shares_observation():
     # rounds 1 and 2 both injected from the opportunity observed at round 0
     x_a = np.array([-50.0, -40.0, -41.0, -50.0, -50.0])
-    x_b = np.array([-50.0, -40.5, -41.5, -50.0, -50.0])
     injected = np.array([False, True, True, False, False])
     rss_ma = np.array([-40.0, -40.0, -40.0, -55.0, -55.0])
     rss_mb = np.array([-40.5, -40.5, -40.5, -55.5, -55.5])
     bits = Bitstream(bits=np.array([1, 1], dtype=np.uint8), source_rounds=np.array([1, 2]))
-    trace = account_attacks(x_a, x_b, rss_ma, rss_mb, injected, d=2.0, beta=0.4, bits_a=bits)
+    trace = account_attacks(x_a, rss_ma, rss_mb, injected, d=2.0, beta=0.4, bits_a=bits)
     assert trace.kind.tolist() == [OpportunityKind.O1, OpportunityKind.O1]
     assert trace.m == 2
 
@@ -295,7 +293,7 @@ def test_columnar_adversary_matches_sequential_oracle(repeat_injection):
             bits=rng.integers(0, 2, size=keyed.size, dtype=np.uint8), source_rounds=keyed
         )
 
-        trace = account_attacks(x_a, x_a, obs_ma, obs_mb, injected, d, beta, bits_a)
+        trace = account_attacks(x_a, obs_ma, obs_mb, injected, d, beta, bits_a)
         oracle = _oracle_account(x_a, obs_ma, obs_mb, injected, d, beta, bits_a)
         assert trace.to_records() == [
             {k: v for k, v in rec.items() if k != "tail"} for rec in oracle

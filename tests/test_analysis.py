@@ -18,13 +18,11 @@ from phykey.rician import rician_params
 
 
 def test_rician_params_direct_substitution():
-    profile = AntennaProfile(
-        modes=(0,), angles_deg=np.array([0.0]), gains=np.array([[2.0]])
-    )
-    paths = LinkPathSet(angles_deg=(0.0,))
-    rp = rician_params(profile, 0, los_mean_amplitude=5.0, sigma0=1.0, paths=paths)
-    assert rp.nu == pytest.approx(10.0)
-    assert rp.varsigma == pytest.approx(2.0)
+    # one row per mode: nu = g_0 * |los|, varsigma = sigma0 * ||g||
+    gains = np.array([[2.0, 0.0], [3.0, 4.0]])
+    nu, varsigma = rician_params(gains, los_mean_amplitude=5.0, sigma0=1.0)
+    np.testing.assert_allclose(nu, [10.0, 15.0])
+    np.testing.assert_allclose(varsigma, [2.0, 5.0])
 
 
 def test_rician_params_los_only():
@@ -33,18 +31,23 @@ def test_rician_params_los_only():
         angles_deg=np.array([0.0, 90.0, 180.0]),
         gains=np.array([[1.0, 0.0, 0.0]]),
     )
-    paths = LinkPathSet(angles_deg=(0.0, 90.0, 180.0))
-    rp = rician_params(profile, 0, los_mean_amplitude=3.3, sigma0=0.7, paths=paths)
-    assert rp.nu == pytest.approx(3.3)
-    assert rp.varsigma == pytest.approx(0.7)
+    gains = profile.gain_matrix((0.0, 90.0, 180.0))
+    nu, varsigma = rician_params(gains, los_mean_amplitude=3.3, sigma0=0.7)
+    assert nu.tolist() == pytest.approx([3.3])
+    assert varsigma.tolist() == pytest.approx([0.7])
 
 
 def test_degenerate_mode_rejected():
+    # zero gain on every path leaves varsigma == 0; the closed form
+    # rejects a profile with no other mode
     profile = AntennaProfile(
         modes=(0,), angles_deg=np.array([0.0]), gains=np.array([[0.0]])
     )
-    with pytest.raises(ContractError):
-        rician_params(profile, 0, 1.0, 1.0, LinkPathSet(angles_deg=(0.0,)))
+    paths = LinkPathSet(angles_deg=(0.0,))
+    _, varsigma = rician_params(profile.gain_matrix(paths.angles_deg), 1.0, 1.0)
+    assert varsigma.tolist() == [0.0]
+    with pytest.raises(ContractError, match="every mode is degenerate"):
+        closed_form_p0_p1(profile, paths, 1.0, 1.0, -3.0, 3.0, 0.0)
 
 
 def test_amplitude_distribution_matches_rician(rng):
@@ -56,13 +59,13 @@ def test_amplitude_distribution_matches_rician(rng):
     )
     paths = LinkPathSet(angles_deg=(0.0, 40.0, 300.0))
     sigma0, los = 0.4, 2.0
-    rp = rician_params(profile, 0, los, sigma0, paths)
-    g = profile.gains[0]
+    g = profile.gain_matrix(paths.angles_deg)
+    (nu,), (varsigma,) = rician_params(g, los, sigma0)
     n = 1_000_000
     a = sigma0 * (rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)))
     a[:, 0] += los
-    amp = np.abs((g * a).sum(axis=1))
-    ks = stats.kstest(amp, lambda x: stats.rice.cdf(x, rp.nu / rp.varsigma, scale=rp.varsigma))
+    amp = np.abs((g[0] * a).sum(axis=1))
+    ks = stats.kstest(amp, lambda x: stats.rice.cdf(x, nu / varsigma, scale=varsigma))
     assert ks.statistic < 0.01
 
 

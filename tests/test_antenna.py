@@ -3,23 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from phykey import analysis, antenna
 from phykey.antenna import (
     AntennaProfile,
     calibrate_tx_power,
-    gain,
     load_antenna_profile,
     omni_profile,
     save_antenna_profile,
     synthesize_rotated_beam,
 )
 from phykey.errors import CalibrationError, ProfileError
-from phykey.geometry import LinkPathSet, Topology
+from phykey.geometry import LinkPathSet, Topology, path_angles
+from phykey.rician import rician_params
 
 
 def test_omni_profile_gain_is_one_everywhere():
-    oa = omni_profile()
-    for angle in (0.0, 17.3, 90.0, 255.5, 359.999):
-        assert gain(oa, 0, angle) == 1.0
+    g = omni_profile().gain_matrix((0.0, 17.3, 90.0, 255.5, 359.999))
+    np.testing.assert_array_equal(g, np.ones((1, 5)))
 
 
 def test_single_mode_unit_csv_is_oa_equivalent(tmp_path):
@@ -32,14 +32,14 @@ def test_single_mode_unit_csv_is_oa_equivalent(tmp_path):
     profile = load_antenna_profile(path)
     assert profile.kind == "OA"
     assert profile.mode_count == 1
-    assert gain(profile, 0, 123.4) == 1.0
+    assert profile.gain_matrix([123.4]).tolist() == [[1.0]]
 
 
 def test_midpoint_linear_interpolation():
     profile = AntennaProfile(
         modes=(5,), angles_deg=np.array([0.0, 10.0]), gains=np.array([[2.0, 4.0]])
     )
-    assert gain(profile, 5, 5.0) == pytest.approx(3.0)
+    assert profile.gain_matrix([5.0])[0, 0] == pytest.approx(3.0)
 
 
 def test_interpolation_wraps_across_360():
@@ -49,17 +49,16 @@ def test_interpolation_wraps_across_360():
     )
     # unwrapped evaluation: segment from (350, 3.0) to (360, 1.0)
     expected = 3.0 + (355.0 - 350.0) / (360.0 - 350.0) * (1.0 - 3.0)
-    assert gain(profile, 0, 355.0) == pytest.approx(expected)
-    assert gain(profile, 0, -5.0) == pytest.approx(expected)  # same point mod 360
+    # -5 is the same point mod 360
+    np.testing.assert_allclose(profile.gain_matrix([355.0, -5.0])[0], expected)
 
 
 def test_gain_deterministic_and_continuous():
     profile = synthesize_rotated_beam(mode_count=8, front_to_back_db=12.0)
-    samples = [gain(profile, 3, 77.7) for _ in range(5)]
-    assert len(set(samples)) == 1
+    samples = profile.gain_matrix([77.7] * 5)[3]
+    assert len(set(samples.tolist())) == 1
     # continuity across a table knot
-    left = gain(profile, 3, 45.0 - 1e-9)
-    right = gain(profile, 3, 45.0 + 1e-9)
+    left, right = profile.gain_matrix([45.0 - 1e-9, 45.0 + 1e-9])[3]
     assert abs(left - right) < 1e-6
 
 
@@ -101,11 +100,6 @@ def test_malformed_row_reports_line_number(tmp_path):
         load_antenna_profile(path)
 
 
-def test_unknown_mode_rejected():
-    with pytest.raises(ProfileError, match="unknown mode"):
-        gain(omni_profile(), 7, 0.0)
-
-
 TOP = Topology(alice=(0, 0), bob=(10, 0), mallory=(5, 5))
 
 
@@ -135,12 +129,35 @@ def test_calibration_monotone_in_threshold():
         assert raised == pytest.approx(base + delta, abs=1e-9)
 
 
-def test_zero_gain_mode_excluded_with_warning():
+def test_zero_gain_mode_excluded_with_warning(monkeypatch):
     gains = np.array([[1.0], [0.0]])
     profile = AntennaProfile(modes=(0, 1), angles_deg=np.array([0.0]), gains=gains)
     with pytest.warns(UserWarning, match="zero-gain"):
         p_x = calibrate_tx_power(profile, TOP, -75.0, 1e-4, 2e-6)
     assert math.isfinite(p_x)
+
+    # calibration and the closed form agree on (nu, varsigma) of the live
+    # modes: both read them from rician_params on the profile's gain matrix
+    beam = synthesize_rotated_beam(mode_count=6, front_to_back_db=15.0)
+    profile = AntennaProfile(modes=tuple(range(7)), angles_deg=beam.angles_deg,
+                             gains=np.vstack([beam.gains, np.zeros(360)]))
+    seen = []
+
+    def recording(*args):
+        seen.append(rician_params(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(antenna, "rician_params", recording)
+    monkeypatch.setattr(analysis, "rician_params", recording)
+    paths = path_angles(TOP, "alice", "bob")
+    with pytest.warns(UserWarning, match="zero-gain"):
+        p_x = calibrate_tx_power(profile, TOP, -75.0, 1e-4, 2e-6, paths)
+    with pytest.warns(UserWarning, match="excluding 1 degenerate mode"):
+        analysis.closed_form_p0_p1(profile, paths, 1e-4, 2e-6, -80.0, -70.0, p_x)
+    (cal_nu, cal_vs), (cf_nu, cf_vs) = seen
+    assert cal_nu.shape == (6,) and cf_nu.shape == (7,) and cf_vs[6] == 0.0
+    np.testing.assert_array_equal(cal_nu, cf_nu[:6])
+    np.testing.assert_array_equal(cal_vs, cf_vs[:6])
 
 
 def test_all_zero_modes_rejected():

@@ -87,6 +87,14 @@ def test_synthesis_config_controls_profile():
     assert profile.gains.min() == pytest.approx(10 ** (-6.0 / 20.0))
 
 
+def test_oakg_profile_is_omni_whatever_the_antenna_section():
+    cfg = config_from_mapping(
+        {"seed": 1, "scheme": "OAKG",
+         "antenna": {"profile_csv": "no/such/file.csv", "synthesis": {"mode_count": 12}}}
+    )
+    assert cfg.build_profile().kind == "OA"
+
+
 def test_empty_config_rejected(tmp_path):
     with pytest.raises(ConfigError, match="empty"):
         parse_config(write(tmp_path, ""))

@@ -4,24 +4,21 @@ import numpy as np
 import pytest
 
 from phykey.antenna import AntennaProfile, omni_profile, synthesize_rotated_beam
-from phykey.errors import ContractError
-from phykey.fading import (
-    FadingParams,
-    FadingState,
-    channel_gain,
-    rss_from_gain,
-    sample_fading_block,
-    sample_fading_blocks,
-)
-from phykey.geometry import LinkPathSet
+from phykey.config import config_from_mapping
+from phykey.fading import FadingParams, sample_fading_blocks
+from phykey.session import build_links, simulate_session
+
+
+def _one_block(rng, params, path_count):
+    return sample_fading_blocks(rng, params, path_count, n_blocks=1)[0]
 
 
 def test_noiseless_limit_is_deterministic(rng):
     params = FadingParams(los_mean=3 + 4j, sigma0=0.0)
-    state = sample_fading_block(rng, params, path_count=3)
-    assert state.coefficients[0] == 3 + 4j
-    assert abs(state.coefficients[0]) == pytest.approx(5.0)
-    np.testing.assert_array_equal(state.coefficients[1:], 0)
+    coeff = _one_block(rng, params, path_count=3)
+    assert coeff[0] == 3 + 4j
+    assert abs(coeff[0]) == pytest.approx(5.0)
+    np.testing.assert_array_equal(coeff[1:], 0)
 
 
 def test_zero_los_mean_gives_rayleigh_amplitude_mean():
@@ -38,9 +35,9 @@ def test_zero_los_mean_gives_rayleigh_amplitude_mean():
 
 def test_same_seed_identical_state():
     params = FadingParams(los_mean=1 + 2j, sigma0=0.5)
-    a = sample_fading_block(np.random.default_rng(7), params, 4)
-    b = sample_fading_block(np.random.default_rng(7), params, 4)
-    np.testing.assert_array_equal(a.coefficients, b.coefficients)
+    a = _one_block(np.random.default_rng(7), params, 4)
+    b = _one_block(np.random.default_rng(7), params, 4)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_k_factor_definition():
@@ -48,69 +45,128 @@ def test_k_factor_definition():
     assert params.k_factor(3) == pytest.approx(30.0)
 
 
+# h = sum_l g(mode, theta_l) * a_l, with g a row of the profile's gain matrix
+
+
 def test_channel_gain_unit_gains():
-    state = FadingState(coefficients=np.array([1 + 0j, 0 + 1j]), block_index=0)
-    profile = omni_profile()
-    paths = LinkPathSet(angles_deg=(0.0, 90.0))
-    assert channel_gain(state, profile, 0, paths) == 1 + 1j
+    coeff = np.array([1 + 0j, 0 + 1j])
+    g = omni_profile().gain_matrix((0.0, 90.0))
+    assert np.sum(g[0] * coeff) == 1 + 1j
 
 
 def test_channel_gain_selective_mode_nulls_nlos(rng):
-    state = sample_fading_block(rng, FadingParams(los_mean=1 + 1j, sigma0=0.3), 3)
+    coeff = _one_block(rng, FadingParams(los_mean=1 + 1j, sigma0=0.3), 3)
     profile = AntennaProfile(
         modes=(0,),
         angles_deg=np.array([0.0, 90.0, 180.0]),
         gains=np.array([[2.0, 0.0, 0.0]]),
     )
-    paths = LinkPathSet(angles_deg=(0.0, 90.0, 180.0))
-    h = channel_gain(state, profile, 0, paths)
-    assert h == pytest.approx(2.0 * state.coefficients[0])
+    g = profile.gain_matrix((0.0, 90.0, 180.0))
+    assert np.sum(g[0] * coeff) == pytest.approx(2.0 * coeff[0])
 
 
 def test_channel_gain_across_modes_matches_brute_force(rng):
     profile = synthesize_rotated_beam(mode_count=360, front_to_back_db=20.0)
-    paths = LinkPathSet(angles_deg=(0.0, 49.1, 35.7))
-    state = sample_fading_block(rng, FadingParams(los_mean=2 - 1j, sigma0=0.4), 3)
-    from phykey.antenna import gain
-
+    angles = (0.0, 49.1, 35.7)
+    coeff = _one_block(rng, FadingParams(los_mean=2 - 1j, sigma0=0.4), 3)
+    h = np.sum(profile.gain_matrix(angles) * coeff, axis=1)
     for mode in range(0, 360, 17):
-        brute = sum(
-            gain(profile, mode, a) * c
-            for a, c in zip(paths.angles_deg, state.coefficients)
-        )
-        assert channel_gain(state, profile, mode, paths) == pytest.approx(brute)
+        row = profile.gains[mode]  # listed every whole degree
+        brute = 0j
+        for angle, c in zip(angles, coeff):
+            lo, frac = int(angle), angle - int(angle)
+            g = row[lo] + frac * (row[(lo + 1) % 360] - row[lo])
+            brute += g * c
+        assert h[mode] == pytest.approx(brute)
 
 
-def test_channel_gain_length_mismatch_rejected(rng):
-    state = sample_fading_block(rng, FadingParams(los_mean=0j, sigma0=1.0), 2)
-    with pytest.raises(ContractError):
-        channel_gain(state, omni_profile(), 0, LinkPathSet(angles_deg=(0.0, 1.0, 2.0)))
+# RSS = 20*log10|h| + P_x, as the session maps each round's channel
+
+
+def _session(overrides=None, profile=None, noise_sigma_db=0.0, rounds=400, seed=3):
+    cfg = config_from_mapping({"seed": seed, "rounds": rounds, **(overrides or {})})
+    topology = cfg.build_topology()
+    links = build_links(topology, cfg.fading)
+    trace = simulate_session(
+        profile=cfg.build_profile() if profile is None else profile,
+        topology=topology,
+        links=links,
+        scheme=cfg.scheme,
+        n_rounds=cfg.rounds,
+        coherence_block_rounds=cfg.coherence_block_rounds,
+        beta=cfg.beta,
+        noise_sigma_db=noise_sigma_db,
+        detection_threshold_dbm=cfg.detection_threshold_dbm,
+        rng=np.random.default_rng(seed),
+        attack_enabled=False,
+    )
+    return trace, links
+
+
+def _brute_force_rss_ab(trace, links, profile, seed):
+    """Replay the session's draws in its order (A-B, A-M, M-B blocks, then
+    modes) and map each round's mode-weighted A-B sum to RSS."""
+    rng = np.random.default_rng(seed)
+    n_blocks = -(-trace.n_rounds // trace.coherence_block_rounds)
+    a_ab = sample_fading_blocks(rng, links.fading_ab, links.ab.path_count, n_blocks)
+    sample_fading_blocks(rng, links.fading_am, links.am.path_count, n_blocks)
+    sample_fading_blocks(rng, links.fading_mb, links.mb_path_count, n_blocks)
+    modes = rng.integers(0, profile.mode_count, size=trace.n_rounds)
+    g = profile.gain_matrix(links.ab.angles_deg)
+    rss = np.empty(trace.n_rounds)
+    for i, mode in enumerate(modes):
+        h = sum(gl * al for gl, al in zip(g[mode], a_ab[i // trace.coherence_block_rounds]))
+        rss[i] = 20.0 * math.log10(abs(h)) + trace.p_x_dbm if h != 0 else -math.inf
+    return rss
 
 
 def test_rss_unit_channel():
-    assert rss_from_gain(1 + 0j, 10.0) == pytest.approx(10.0)
+    # a LoS-only unit channel calibrated to a 10 dBm threshold reads 10 dBm
+    overrides = {"scheme": "OAKG", "detection_threshold_dbm": 10.0,
+                 "fading": {"k_factor": 1e14, "ab": {"los_amplitude": 1.0}}}
+    trace, _ = _session(overrides)
+    assert trace.p_x_dbm == pytest.approx(10.0, abs=1e-6)
+    np.testing.assert_allclose(trace.x_a, 10.0, atol=1e-5)
 
 
 def test_rss_decade():
-    assert rss_from_gain(0.1 + 0j, 0.0) == pytest.approx(-20.0)
+    # a tenfold weaker M-A amplitude reads 20 dB below the A-B channel
+    overrides = {"scheme": "OAKG",
+                 "fading": {"k_factor": 1e14, "ab": {"los_amplitude": 1e-4},
+                            "ma": {"los_amplitude": 1e-5}}}
+    trace, _ = _session(overrides)
+    np.testing.assert_allclose(trace.rss_ma - trace.x_a, -20.0, atol=1e-5)
 
 
 def test_rss_inverts_calibration_example():
-    h = 10.0 ** ((-75.0 - 5.0) / 20.0)
-    assert rss_from_gain(h + 0j, 5.0) == pytest.approx(-75.0, abs=1e-12)
+    # amplitude 1e-4 at the -75 dBm threshold calibrates P_x to 5 dBm, and
+    # the channel then reads back the threshold
+    overrides = {"scheme": "OAKG",
+                 "fading": {"k_factor": 1e14, "ab": {"los_amplitude": 1e-4}}}
+    trace, _ = _session(overrides)
+    assert trace.p_x_dbm == pytest.approx(5.0, abs=1e-6)
+    np.testing.assert_allclose(trace.x_a, -75.0, atol=1e-5)
+
+
+def test_rss_is_mode_weighted_sum_in_db(beam_profile):
+    trace, links = _session(profile=beam_profile)
+    expected = _brute_force_rss_ab(trace, links, beam_profile, seed=3)
+    np.testing.assert_allclose(trace.x_a, expected, rtol=0, atol=1e-9)
 
 
 def test_rss_zero_gain_is_erasure():
-    assert rss_from_gain(0j, 5.0) == float("-inf")
+    profile = AntennaProfile(modes=(0, 1), angles_deg=np.array([0.0]),
+                             gains=np.array([[1.0], [0.0]]))
+    with pytest.warns(UserWarning, match="zero-gain"):
+        trace, _ = _session(profile=profile)
+    dead = trace.mode == 1
+    assert dead.any() and (~dead).any()
+    assert np.all(trace.x_a[dead] == -math.inf)
+    assert np.all(np.isfinite(trace.x_a[~dead]))
 
 
-def test_rss_noise_needs_rng():
-    with pytest.raises(ContractError):
-        rss_from_gain(1 + 0j, 0.0, noise_sigma_db=1.0)
-
-
-def test_rss_noise_statistics():
-    rng = np.random.default_rng(3)
-    vals = np.array([rss_from_gain(1 + 0j, 0.0, 2.0, rng) for _ in range(20000)])
-    assert np.mean(vals) == pytest.approx(0.0, abs=0.1)
-    assert np.std(vals) == pytest.approx(2.0, rel=0.05)
+def test_rss_noise_statistics(beam_profile):
+    trace, links = _session(profile=beam_profile, noise_sigma_db=2.0, rounds=20_000)
+    noise = trace.x_a - _brute_force_rss_ab(trace, links, beam_profile, seed=3)
+    assert np.mean(noise) == pytest.approx(0.0, abs=0.1)
+    assert np.std(noise) == pytest.approx(2.0, rel=0.05)

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from phykey.config import config_from_mapping
+from phykey.errors import ContractError
 from phykey.pipeline import run_protocol
 from phykey.session import build_links, simulate_session
 
@@ -92,6 +94,12 @@ def test_adversary_disabled_matches_clean_series_same_seed():
     np.testing.assert_array_equal(
         attacked.x_a[attacked.injected], attacked.rss_ma[attacked.injected]
     )
+
+
+def test_oakg_rejects_non_omni_profile(beam_profile):
+    cfg = config_from_mapping({"seed": 3, "scheme": "OAKG", "rounds": 100})
+    with pytest.raises(ContractError, match="OAKG"):
+        _run(cfg, profile=beam_profile)
 
 
 def test_oakg_mode_column_is_constant():
