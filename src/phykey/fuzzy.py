@@ -15,17 +15,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ContractError
-from .reed_solomon import DecodeFailure, ReedSolomon, RsParams
-
-
-@lru_cache(maxsize=8)
-def _codec(params: RsParams) -> ReedSolomon:
-    return ReedSolomon(params)
+from .reed_solomon import RsParams, codec
 
 
 def bits_to_symbols(bits: np.ndarray, m: int) -> np.ndarray:
@@ -33,18 +27,21 @@ def bits_to_symbols(bits: np.ndarray, m: int) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.size % m:
         raise ContractError(f"bit count {bits.size} not a multiple of m={m}")
-    weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
-    return (bits.reshape(-1, m).astype(np.int64) * weights).sum(axis=1)
+    shifts = np.arange(m - 1, -1, -1, dtype=np.uint16)
+    return (bits.reshape(-1, m).astype(np.uint16) << shifts).sum(axis=1, dtype=np.int64)
 
 
 def symbols_to_bits(symbols: np.ndarray, m: int) -> np.ndarray:
-    symbols = np.asarray(symbols, dtype=np.int64)
-    shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
-    return ((symbols[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
+    """Unpack symbols (any shape) into one flat MSB-first bit array."""
+    symbols = np.asarray(symbols).astype(np.uint16)
+    shifts = np.arange(m - 1, -1, -1, dtype=np.uint16)
+    return ((symbols[..., None] >> shifts) & 1).astype(np.uint8).reshape(-1)
 
 
-def _digest(y_symbols: np.ndarray, m: int) -> bytes:
-    return hashlib.sha256(pack_bits(symbols_to_bits(y_symbols, m))).digest()
+def _digests(y: np.ndarray, m: int) -> list[bytes]:
+    """sha256 of each row's packed bits, one digest per block."""
+    bits = symbols_to_bits(y, m).reshape(y.shape[0], y.shape[1] * m)
+    return [hashlib.sha256(row.tobytes()).digest() for row in np.packbits(bits, axis=1)]
 
 
 def pack_bits(bits: np.ndarray) -> bytes:
@@ -79,76 +76,111 @@ class Commitment:
 
 @dataclass(frozen=True)
 class ReconcileFailure:
+    """Why reconciliation failed; a stream names every failing block.
+
+    `blocks` holds (block, reason) for each failing block of a stream,
+    in block order; `reason` joins them as "block b: reason; ...".
+    """
+
     reason: str
+    blocks: tuple[tuple[int, str], ...] = ()
+
+
+def _check_block(bits: np.ndarray, params: RsParams) -> np.ndarray:
+    bits = np.asarray(bits, dtype=np.uint8)
+    if bits.size != params.block_bits:
+        raise ContractError(
+            f"block must be exactly {params.block_bits} bits, got {bits.size}"
+        )
+    return bits.reshape(1, -1)
+
+
+def _commit_blocks(
+    s_a: np.ndarray, params: RsParams, rng: np.random.Generator
+) -> tuple[list[Commitment], np.ndarray]:
+    """Commitments to the rows of a (blocks, n*m) bit array, and the y rows.
+
+    One draw of blocks*k symbols equals one draw of k per block in turn.
+    """
+    blocks = len(s_a)
+    y = rng.integers(0, 1 << params.m, size=blocks * params.k).reshape(blocks, params.k)
+    codewords = codec(params).encode_blocks(y)
+    deltas = s_a ^ symbols_to_bits(codewords, params.m).reshape(blocks, params.block_bits)
+    commitments = [
+        Commitment(delta=delta, verifier_digest=digest, params=params)
+        for delta, digest in zip(deltas, _digests(y, params.m))
+    ]
+    return commitments, y
+
+
+def _open_blocks(
+    s_b: np.ndarray, commitments: list[Commitment], params: RsParams
+) -> tuple[np.ndarray, dict[int, str]]:
+    """Recovered S_a rows for a (blocks, n*m) bit array, and {block: reason}.
+
+    A decoded codeword with zero syndromes is exactly enc(y'), so it is
+    XORed with delta directly instead of re-encoding y'.
+    """
+    deltas = np.stack([cm.delta for cm in commitments])
+    received = bits_to_symbols(s_b ^ deltas, params.m).reshape(len(commitments), -1)
+    codewords, failures = codec(params).decode_blocks(received)
+    failures = {b: f"decode: {reason}" for b, reason in failures.items()}
+    digests = _digests(codewords[:, : params.k], params.m)
+    for b, (cm, digest) in enumerate(zip(commitments, digests)):
+        if b not in failures and digest != cm.verifier_digest:
+            failures[b] = "digest mismatch"
+    recovered = symbols_to_bits(codewords, params.m).reshape(len(commitments), -1) ^ deltas
+    return recovered, dict(sorted(failures.items()))
 
 
 def commit(
     s_a: np.ndarray, params: RsParams, rng: np.random.Generator
 ) -> tuple[Commitment, np.ndarray]:
     """Commit to one block of exactly n*m bits; returns (commitment, y)."""
-    s_a = np.asarray(s_a, dtype=np.uint8)
-    if s_a.size != params.block_bits:
-        raise ContractError(
-            f"block must be exactly {params.block_bits} bits, got {s_a.size}"
-        )
-    rs = _codec(params)
-    y = rng.integers(0, 1 << params.m, size=params.k)
-    codeword_bits = symbols_to_bits(rs.encode(y), params.m)
-    delta = s_a ^ codeword_bits
-    return Commitment(delta=delta, verifier_digest=_digest(y, params.m), params=params), y
+    commitments, y = _commit_blocks(_check_block(s_a, params), params, rng)
+    return commitments[0], y[0]
 
 
 def open_commitment(s_b: np.ndarray, commitment: Commitment, params: RsParams):
     """Recover the committed S_a from Bob's block, or ReconcileFailure."""
-    s_b = np.asarray(s_b, dtype=np.uint8)
-    if s_b.size != params.block_bits:
-        raise ContractError(
-            f"block must be exactly {params.block_bits} bits, got {s_b.size}"
-        )
-    rs = _codec(params)
-    c_prime = bits_to_symbols(s_b ^ commitment.delta, params.m)
-    y_prime = rs.decode(c_prime)
-    if isinstance(y_prime, DecodeFailure):
-        return ReconcileFailure(f"decode: {y_prime.reason}")
-    if _digest(y_prime, params.m) != commitment.verifier_digest:
-        return ReconcileFailure("digest mismatch")
-    recovered = symbols_to_bits(rs.encode(y_prime), params.m) ^ commitment.delta
-    return recovered
+    recovered, failures = _open_blocks(_check_block(s_b, params), [commitment], params)
+    if failures:
+        return ReconcileFailure(failures[0])
+    return recovered[0]
 
 
 def commit_stream(
     s_a: np.ndarray, params: RsParams, rng: np.random.Generator
 ) -> tuple[list[Commitment], int]:
-    """Commit a whole bitstream block by block; the partial tail is dropped.
+    """Commit a whole bitstream in one batch; the partial tail is dropped.
 
     Returns the commitments and the number of bits covered.
     """
     s_a = np.asarray(s_a, dtype=np.uint8)
     nblocks = s_a.size // params.block_bits
-    commitments = []
-    for b in range(nblocks):
-        chunk = s_a[b * params.block_bits : (b + 1) * params.block_bits]
-        commitments.append(commit(chunk, params, rng)[0])
-    return commitments, nblocks * params.block_bits
+    covered = nblocks * params.block_bits
+    blocks = s_a[:covered].reshape(nblocks, params.block_bits)
+    commitments, _ = _commit_blocks(blocks, params, rng)
+    return commitments, covered
 
 
 def open_stream(s_b: np.ndarray, commitments: list[Commitment], params: RsParams):
-    """Open every block; any block failure fails the whole reconciliation."""
+    """Open every block in one batch; any failing block fails the stream.
+
+    The ReconcileFailure names every failing block, first one first.
+    """
     s_b = np.asarray(s_b, dtype=np.uint8)
     need = len(commitments) * params.block_bits
     if s_b.size < need:
         raise ContractError(f"peer stream holds {s_b.size} bits, need {need}")
-    parts = []
-    for b, cm in enumerate(commitments):
-        out = open_commitment(
-            s_b[b * params.block_bits : (b + 1) * params.block_bits], cm, params
-        )
-        if isinstance(out, ReconcileFailure):
-            return ReconcileFailure(f"block {b}: {out.reason}")
-        parts.append(out)
-    if not parts:
+    if not commitments:
         return np.zeros(0, dtype=np.uint8)
-    return np.concatenate(parts)
+    blocks = s_b[:need].reshape(len(commitments), params.block_bits)
+    recovered, failures = _open_blocks(blocks, commitments, params)
+    if failures:
+        blocks = tuple(failures.items())
+        return ReconcileFailure("; ".join(f"block {b}: {r}" for b, r in blocks), blocks)
+    return recovered.reshape(-1)
 
 
 def derive_key(bits: np.ndarray) -> bytes:

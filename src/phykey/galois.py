@@ -48,10 +48,17 @@ class GF2m:
             if x & self.order:
                 x ^= self.poly
         exp[size : 2 * size] = exp[:size]  # doubled so products skip the mod
-        exp.setflags(write=False)
-        log.setflags(write=False)
+        # array twins: log(0) is a sentinel whose sums all land in a zero
+        # tail of the antilog table, so products need no zero test
+        log_z = log.copy()
+        log_z[0] = 2 * size
+        exp_z = np.concatenate([exp, np.zeros(2 * size + 1, dtype=np.int64)])
+        for table in (exp, log, log_z, exp_z):
+            table.setflags(write=False)
         self.exp = exp
         self.log = log
+        self.log_z = log_z
+        self.exp_z = exp_z
 
     def check(self, a: int) -> int:
         if not 0 <= a < self.order:
@@ -89,14 +96,12 @@ class GF2m:
         return int(self.exp[(self.log[a] * n) % (self.order - 1)])
 
     def mul_array(self, a, b) -> np.ndarray:
-        """Elementwise product of symbol arrays (for exhaustive tests)."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        av, bv = np.broadcast_arrays(a, b)
-        out[nz] = self.exp[self.log[av[nz]] + self.log[bv[nz]]]
-        return out
+        """Elementwise product of symbol arrays (unchecked, broadcasting)."""
+        return self.exp_z[self.log_z[a] + self.log_z[b]]
+
+    def div_array(self, a, b) -> np.ndarray:
+        """Elementwise a / b of symbol arrays; b must be nonzero (unchecked)."""
+        return self.exp_z[self.log_z[a] - self.log[b] + (self.order - 1)]
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,15 @@
-"""Systematic Reed-Solomon codec over GF(2^m).
+"""Systematic Reed-Solomon codec over GF(2^m), batched over blocks.
 
-Encoding appends n-k parity symbols by polynomial division with the
-generator polynomial prod_{i=0}^{n-k-1} (x - alpha^i). Decoding is the
-classic bounded-distance chain: syndromes, Berlekamp-Massey for the
-error locator, Chien search for its roots, Forney for the magnitudes.
+Every codec call takes a (blocks, symbols) array. Encoding appends n-k
+parity symbols, the remainder of division by the generator polynomial
+prod_{i=0}^{n-k-1} (x - alpha^i). Parity and syndromes are both linear
+maps of the input symbols, so each is one product with a fixed matrix,
+applied to all blocks at once through the field's log/antilog tables;
+the matrices are built per code on first use (`codec`), never at
+import. Decoding is the classic bounded-distance chain and runs only on
+blocks with a nonzero syndrome: Berlekamp-Massey for the error locator
+(vectorized over blocks), Chien search for its roots and Forney for the
+magnitudes (vectorized over blocks and positions).
 Anything beyond t = floor((n-k)/2) symbol errors yields DecodeFailure
 or (rarely) a valid-looking wrong word; callers needing certainty must
 verify a digest, as the fuzzy commitment does.
@@ -11,6 +17,7 @@ verify a digest, as the fuzzy commitment does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,151 +64,182 @@ class DecodeFailure:
 class ReedSolomon:
     """Encoder/decoder for a fixed RsParams instance.
 
-    Position j of a codeword array carries the coefficient of
-    x^(n-1-j); syndromes are evaluations at alpha^0 .. alpha^(n-k-1).
+    Position j of a codeword row carries the coefficient of x^(n-1-j);
+    syndromes are evaluations at alpha^0 .. alpha^(n-k-1). Building an
+    instance builds its tables; `codec(params)` shares one per code.
     """
 
     def __init__(self, params: RsParams):
         self.params = params
-        self.gf = field(params.m)
-        self.generator = self._generator_poly(params.n - params.k)
-
-    def _generator_poly(self, nsym: int) -> list[int]:
-        gf = self.gf
-        g = [1]
+        gf = self.gf = field(params.m)
+        n, k, nsym, q1 = params.n, params.k, params.n - params.k, gf.order - 1
+        g = np.ones(1, dtype=np.int64)
         for i in range(nsym):
-            root = gf.pow(2, i)
-            nxt = [0] * (len(g) + 1)
-            for j, c in enumerate(g):
-                nxt[j] ^= c
-                nxt[j + 1] ^= gf.mul(c, root)
-            g = nxt
-        return g
+            g = np.concatenate([g, [0]]) ^ np.concatenate([[0], gf.mul_array(g, gf.exp[i])])
+        self.generator = g
+        # remainder of x^(n-1-i) mod g for each data position i: run the
+        # division LFSR on the k unit words at once
+        rem = np.zeros((k, nsym), dtype=np.int64)
+        for i in range(k):
+            factor = rem[:, 0].copy()
+            factor[i] ^= 1
+            rem = np.concatenate([rem[:, 1:], np.zeros((k, 1), dtype=np.int64)], axis=1)
+            rem ^= gf.mul_array(factor[:, None], g[None, 1:])
+        # the parity and syndrome matrices, as logs (log_z: zero allowed)
+        self._parity_log = gf.log_z[rem]
+        degree = n - 1 - np.arange(n)
+        self._syndrome_log = np.outer(degree, np.arange(nsym)) % q1
+        # log of alpha^-degree per position, and (nsym, n) powers of it
+        self._xinv_log = -degree % q1
+        self._xinv_pow = gf.exp[np.outer(np.arange(nsym), self._xinv_log) % q1]
+
+    def _apply(self, symbols: np.ndarray, coef_log: np.ndarray) -> np.ndarray:
+        """symbols @ coef over GF(2^m) for every row, one output column at a time."""
+        gf = self.gf
+        log = gf.log_z[symbols]
+        out = np.empty((len(symbols), coef_log.shape[1]), dtype=np.int64)
+        for j in range(coef_log.shape[1]):
+            out[:, j] = np.bitwise_xor.reduce(gf.exp_z[log + coef_log[:, j]], axis=1)
+        return out
+
+    def _check(self, symbols, length: int, name: str) -> np.ndarray:
+        symbols = np.asarray(symbols, dtype=np.int64)
+        if symbols.ndim != 2 or symbols.shape[1] != length:
+            raise ContractError(f"{name} must have exactly {length} symbols")
+        if symbols.size and (symbols.min() < 0 or symbols.max() >= self.gf.order):
+            raise ContractError("symbol outside field range")
+        return symbols
+
+    def encode_blocks(self, words) -> np.ndarray:
+        """(blocks, n) systematic codewords of (blocks, k) data words."""
+        words = self._check(words, self.params.k, "word")
+        return np.concatenate([words, self._apply(words, self._parity_log)], axis=1)
+
+    def syndromes(self, received) -> np.ndarray:
+        """(blocks, n-k) syndromes; a row is all zero exactly for codewords."""
+        return self._apply(self._check(received, self.params.n, "received"), self._syndrome_log)
+
+    def decode_blocks(self, received) -> tuple[np.ndarray, dict[int, str]]:
+        """Corrected (blocks, n) codewords, and {block: reason} for failures.
+
+        A failed block's row holds its received word unchanged.
+        """
+        received = self._check(received, self.params.n, "received")
+        synd = self.syndromes(received)
+        out = received.copy()
+        dirty = np.flatnonzero(synd.any(axis=1))
+        reasons: list = [None] * dirty.size
+        if dirty.size:
+            fixed = self._correct(out[dirty], synd[dirty], reasons)
+            out[dirty] = fixed
+        failures = {int(b): r for b, r in zip(dirty.tolist(), reasons) if r is not None}
+        return out, failures
+
+    def _berlekamp_massey(self, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Error locators (zero above their degree) and degrees L, per row.
+
+        `shifted` holds x^gap * B(x), the last locator before a length
+        change shifted by the steps since; coefficients past x^(n-k)
+        drop off, as in the one-block recurrence.
+        """
+        gf = self.gf
+        rows, nsym = synd.shape
+        c = np.zeros((rows, nsym + 1), dtype=np.int64)
+        c[:, 0] = 1
+        shifted = np.roll(c, 1, axis=1)
+        length = np.zeros(rows, dtype=np.int64)
+        last_d = np.ones(rows, dtype=np.int64)
+        for step in range(nsym):
+            d = synd[:, step].copy()
+            if step:
+                terms = gf.mul_array(c[:, 1 : step + 1], synd[:, step - 1 :: -1])
+                terms[np.arange(1, step + 1) > length[:, None]] = 0
+                d ^= np.bitwise_xor.reduce(terms, axis=1)
+            grow = (d != 0) & (2 * length <= step)
+            prev = c.copy()
+            c ^= gf.mul_array(gf.div_array(d, last_d)[:, None], shifted)
+            length = np.where(grow, step + 1 - length, length)
+            last_d = np.where(grow, d, last_d)
+            shifted = np.where(grow[:, None], prev, shifted)
+            shifted = np.concatenate([np.zeros((rows, 1), dtype=np.int64), shifted[:, :-1]], axis=1)
+        c[np.arange(nsym + 1) > length[:, None]] = 0
+        return c, length
+
+    def _correct(self, received: np.ndarray, synd: np.ndarray, reasons: list) -> np.ndarray:
+        """Corrected rows of dirty blocks; fills reasons[i] for failed rows."""
+        gf, p = self.gf, self.params
+        q1 = gf.order - 1
+        locator, length = self._berlekamp_massey(synd)
+        for i in np.flatnonzero(length > p.t).tolist():
+            reasons[i] = f"locator degree {length[i]} exceeds t={p.t}"
+        live = np.flatnonzero(length <= p.t)
+        loc = locator[live, : p.t + 1]
+        # Chien search: position j holds degree n-1-j; an error there
+        # means the locator vanishes at alpha^-(n-1-j)
+        value = np.zeros((live.size, p.n), dtype=np.int64)
+        for i in range(loc.shape[1]):
+            value ^= gf.mul_array(loc[:, i, None], self._xinv_pow[i])
+        roots = value == 0
+        found = roots.sum(axis=1)
+        for i in np.flatnonzero(found != length[live]).tolist():
+            reasons[live[i]] = f"locator of degree {length[live[i]]} has {found[i]} roots"
+        keep = found == length[live]
+        live, loc, roots = live[keep], loc[keep], roots[keep]
+        # Forney with fcr = 0: e = X * Omega(X^-1) / Lambda'(X^-1), with
+        # Omega = Lambda * S mod x^(n-k)
+        nsym = synd.shape[1]
+        omega = np.zeros((live.size, nsym), dtype=np.int64)
+        for j in range(loc.shape[1]):
+            omega[:, j:] ^= gf.mul_array(loc[:, j, None], synd[live, : nsym - j])
+        row, pos = np.nonzero(roots)
+        num = np.zeros(row.size, dtype=np.int64)
+        for i in range(nsym):
+            num ^= gf.mul_array(omega[row, i], self._xinv_pow[i, pos])
+        den = np.zeros(row.size, dtype=np.int64)
+        for i in range(1, loc.shape[1], 2):
+            den ^= gf.mul_array(loc[row, i], self._xinv_pow[i - 1, pos])
+        vanished = np.zeros(live.size, dtype=bool)
+        vanished[row[den == 0]] = True
+        for i in np.flatnonzero(vanished).tolist():
+            reasons[live[i]] = "Forney denominator vanished"
+        ok = ~vanished[row]
+        x_k = gf.exp[-self._xinv_log[pos[ok]] % q1]
+        magnitude = gf.mul_array(x_k, gf.div_array(num[ok], den[ok]))
+        corrected = received.copy()
+        corrected[live[row[ok]], pos[ok]] ^= magnitude
+        # syndromes are linear: those of the corrected word are the
+        # received ones plus those of the error pattern
+        after = synd.copy()
+        error_synd = gf.mul_array(magnitude[:, None], gf.exp[self._syndrome_log[pos[ok]]])
+        np.bitwise_xor.at(after, live[row[ok]], error_synd)
+        done = live[~vanished]
+        unclear = done[after[done].any(axis=1)]
+        for i in unclear.tolist():
+            reasons[i] = "correction did not clear the syndromes"
+        corrected[unclear] = received[unclear]
+        return corrected
 
     def encode(self, word) -> np.ndarray:
         """Systematic codeword: the k data symbols followed by parity."""
-        p = self.params
-        word = np.asarray(word, dtype=np.int64)
-        if word.shape != (p.k,):
-            raise ContractError(f"word must have exactly {p.k} symbols")
-        if word.size and (word.min() < 0 or word.max() >= (1 << p.m)):
-            raise ContractError("symbol outside field range")
-        gf = self.gf
-        nsym = p.n - p.k
-        rem = [0] * nsym
-        for sym in word.tolist():
-            factor = sym ^ rem[0]
-            rem = rem[1:] + [0]
-            if factor:
-                for j in range(nsym):
-                    rem[j] ^= gf.mul(self.generator[j + 1], factor)
-        return np.concatenate([word, np.asarray(rem, dtype=np.int64)])
-
-    def _syndromes(self, received) -> list[int]:
-        gf = self.gf
-        nsym = self.params.n - self.params.k
-        out = []
-        for i in range(nsym):
-            root = gf.pow(2, i)
-            acc = 0
-            for sym in received:
-                acc = gf.mul(acc, root) ^ int(sym)
-            out.append(acc)
-        return out
-
-    def _berlekamp_massey(self, synd: list[int]) -> list[int]:
-        """Minimal LFSR (error locator) for the syndrome sequence."""
-        gf = self.gf
-        nsym = len(synd)
-        c = [1] + [0] * nsym
-        b = [1] + [0] * nsym
-        l, gap, last_d = 0, 1, 1
-        for n in range(nsym):
-            d = synd[n]
-            for i in range(1, l + 1):
-                d ^= gf.mul(c[i], synd[n - i])
-            if d == 0:
-                gap += 1
-                continue
-            coef = gf.div(d, last_d)
-            if 2 * l <= n:
-                prev = c[:]
-                for i in range(nsym + 1 - gap):
-                    if b[i]:
-                        c[i + gap] ^= gf.mul(coef, b[i])
-                l = n + 1 - l
-                b = prev
-                last_d = d
-                gap = 1
-            else:
-                for i in range(nsym + 1 - gap):
-                    if b[i]:
-                        c[i + gap] ^= gf.mul(coef, b[i])
-                gap += 1
-        return c[: l + 1]
+        return self.encode_blocks(np.reshape(word, (1, -1)))[0]
 
     def decode(self, received):
         """Corrected data word, or DecodeFailure beyond the t radius."""
-        p = self.params
-        received = np.asarray(received, dtype=np.int64)
-        if received.shape != (p.n,):
-            raise ContractError(f"received must have exactly {p.n} symbols")
-        if received.min() < 0 or received.max() >= (1 << p.m):
-            raise ContractError("symbol outside field range")
-        gf = self.gf
-        synd = self._syndromes(received)
-        if not any(synd):
-            return received[: p.k].copy()
-        locator = self._berlekamp_massey(synd)
-        n_errors = len(locator) - 1
-        if n_errors > p.t:
-            return DecodeFailure(f"locator degree {n_errors} exceeds t={p.t}")
-        # Chien search: position j holds degree n-1-j; error there means
-        # the locator vanishes at alpha^{-(n-1-j)}.
-        order = gf.order - 1
-        positions = []
-        roots_x = []  # X_k = alpha^{degree}
-        for j in range(p.n):
-            deg = p.n - 1 - j
-            xinv = int(gf.exp[(order - deg % order) % order])
-            acc = 0
-            for i, coef in enumerate(locator):
-                acc ^= gf.mul(coef, gf.pow(xinv, i))
-            if acc == 0:
-                positions.append(j)
-                roots_x.append(int(gf.exp[deg % order]))
-        if len(positions) != n_errors:
-            return DecodeFailure(
-                f"locator of degree {n_errors} has {len(positions)} roots"
-            )
-        # Forney with fcr = 0: e_k = X_k * Omega(X_k^-1) / Lambda'(X_k^-1)
-        nsym = p.n - p.k
-        omega = [0] * nsym
-        for i in range(nsym):
-            acc = 0
-            for j in range(min(i + 1, len(locator))):
-                acc ^= gf.mul(locator[j], synd[i - j])
-            omega[i] = acc
-        corrected = received.copy()
-        for j, x_k in zip(positions, roots_x):
-            xinv = gf.inv(x_k)
-            num = 0
-            for i, coef in enumerate(omega):
-                num ^= gf.mul(coef, gf.pow(xinv, i))
-            den = 0
-            for i in range(1, len(locator), 2):
-                den ^= gf.mul(locator[i], gf.pow(xinv, i - 1))
-            if den == 0:
-                return DecodeFailure("Forney denominator vanished")
-            corrected[j] ^= gf.mul(x_k, gf.div(num, den))
-        if any(self._syndromes(corrected)):
-            return DecodeFailure("correction did not clear the syndromes")
-        return corrected[: p.k].copy()
+        codewords, failures = self.decode_blocks(np.reshape(received, (1, -1)))
+        if failures:
+            return DecodeFailure(failures[0])
+        return codewords[0, : self.params.k]
+
+
+@lru_cache(maxsize=8)
+def codec(params: RsParams) -> ReedSolomon:
+    """The shared codec of one code, built on first use."""
+    return ReedSolomon(params)
 
 
 def rs_encode(word, params: RsParams) -> np.ndarray:
-    return ReedSolomon(params).encode(word)
+    return codec(params).encode(word)
 
 
 def rs_decode(received, params: RsParams):
-    return ReedSolomon(params).decode(received)
+    return codec(params).decode(received)

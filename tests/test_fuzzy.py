@@ -127,6 +127,33 @@ def test_stream_block_failure_is_flagged(rng):
     assert "block 1" in out.reason
 
 
+def test_stream_failure_names_every_failing_block(rng):
+    bits = rng.integers(0, 2, size=5 * 60).astype(np.uint8)
+    commitments, _ = commit_stream(bits, RS15, rng)
+    bad = bits.copy()
+    bad[60:120] ^= 1  # clobber blocks 1 and 4; 0, 2 and 3 stay clean
+    bad[240:] ^= 1
+    out = open_stream(bad, commitments, RS15)
+    assert isinstance(out, ReconcileFailure)
+    assert [b for b, _ in out.blocks] == [1, 4]
+    assert out.reason.startswith("block 1: ")
+    for b, reason in out.blocks:
+        single = open_commitment(bad[b * 60 : (b + 1) * 60], commitments[b], RS15)
+        assert single.reason == reason
+        assert f"block {b}: {reason}" in out.reason
+
+
+def test_stream_commit_draws_like_block_by_block_commits():
+    bits = np.random.default_rng(3).integers(0, 2, size=4 * 60 + 7).astype(np.uint8)
+    commitments, covered = commit_stream(bits, RS15, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    for b, cm in enumerate(commitments):
+        single, _ = commit(bits[b * 60 : (b + 1) * 60], RS15, rng)
+        np.testing.assert_array_equal(cm.delta, single.delta)
+        assert cm.verifier_digest == single.verifier_digest
+    assert covered == 240 and len(commitments) == 4
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2))
 @settings(max_examples=50, deadline=None)
 def test_commit_open_identity_property(seed, n_bad_symbols):

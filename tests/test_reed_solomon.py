@@ -1,11 +1,129 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from phykey.errors import ContractError
 from phykey.galois import field
-from phykey.reed_solomon import DecodeFailure, ReedSolomon, RsParams, rs_decode, rs_encode
+from phykey.reed_solomon import DecodeFailure, ReedSolomon, RsParams, codec, rs_decode, rs_encode
 
 RS15 = RsParams(m=4, n=15, k=11)
+
+
+class ScalarReedSolomon:
+    """Reference oracle: the one-block, per-symbol codec the batched one replaced.
+
+    Encoding divides by the generator polynomial symbol by symbol;
+    decoding runs syndromes, Berlekamp-Massey, Chien and Forney with
+    scalar field operations.
+    """
+
+    def __init__(self, params: RsParams):
+        self.params = params
+        gf = self.gf = field(params.m)
+        g = [1]
+        for i in range(params.n - params.k):
+            root = gf.pow(2, i)
+            nxt = [0] * (len(g) + 1)
+            for j, c in enumerate(g):
+                nxt[j] ^= c
+                nxt[j + 1] ^= gf.mul(c, root)
+            g = nxt
+        self.generator = g
+
+    def encode(self, word) -> np.ndarray:
+        gf, nsym = self.gf, self.params.n - self.params.k
+        rem = [0] * nsym
+        for sym in np.asarray(word).tolist():
+            factor = sym ^ rem[0]
+            rem = rem[1:] + [0]
+            if factor:
+                for j in range(nsym):
+                    rem[j] ^= gf.mul(self.generator[j + 1], factor)
+        return np.concatenate([np.asarray(word, dtype=np.int64), np.asarray(rem, dtype=np.int64)])
+
+    def syndromes(self, received) -> list[int]:
+        gf = self.gf
+        out = []
+        for i in range(self.params.n - self.params.k):
+            root = gf.pow(2, i)
+            acc = 0
+            for sym in received:
+                acc = gf.mul(acc, root) ^ int(sym)
+            out.append(acc)
+        return out
+
+    def berlekamp_massey(self, synd: list[int]) -> list[int]:
+        gf = self.gf
+        nsym = len(synd)
+        c = [1] + [0] * nsym
+        b = [1] + [0] * nsym
+        l, gap, last_d = 0, 1, 1
+        for n in range(nsym):
+            d = synd[n]
+            for i in range(1, l + 1):
+                d ^= gf.mul(c[i], synd[n - i])
+            if d == 0:
+                gap += 1
+                continue
+            coef = gf.div(d, last_d)
+            prev = c[:]
+            for i in range(nsym + 1 - gap):
+                if b[i]:
+                    c[i + gap] ^= gf.mul(coef, b[i])
+            if 2 * l <= n:
+                l = n + 1 - l
+                b = prev
+                last_d = d
+                gap = 1
+            else:
+                gap += 1
+        return c[: l + 1]
+
+    def decode(self, received):
+        p, gf = self.params, self.gf
+        received = np.asarray(received, dtype=np.int64)
+        synd = self.syndromes(received)
+        if not any(synd):
+            return received[: p.k].copy()
+        locator = self.berlekamp_massey(synd)
+        n_errors = len(locator) - 1
+        if n_errors > p.t:
+            return DecodeFailure(f"locator degree {n_errors} exceeds t={p.t}")
+        order = gf.order - 1
+        positions, roots_x = [], []
+        for j in range(p.n):
+            deg = p.n - 1 - j
+            xinv = int(gf.exp[(order - deg % order) % order])
+            acc = 0
+            for i, coef in enumerate(locator):
+                acc ^= gf.mul(coef, gf.pow(xinv, i))
+            if acc == 0:
+                positions.append(j)
+                roots_x.append(int(gf.exp[deg % order]))
+        if len(positions) != n_errors:
+            return DecodeFailure(f"locator of degree {n_errors} has {len(positions)} roots")
+        nsym = p.n - p.k
+        omega = [0] * nsym
+        for i in range(nsym):
+            for j in range(min(i + 1, len(locator))):
+                omega[i] ^= gf.mul(locator[j], synd[i - j])
+        corrected = received.copy()
+        for j, x_k in zip(positions, roots_x):
+            xinv = gf.inv(x_k)
+            num = 0
+            for i, coef in enumerate(omega):
+                num ^= gf.mul(coef, gf.pow(xinv, i))
+            den = 0
+            for i in range(1, len(locator), 2):
+                den ^= gf.mul(locator[i], gf.pow(xinv, i - 1))
+            if den == 0:
+                return DecodeFailure("Forney denominator vanished")
+            corrected[j] ^= gf.mul(x_k, gf.div(num, den))
+        if any(self.syndromes(corrected)):
+            return DecodeFailure("correction did not clear the syndromes")
+        return corrected[: p.k].copy()
 
 
 def test_params_validation():
@@ -135,3 +253,58 @@ def test_big_default_instance_roundtrip(rng):
     for j in pos:
         bad[j] ^= int(rng.integers(1, 256))
     np.testing.assert_array_equal(rs.decode(bad), word)
+
+
+ORACLE_CODES = {  # code: seeds checked (the scalar oracle is slow on the big code)
+    RS15: 60,
+    RsParams(m=4, n=13, k=7): 60,
+    RsParams(m=6, n=63, k=45): 12,
+    RsParams(m=8, n=255, k=223): 3,
+}
+
+
+@pytest.mark.parametrize("params", list(ORACLE_CODES), ids=lambda p: f"RS({p.n},{p.k})")
+def test_batched_codec_matches_scalar_oracle(params):
+    """Mixed batches of clean, correctable and beyond-radius blocks:
+    codeword, success or DecodeFailure (with its reason), and the
+    returned word, miscorrections included, agree block by block."""
+    oracle, rs = ScalarReedSolomon(params), ReedSolomon(params)
+    outcomes = {}
+    for seed in range(ORACLE_CODES[params]):
+        rng = np.random.default_rng([params.n, params.k, seed])
+        words = rng.integers(0, 1 << params.m, size=(16, params.k))
+        codewords = rs.encode_blocks(words)
+        received = codewords.copy()
+        for row, n_err in enumerate(rng.integers(0, params.t + 4, size=16)):
+            pos = rng.choice(params.n, size=n_err, replace=False)
+            received[row, pos] ^= rng.integers(1, 1 << params.m, size=n_err)
+        decoded, failures = rs.decode_blocks(received)
+        for row in range(16):
+            np.testing.assert_array_equal(codewords[row], oracle.encode(words[row]))
+            want = oracle.decode(received[row])
+            if isinstance(want, DecodeFailure):
+                assert failures.get(row) == want.reason
+                np.testing.assert_array_equal(decoded[row], received[row])
+                outcome = " ".join(want.reason.split()[:2])
+            else:
+                assert row not in failures
+                np.testing.assert_array_equal(decoded[row], oracle.encode(want))
+                outcome = "clean" if np.array_equal(received[row], codewords[row]) else (
+                    "corrected" if np.array_equal(want, words[row]) else "miscorrected")
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert {"clean", "corrected", "locator of"} <= set(outcomes), outcomes
+    if params.m == 4:
+        assert {"locator degree", "miscorrected"} <= set(outcomes), outcomes
+
+
+def test_importing_the_cli_builds_no_codec_tables():
+    """Set-up stays cheap: field and codec tables are built on first use."""
+    code = (
+        "import phykey.cli, phykey.pipeline\n"
+        "from phykey import galois, reed_solomon\n"
+        "assert galois.field.cache_info().currsize == 0\n"
+        "assert reed_solomon.codec.cache_info().currsize == 0\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
