@@ -105,8 +105,12 @@ def build_report(
     *,
     rng: np.random.Generator,
     include_attack_rounds: bool = True,
-) -> metrics.SessionReport:
-    """Reconcile, verify, and assemble the session report."""
+) -> tuple[metrics.SessionReport, list[fuzzy.Commitment]]:
+    """Reconcile, verify, and assemble the session report.
+
+    Also returns the commitments the reconciliation opened (none when
+    Alice's stream is shorter than one block).
+    """
     ell = len(protocol.s_a)
     attack = protocol.attack
     n = attack.n if attack else 0
@@ -119,6 +123,7 @@ def build_report(
     verification_ok: bool | None = None
     reconciled_bits = 0
     parity_bits = 0
+    commitments: list[fuzzy.Commitment] = []
     if ell >= rs.block_bits:
         commitments, covered = fuzzy.commit_stream(protocol.s_a.bits, rs, rng)
         parity_bits = len(commitments) * rs.parity_bits
@@ -141,7 +146,7 @@ def build_report(
         metrics.approximate_entropy(protocol.s_a.bits, 2) if ell >= 8 else None
     )
     mismatch = metrics.bit_mismatch_rate(protocol.s_a.bits, protocol.s_b.bits)
-    return metrics.SessionReport(
+    report = metrics.SessionReport(
         scheme=trace.scheme,
         seed=cfg.seed,
         n_rounds=trace.n_rounds,
@@ -163,6 +168,7 @@ def build_report(
         thresholds_bob=protocol.thresholds_bob,
         attack_rounds=attack.to_records() if attack and include_attack_rounds else [],
     )
+    return report, commitments
 
 
 def run_experiment(
@@ -174,7 +180,7 @@ def run_experiment(
     """simulate -> quantize -> attack accounting -> reconcile -> report.
 
     With out_dir set, writes report.json, trace.csv, the two bitstream
-    files, and the commitment blob into it.
+    files, and the commitment blob (the set the report verified) into it.
     """
     rng = np.random.default_rng(cfg.seed)
     topology = cfg.build_topology()
@@ -186,7 +192,7 @@ def run_experiment(
             protocol.attack is not None
             and protocol.attack.attacked_total <= _ATTACK_ROUNDS_REPORT_LIMIT
         )
-    report = build_report(
+    report, commitments = build_report(
         cfg, trace, protocol, rng=rng, include_attack_rounds=include_attack_rounds
     )
     if cfg.scheme == "RAKG":
@@ -204,13 +210,8 @@ def run_experiment(
         export_trace_csv(trace, out / "trace.csv")
         write_bitstream(out / "alice.bits", protocol.s_a)
         write_bitstream(out / "bob.bits", protocol.s_b)
-        rs = cfg.rs_params()
-        if len(protocol.s_a) >= rs.block_bits:
-            # commitments in the artifact directory are regenerated with a
-            # dedicated stream so the report stays byte-identical
-            commit_rng = np.random.default_rng(cfg.seed + 1)
-            commitments, _ = fuzzy.commit_stream(protocol.s_a.bits, rs, commit_rng)
-            write_commitments(out / "commitments.bin", commitments, rs)
+        if commitments:
+            write_commitments(out / "commitments.bin", commitments, cfg.rs_params())
         with open(out / "report.json", "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -261,7 +262,7 @@ def replay_trace(
         protocol.attack is not None
         and protocol.attack.attacked_total <= _ATTACK_ROUNDS_REPORT_LIMIT
     )
-    report = build_report(cfg, trace, protocol, rng=rng, include_attack_rounds=include)
+    report, _ = build_report(cfg, trace, protocol, rng=rng, include_attack_rounds=include)
     return report, trace, protocol
 
 

@@ -33,7 +33,7 @@ GOLDEN = {
         "alice.bits": "48554ce7b5b2e6e044ef679ad3823777df562d908b341350a5a2a4b3c9cccd09",
         "alice.bits.rounds": "1e2e67927a27566a1d96b84ff9cc584c22fa1ec7251434f0c7404ccf3773cff3",
         "bob.bits": "48554ce7b5b2e6e044ef679ad3823777df562d908b341350a5a2a4b3c9cccd09",
-        "commitments.bin": "54bfb5dee39910e15a9078e918053b1c42bdec2958e45fd16107c436d38124e0"
+        "commitments.bin": "fe646df9c9d4b885f373e4310d8b9e778ef10df612d53bcf4970d64d58a0f67b"
     },
     "rakg_attacked": {
         "report.json": "8e55883187e6353e64c886aab9ebddcb7c40923bfc62951ec4ae80f812e6fa8f",
@@ -41,7 +41,7 @@ GOLDEN = {
         "alice.bits": "95b29eea53dee0da61ea1fe88b1042a3612c0a9b770346316a20abbab09a350c",
         "alice.bits.rounds": "9e7739c16323301eb9509595175209230a8837cec36e34a2b807a8d833fc2aae",
         "bob.bits": "26cca58043567553020d54d543f6bbb0a9d948f72037451bd84ea4e7af452297",
-        "commitments.bin": "fec03fff91124994f783b6c5c91cccf21829068282fff279f5d07242a0f47d5b"
+        "commitments.bin": "cbe8b0c84ed460028b763372b2bc94c5bdfe5d3a807d28879f1e7a8e0552269a"
     },
     "rakg_clean": {
         "report.json": "730d7898738089cf6b851ff7a0bb8d4ba36c61799c9d5c7515a860b2220cb4d5",
@@ -49,7 +49,7 @@ GOLDEN = {
         "alice.bits": "7a2f87814de7c94a97f8573be0b459deaa3685de440b4f569eff16be69768712",
         "alice.bits.rounds": "1b12e8bc5d7616ef4eb0db9819da1eeae3e05480c1fc7abd32096e7d17f2bbed",
         "bob.bits": "7a2f87814de7c94a97f8573be0b459deaa3685de440b4f569eff16be69768712",
-        "commitments.bin": "aee50e104fdd7d515b9a698c528d74237d25e654c4f085f3195284f7b9f9186c"
+        "commitments.bin": "bb4e131dbd72f8b78e667b7384a5abfde66d2edb96a48e3cca566fa775fc5cc3"
     },
     "rakg_noisy": {
         "report.json": "51da9de5569c516a64acfc444650de4e170000016c30fcb255a27dc64828a6b2",
@@ -57,7 +57,7 @@ GOLDEN = {
         "alice.bits": "e5a61d8f339d07f67619536ef3c4776189e6ebaea84c0d24aa207070ba8baf42",
         "alice.bits.rounds": "f3bceb1b9d82e6570f8ab80c0b07cb5aa9bce3c57934cdbc5038eccf7e794a19",
         "bob.bits": "9d36b48a261848d9a76f534d7bc1986ebb8bb81a1e8b1baff481f863278b4d4c",
-        "commitments.bin": "1c085fbf0e7d3f55cab2390176833b6537ee0c660b90586c98cbc0b6e8eece13"
+        "commitments.bin": "f051678395d63a091aaa8acd197480b542bfe07348d28ef2d6229124557fb807"
     },
     "rakg_repeat": {
         "report.json": "579fd31b29287b35be8e2478a34d7f2148168ecffb3737288a2ffffd569ae232",
@@ -65,7 +65,7 @@ GOLDEN = {
         "alice.bits": "9f88297e3c97458c96b36cd0a5a7f84e725b19834725d6009e7d33eeac585a4f",
         "alice.bits.rounds": "95887253fc93975c362ab9b7f77c717bf1538b1989785e83f8e019d06d504950",
         "bob.bits": "e0eb82094fda4d0e15fffedc18cea44e2a297e64fe3394925479d52f70e136ee",
-        "commitments.bin": "c9ffeae5eff9372193a3d3c6769d56eacb9455ede639f7d47735af64d049d6d8"
+        "commitments.bin": "3aa5f7674aac634602965ea3d68a07c1247dc1545a133e46a94ab9ecc76d9dd8"
     }
 }
 

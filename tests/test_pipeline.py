@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from phykey import pipeline
+from phykey import fuzzy, pipeline
 from phykey.config import config_from_mapping
-from phykey.traceio import export_trace_csv, ingest_trace
+from phykey.traceio import export_trace_csv, ingest_trace, read_commitments
 
 
 def small_cfg(**over):
@@ -48,6 +48,25 @@ def test_same_seed_byte_identical_artifacts(tmp_path):
         fa = (tmp_path / "a" / name).read_bytes()
         fb = (tmp_path / "b" / name).read_bytes()
         assert fa == fb, name
+
+
+def test_commitment_artifact_is_the_set_the_report_verified(tmp_path, monkeypatch):
+    opened = []
+    open_stream = fuzzy.open_stream
+
+    def recording(s_b, commitments, params):
+        opened.append(commitments)
+        return open_stream(s_b, commitments, params)
+
+    monkeypatch.setattr(fuzzy, "open_stream", recording)
+    report, _, proto = pipeline.run_experiment(small_cfg(attack={"enabled": False}), tmp_path)
+    written, params = read_commitments(tmp_path / "commitments.bin")
+    assert report.reconciliation_ok and len(opened) == 1
+    assert [cm.verifier_digest for cm in written] == [cm.verifier_digest for cm in opened[0]]
+    for cm, verified in zip(written, opened[0]):
+        np.testing.assert_array_equal(cm.delta, verified.delta)
+    recovered = open_stream(proto.s_b.bits, written, params)
+    np.testing.assert_array_equal(recovered, proto.s_a.bits[: recovered.size])
 
 
 def test_export_ingest_replay_identity(tmp_path):
