@@ -35,8 +35,21 @@ __all__ = [
 _PMF_DIRECT_LIMIT = 4096  # above this, binomial convolution switches to FFT
 
 
-def _log_factorials(n: int) -> np.ndarray:
-    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+# k and log k! for k = 0, 1, ...; grown on demand by _series_tables
+_KS = _LOG_FACTORIALS = np.zeros(0)
+
+
+def _series_tables(hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """k and log k! for k = 0..hi, as views of tables that grow on demand.
+
+    A running sum's prefix does not depend on how far it runs, so a
+    slice of a longer table equals the table built for hi alone.
+    """
+    global _KS, _LOG_FACTORIALS
+    if _KS.size <= hi:
+        _KS = np.arange(max(hi + 1, 2 * _KS.size), dtype=float)
+        _LOG_FACTORIALS = np.concatenate(([0.0], np.cumsum(np.log(_KS[1:]))))
+    return _KS[: hi + 1], _LOG_FACTORIALS[: hi + 1]
 
 
 def marcum_q1(a: float, b: float) -> float:
@@ -57,8 +70,7 @@ def marcum_q1(a: float, b: float) -> float:
     x = a * a / 2.0
     top = max(x, y)
     hi = int(top + 40.0 * math.sqrt(top + 1.0) + 40.0)
-    ks = np.arange(0, hi + 1)
-    lf = _log_factorials(hi)
+    ks, lf = _series_tables(hi)
     pois_x = np.exp(-x + ks * math.log(x) - lf)
     cdf_y = np.cumsum(np.exp(-y + ks * math.log(y) - lf))
     return float(min(1.0, np.dot(pois_x, cdf_y)))
@@ -72,14 +84,17 @@ def closed_form_p0_p1(
     q_minus: float,
     q_plus: float,
     p_x_dbm: float,
-) -> tuple[float, float]:
-    """Mode-averaged success probabilities for O0 and O1 attacks.
+    *,
+    return_excluded: bool = False,
+):
+    """Mode-averaged success probabilities (p0, p1) for O0 and O1 attacks.
 
     p1 = mean over modes of Q1(nu/varsigma, r_plus/varsigma) and
     p0 = mean of the complementary CDF term at r_minus, with
     r = 10^((q - P_x)/20) the amplitude matching threshold q in dBm.
     Degenerate modes (varsigma == 0: zero gain on every M-A path) are
-    excluded with a warning, mirroring power calibration.
+    excluded with a warning, mirroring power calibration; with
+    return_excluded the result is (p0, p1, number of excluded modes).
     """
     r_plus = 10.0 ** ((q_plus - p_x_dbm) / 20.0)
     r_minus = 10.0 ** ((q_minus - p_x_dbm) / 20.0)
@@ -100,7 +115,10 @@ def closed_form_p0_p1(
         ratio = nu_u / vs_u
         p1_terms.append(marcum_q1(ratio, r_plus / vs_u))
         p0_terms.append(1.0 - marcum_q1(ratio, r_minus / vs_u))
-    return float(np.mean(p0_terms)), float(np.mean(p1_terms))
+    p0, p1 = float(np.mean(p0_terms)), float(np.mean(p1_terms))
+    if return_excluded:
+        return p0, p1, int(np.count_nonzero(~live))
+    return p0, p1
 
 
 def guess_count_pmf(n: int, n0: int, p0: float, p1: float) -> np.ndarray:

@@ -313,7 +313,7 @@ def analyze_config(
             cal_cfg, np.random.default_rng(cfg.seed), topology, links
         )
         q_minus, q_plus = thresholds(cal_trace.x_a, cfg.beta)
-    p0, p1 = closed_form_p0_p1(
+    p0, p1, excluded_modes = closed_form_p0_p1(
         profile,
         links.am,
         abs(links.fading_am.los_mean),
@@ -321,9 +321,8 @@ def analyze_config(
         q_minus,
         q_plus,
         p_x,
+        return_excluded=True,
     )
-    gains_am = profile.gain_matrix(links.am.angles_deg)
-    excluded_modes = int(np.sum(~np.any(gains_am > 0.0, axis=1)))
     e_kre = e_krr = None
     key_guess = None
     pmf = None

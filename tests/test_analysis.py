@@ -98,6 +98,10 @@ def test_closed_form_excludes_degenerate_modes():
     with pytest.warns(UserWarning, match="degenerate"):
         p0, p1 = closed_form_p0_p1(profile, paths, 1.0, 0.5, -3.0, 3.0, 0.0)
     assert 0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0
+    # the count analyze_config reports comes from the same exclusion
+    with pytest.warns(UserWarning, match="excluding 1 degenerate"):
+        counted = closed_form_p0_p1(profile, paths, 1.0, 0.5, -3.0, 3.0, 0.0, return_excluded=True)
+    assert counted == (p0, p1, 1)
 
 
 def _pmf_by_enumeration(n, n0, p0, p1):

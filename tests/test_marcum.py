@@ -73,3 +73,15 @@ def test_bounds_and_validation():
         marcum_q1(-1.0, 1.0)
     with pytest.raises(ContractError):
         marcum_q1(1.0, float("nan"))
+
+
+def test_series_tables_slice_equals_a_fresh_build():
+    # the grown table's prefix is bit-identical to one built for hi alone,
+    # whatever order the windows are asked for in
+    from phykey.analysis import _series_tables
+
+    for hi in (5, 3000, 40, 17_000, 0, 9_999):
+        ks, lf = _series_tables(hi)
+        fresh = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, hi + 1)))))
+        assert np.array_equal(lf, fresh)
+        assert np.array_equal(ks, np.arange(hi + 1))
