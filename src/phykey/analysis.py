@@ -49,6 +49,8 @@ def _series_tables(hi: int) -> tuple[np.ndarray, np.ndarray]:
     if _KS.size <= hi:
         _KS = np.arange(max(hi + 1, 2 * _KS.size), dtype=float)
         _LOG_FACTORIALS = np.concatenate(([0.0], np.cumsum(np.log(_KS[1:]))))
+        _KS.setflags(write=False)  # callers get views: keep the shared tables intact
+        _LOG_FACTORIALS.setflags(write=False)
     return _KS[: hi + 1], _LOG_FACTORIALS[: hi + 1]
 
 
