@@ -76,14 +76,10 @@ class Commitment:
 
 @dataclass(frozen=True)
 class ReconcileFailure:
-    """Why reconciliation failed; a stream names every failing block.
-
-    `blocks` holds (block, reason) for each failing block of a stream,
-    in block order; `reason` joins them as "block b: reason; ...".
-    """
+    """Why reconciliation failed; for a stream, "block b: why" for every
+    failing block in block order, joined by "; "."""
 
     reason: str
-    blocks: tuple[tuple[int, str], ...] = ()
 
 
 def _check_block(bits: np.ndarray, params: RsParams) -> np.ndarray:
@@ -178,8 +174,7 @@ def open_stream(s_b: np.ndarray, commitments: list[Commitment], params: RsParams
     blocks = s_b[:need].reshape(len(commitments), params.block_bits)
     recovered, failures = _open_blocks(blocks, commitments, params)
     if failures:
-        blocks = tuple(failures.items())
-        return ReconcileFailure("; ".join(f"block {b}: {r}" for b, r in blocks), blocks)
+        return ReconcileFailure("; ".join(f"block {b}: {r}" for b, r in failures.items()))
     return recovered.reshape(-1)
 
 

@@ -73,10 +73,9 @@ class ReedSolomon:
         self.params = params
         gf = self.gf = field(params.m)
         n, k, nsym, q1 = params.n, params.k, params.n - params.k, gf.order - 1
-        g = np.ones(1, dtype=np.int64)
+        g = np.ones(1, dtype=np.int64)  # generator polynomial, highest degree first
         for i in range(nsym):
             g = np.concatenate([g, [0]]) ^ np.concatenate([[0], gf.mul_array(g, gf.exp[i])])
-        self.generator = g
         # remainder of x^(n-1-i) mod g for each data position i: run the
         # division LFSR on the k unit words at once
         rem = np.zeros((k, nsym), dtype=np.int64)
@@ -115,17 +114,13 @@ class ReedSolomon:
         words = self._check(words, self.params.k, "word")
         return np.concatenate([words, self._apply(words, self._parity_log)], axis=1)
 
-    def syndromes(self, received) -> np.ndarray:
-        """(blocks, n-k) syndromes; a row is all zero exactly for codewords."""
-        return self._apply(self._check(received, self.params.n, "received"), self._syndrome_log)
-
     def decode_blocks(self, received) -> tuple[np.ndarray, dict[int, str]]:
         """Corrected (blocks, n) codewords, and {block: reason} for failures.
 
         A failed block's row holds its received word unchanged.
         """
         received = self._check(received, self.params.n, "received")
-        synd = self.syndromes(received)
+        synd = self._apply(received, self._syndrome_log)  # all zero exactly for codewords
         out = received.copy()
         dirty = np.flatnonzero(synd.any(axis=1))
         reasons: list = [None] * dirty.size
