@@ -6,7 +6,7 @@ import pytest
 
 from phykey.errors import ContractError
 from phykey.galois import field
-from phykey.reed_solomon import DecodeFailure, ReedSolomon, RsParams, codec, rs_decode, rs_encode
+from phykey.reed_solomon import DecodeFailure, ReedSolomon, RsParams, rs_decode, rs_encode
 
 RS15 = RsParams(m=4, n=15, k=11)
 
