@@ -123,12 +123,10 @@ class ReedSolomon:
         synd = self._apply(received, self._syndrome_log)  # all zero exactly for codewords
         out = received.copy()
         dirty = np.flatnonzero(synd.any(axis=1))
-        reasons: list = [None] * dirty.size
-        if dirty.size:
-            fixed = self._correct(out[dirty], synd[dirty], reasons)
-            out[dirty] = fixed
-        failures = {int(b): r for b, r in zip(dirty.tolist(), reasons) if r is not None}
-        return out, failures
+        if not dirty.size:
+            return out, {}
+        out[dirty], reasons = self._correct(received[dirty], synd[dirty])
+        return out, {int(dirty[i]): reasons[i] for i in sorted(reasons)}
 
     def _berlekamp_massey(self, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Error locators (zero above their degree) and degrees L, per row.
@@ -160,10 +158,11 @@ class ReedSolomon:
         c[np.arange(nsym + 1) > length[:, None]] = 0
         return c, length
 
-    def _correct(self, received: np.ndarray, synd: np.ndarray, reasons: list) -> np.ndarray:
-        """Corrected rows of dirty blocks; fills reasons[i] for failed rows."""
+    def _correct(self, received: np.ndarray, synd: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+        """Corrected rows of dirty blocks, and {row: reason} for the failed ones."""
         gf, p = self.gf, self.params
         q1 = gf.order - 1
+        reasons = {}
         locator, length = self._berlekamp_massey(synd)
         for i in np.flatnonzero(length > p.t).tolist():
             reasons[i] = f"locator degree {length[i]} exceeds t={p.t}"
@@ -176,9 +175,9 @@ class ReedSolomon:
             value ^= gf.mul_array(loc[:, i, None], self._xinv_pow[i])
         roots = value == 0
         found = roots.sum(axis=1)
-        for i in np.flatnonzero(found != length[live]).tolist():
-            reasons[live[i]] = f"locator of degree {length[live[i]]} has {found[i]} roots"
         keep = found == length[live]
+        for i, count in zip(live[~keep].tolist(), found[~keep].tolist()):
+            reasons[i] = f"locator of degree {length[i]} has {count} roots"
         live, loc, roots = live[keep], loc[keep], roots[keep]
         # Forney with fcr = 0: e = X * Omega(X^-1) / Lambda'(X^-1), with
         # Omega = Lambda * S mod x^(n-k)
@@ -195,8 +194,8 @@ class ReedSolomon:
             den ^= gf.mul_array(loc[row, i], self._xinv_pow[i - 1, pos])
         vanished = np.zeros(live.size, dtype=bool)
         vanished[row[den == 0]] = True
-        for i in np.flatnonzero(vanished).tolist():
-            reasons[live[i]] = "Forney denominator vanished"
+        for i in live[vanished].tolist():
+            reasons[i] = "Forney denominator vanished"
         ok = ~vanished[row]
         x_k = gf.exp[-self._xinv_log[pos[ok]] % q1]
         magnitude = gf.mul_array(x_k, gf.div_array(num[ok], den[ok]))
@@ -212,7 +211,7 @@ class ReedSolomon:
         for i in unclear.tolist():
             reasons[i] = "correction did not clear the syndromes"
         corrected[unclear] = received[unclear]
-        return corrected
+        return corrected, reasons
 
     def encode(self, word) -> np.ndarray:
         """Systematic codeword: the k data symbols followed by parity."""
