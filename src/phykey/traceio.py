@@ -1,9 +1,15 @@
 """Trace CSV, packed bitstream, and commitment file formats.
 
 Trace CSV: header `round,mode,x_a,x_b,rss_ma,rss_mb,injected`, one row
-per probing round, dBm values with 4 decimals. The same format is the
-replay-ingestion input; replayed experiment captures may omit the mode
-and injected columns.
+per probing round. The same format is the replay-ingestion input;
+replayed experiment captures may omit the mode and injected columns.
+
+Precision contract: dBm values are written as `%.4f`, 4 decimals
+rounded half-to-even from the exact binary value (0.03125 -> 0.0312,
+-0.00001 -> -0.0000; -inf erasures stay -inf). Ingesting an exported
+value v therefore returns float("%.4f" % v), not v, and a replayed
+session can differ from the simulated one where that rounding moves a
+value across a quantization threshold.
 
 Bitstreams: packed binary, MSB-first within bytes, zero-padded tail,
 plus a `<name>.rounds` sidecar listing each bit's source round (one
@@ -14,7 +20,9 @@ followed by one 32-byte digest plus one packed delta blob per block.
 """
 from __future__ import annotations
 
+import itertools
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,17 +35,21 @@ from .session import MeasurementTrace
 
 TRACE_HEADER = ["round", "mode", "x_a", "x_b", "rss_ma", "rss_mb", "injected"]
 REQUIRED_COLUMNS = ["round", "x_a", "x_b", "rss_ma", "rss_mb"]
+_ROW_FORMAT = "%d,%d,%.4f,%.4f,%.4f,%.4f,%d\n"
+# rows formatted per write, so export memory stays flat on long traces
+_CHUNK_ROWS = 65_536
 _COMMIT_MAGIC = b"PKFC"
+_COMMIT_HEADER = struct.Struct("<BHHI")
 
 
 def export_trace_csv(trace: MeasurementTrace, path) -> None:
+    columns = (trace.mode, trace.x_a, trace.x_b, trace.rss_ma, trace.rss_mb, trace.injected)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(TRACE_HEADER) + "\n")
-        for i in range(trace.n_rounds):
-            fh.write(
-                f"{i},{int(trace.mode[i])},{trace.x_a[i]:.4f},{trace.x_b[i]:.4f},"
-                f"{trace.rss_ma[i]:.4f},{trace.rss_mb[i]:.4f},{int(trace.injected[i])}\n"
-            )
+        for lo in range(0, trace.n_rounds, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, trace.n_rounds)
+            rows = zip(range(lo, hi), *(c[lo:hi].tolist() for c in columns))
+            fh.write("".join(map(_ROW_FORMAT.__mod__, rows)))
 
 
 def ingest_trace(
@@ -51,6 +63,9 @@ def ingest_trace(
 
     Requires the round,x_a,x_b,rss_ma,rss_mb columns; mode and injected
     are optional (zero when absent, as in raw experiment captures).
+    Every field is a number as Python's `float` reads it; blank lines
+    are skipped. The required columns must be finite, mode an integer
+    and injected 0 or 1; errors name the file line as `row N`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline().strip()
@@ -61,42 +76,30 @@ def ingest_trace(
         if missing:
             raise TraceFormatError(f"{path}: missing column(s) {', '.join(missing)}")
         idx = {c: columns.index(c) for c in columns}
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(columns):
-                raise TraceFormatError(
-                    f"{path}: row {lineno}: expected {len(columns)} fields, got {len(parts)}"
-                )
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError as exc:
-                raise TraceFormatError(f"{path}: row {lineno}: {exc}") from None
-    if not rows:
-        raise TraceFormatError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(data[:, [idx[c] for c in REQUIRED_COLUMNS]])):
-        bad = int(
-            np.nonzero(
-                ~np.all(np.isfinite(data[:, [idx[c] for c in REQUIRED_COLUMNS]]), axis=1)
-            )[0][0]
-        )
-        raise TraceFormatError(f"{path}: row {bad + 2}: non-finite value")
-    n = data.shape[0]
-    mode = data[:, idx["mode"]].astype(np.int64) if "mode" in idx else np.zeros(n, np.int64)
-    injected = (
-        data[:, idx["injected"]].astype(bool) if "injected" in idx else np.zeros(n, bool)
-    )
+        body = fh.tell()
+        data = _read_rows(path, fh, len(columns), float, np.float64, "row", first_line=2)
+        if not data.shape[0]:
+            raise TraceFormatError(f"{path}: no data rows")
+        mode = data[:, idx["mode"]] if "mode" in idx else np.zeros(data.shape[0])
+        injected = data[:, idx["injected"]] if "injected" in idx else np.zeros(data.shape[0])
+        for bad, why in (
+            (~np.isfinite(data[:, [idx[c] for c in REQUIRED_COLUMNS]]).all(axis=1),
+             "non-finite value"),
+            (~((mode == np.floor(mode)) & (np.abs(mode) < 2.0**63)), "mode is not an integer"),
+            ((injected != 0) & (injected != 1), "injected is not 0 or 1"),
+        ):
+            if bad.any():
+                fh.seek(body)
+                lines = (lineno for lineno, _ in _data_lines(fh, first_line=2))
+                lineno = next(itertools.islice(lines, int(np.argmax(bad)), None))
+                raise TraceFormatError(f"{path}: row {lineno}: {why}")
     return MeasurementTrace(
-        mode=mode,
+        mode=mode.astype(np.int64),
         x_a=data[:, idx["x_a"]],
         x_b=data[:, idx["x_b"]],
         rss_ma=data[:, idx["rss_ma"]],
         rss_mb=data[:, idx["rss_mb"]],
-        injected=injected,
+        injected=injected.astype(bool),
         p_x_dbm=p_x_dbm,
         injection_power_dbm=p_x_dbm if injection_power_dbm is None else injection_power_dbm,
         coherence_block_rounds=coherence_block_rounds,
@@ -104,29 +107,81 @@ def ingest_trace(
     )
 
 
+def _read_rows(path, fh, width: int, parse, dtype, label: str, first_line: int) -> np.ndarray:
+    """The rest of `fh` as a `(rows, width)` array of comma-separated numbers.
+
+    One `np.loadtxt` pass reads well-formed input. What it accepts is a
+    subset of `parse` (`float` or `_int64`) on each stripped field, with
+    the same values, so when it fails or finds another width the lines
+    are scanned again one by one with `parse`. That raises a
+    TraceFormatError naming the first bad line as `<label> N`, or returns
+    the rows of input only `parse` reads (`1_000`, whitespace-only lines).
+    """
+    start = fh.tell()
+    try:
+        with warnings.catch_warnings():
+            # an empty body is reported by the caller, not as a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+        if data.shape[1] == width or not data.size:
+            return data
+    except ValueError:
+        pass
+    fh.seek(start)
+    rows = []
+    for lineno, line in _data_lines(fh, first_line):
+        parts = line.split(",")
+        if len(parts) != width:
+            raise TraceFormatError(
+                f"{path}: {label} {lineno}: expected {width} fields, got {len(parts)}"
+            )
+        try:
+            rows.append([parse(v) for v in parts])
+        except (ValueError, OverflowError) as exc:
+            raise TraceFormatError(f"{path}: {label} {lineno}: {exc}") from None
+    return np.array(rows, dtype=dtype).reshape(-1, width)
+
+
+def _data_lines(fh, first_line: int):
+    """(line number, stripped text) of each non-blank line left in `fh`."""
+    for lineno, line in enumerate(fh, start=first_line):
+        line = line.strip()
+        if line:
+            yield lineno, line
+
+
+def _int64(text: str) -> np.int64:
+    return np.int64(int(text))
+
+
+def _sidecar(path: Path) -> Path:
+    return path.with_suffix(path.suffix + ".rounds")
+
+
 def write_bitstream(path, stream: Bitstream) -> None:
     path = Path(path)
     path.write_bytes(pack_bits(stream.bits))
-    sidecar = path.with_suffix(path.suffix + ".rounds")
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        for r in stream.source_rounds:
-            fh.write(f"{int(r)}\n")
+    rounds = stream.source_rounds.tolist()
+    _sidecar(path).write_text(("%d\n" * len(rounds)) % tuple(rounds), encoding="utf-8")
 
 
 def read_bitstream(path) -> Bitstream:
     """Read a packed bitstream; the sidecar fixes length and source rounds.
 
     Without a sidecar the whole padded byte payload is taken as bits and
-    source rounds default to 0..n-1.
+    source rounds default to 0..n-1. Sidecar errors name the file line.
     """
     path = Path(path)
     blob = path.read_bytes()
-    sidecar = path.with_suffix(path.suffix + ".rounds")
+    sidecar = _sidecar(path)
     if sidecar.exists():
         with open(sidecar, "r", encoding="utf-8") as fh:
-            rounds = [int(line) for line in fh if line.strip()]
-        bits = unpack_bits(blob, len(rounds))
-        return Bitstream(bits=bits, source_rounds=np.asarray(rounds, dtype=np.int64))
+            rounds = _read_rows(sidecar, fh, 1, _int64, np.int64, "line", first_line=1)[:, 0]
+        if 8 * len(blob) < rounds.size:
+            raise TraceFormatError(
+                f"{path}: holds {8 * len(blob)} bits, but {sidecar.name} lists {rounds.size}"
+            )
+        return Bitstream(bits=unpack_bits(blob, rounds.size), source_rounds=rounds)
     bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8))
     return Bitstream(bits=bits, source_rounds=np.arange(bits.size, dtype=np.int64))
 
@@ -135,7 +190,7 @@ def write_commitments(path, commitments: list[Commitment], params: RsParams) -> 
     blob_len = (params.block_bits + 7) // 8
     with open(path, "wb") as fh:
         fh.write(_COMMIT_MAGIC)
-        fh.write(struct.pack("<BHHI", params.m, params.n, params.k, len(commitments)))
+        fh.write(_COMMIT_HEADER.pack(params.m, params.n, params.k, len(commitments)))
         for cm in commitments:
             fh.write(cm.verifier_digest)
             packed = pack_bits(cm.delta)
@@ -148,7 +203,10 @@ def read_commitments(path) -> tuple[list[Commitment], RsParams]:
         magic = fh.read(4)
         if magic != _COMMIT_MAGIC:
             raise TraceFormatError(f"{path}: not a commitment file")
-        m, n, k, count = struct.unpack("<BHHI", fh.read(9))
+        header = fh.read(_COMMIT_HEADER.size)
+        if len(header) != _COMMIT_HEADER.size:
+            raise TraceFormatError(f"{path}: truncated header")
+        m, n, k, count = _COMMIT_HEADER.unpack(header)
         params = RsParams(m=m, n=n, k=k)
         blob_len = (params.block_bits + 7) // 8
         commitments = []
