@@ -67,7 +67,9 @@ def ingest_trace(
     are skipped. The required columns must be finite, mode an integer
     and injected 0 or 1; errors name the file line as `row N`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become U+FFFD, which no number or column name
+    # holds, so they are reported at their line instead of raising
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header_line = fh.readline().strip()
         if not header_line:
             raise TraceFormatError(f"{path}: empty file")
@@ -175,7 +177,7 @@ def read_bitstream(path) -> Bitstream:
     blob = path.read_bytes()
     sidecar = _sidecar(path)
     if sidecar.exists():
-        with open(sidecar, "r", encoding="utf-8") as fh:
+        with open(sidecar, "r", encoding="utf-8", errors="replace") as fh:
             rounds = _read_rows(sidecar, fh, 1, _int64, np.int64, "line", first_line=1)[:, 0]
         if 8 * len(blob) < rounds.size:
             raise TraceFormatError(

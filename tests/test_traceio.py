@@ -333,6 +333,18 @@ def test_ingest_grammar_matches_oracle(body, error, tmp_path):
     assert str(exc.value) == str(oracle_exc.value)
 
 
+def test_undecodable_bytes_are_located(tmp_path):
+    path = tmp_path / "g.csv"
+    path.write_bytes(_GRAMMAR_HEADER.encode() + b"0,-60,-60,-55,-55\n1,\xff60,-60,-55,-55\n")
+    with pytest.raises(TraceFormatError, match="row 3: could not convert"):
+        ingest_trace(path)
+    bits_path = tmp_path / "s.bits"
+    write_bitstream(bits_path, Bitstream(bits=np.ones(3, np.uint8), source_rounds=np.arange(3)))
+    (tmp_path / "s.bits.rounds").write_bytes(b"0\n1\xff\n2\n")
+    with pytest.raises(TraceFormatError, match="line 2: invalid literal"):
+        read_bitstream(bits_path)
+
+
 def test_header_only_file_reports_no_rows_without_warning(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text(_GRAMMAR_HEADER + "\n\n")
