@@ -30,9 +30,9 @@ from .fuzzy import Commitment, ReconcileFailure, commit, derive_key, open_commit
 from .geometry import LinkPathSet, Topology, path_angles
 from .metrics import approximate_entropy, attack_metrics, bit_mismatch_rate, randomness_tests, secret_bit_rate
 from .pipeline import analyze_config, replay_trace, run_experiment, run_protocol, run_trials
-from .quantize import Bitstream, QuantizerConfig, confirm_excursions, find_excursions, quantize, thresholds
-from .reed_solomon import DecodeFailure, ReedSolomon, RsParams, rs_decode, rs_encode
+from .quantize import Bitstream, confirm_excursions, find_excursions, quantize, thresholds
+from .reed_solomon import DecodeFailure, ReedSolomon, RsParams
 from .rician import rician_params
-from .session import MeasurementTrace, build_links, simulate_session
+from .session import MeasurementTrace, Scenario, build_links, build_scenario, simulate_session
 
 __version__ = "0.1.0"

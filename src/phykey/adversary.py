@@ -59,18 +59,27 @@ def schedule_attacks(
 
     Round 0 is never attacked (an opportunity must precede the attack),
     and rounds Mallory spends jamming are blind: they trigger nothing.
+    Acting on opportunity i keeps her busy until round i + step (2, or 3
+    with repeat_injection), so in a run of consecutive opportunities she
+    acts on every step-th one from its start; with step 3, a pick on the
+    last round of a run ending two rounds earlier delays the start by one.
     """
     n = len(rss_ma)
     o0, o1 = opportunity_masks(rss_ma, rss_mb, q_minus, q_plus, d)
     step = 3 if repeat_injection else 2
+    idx = np.flatnonzero((o0 | o1)[: n - 1])  # the last round has no next round
+    first = np.flatnonzero(np.diff(idx, prepend=-2) > 1)  # run starts, positions in idx
+    start = idx[first]
+    if repeat_injection:
+        end = np.append(idx[first[1:] - 1], idx[-1:])
+        for r in np.flatnonzero(start[1:] - end[:-1] == 2) + 1:
+            if (end[r - 1] - start[r - 1]) % step == 0:
+                start[r] += 1
+    run_start = np.repeat(start, np.diff(np.append(first, idx.size)))
+    picks = idx[(idx - run_start) % step == 0]
     injected = np.zeros(n, dtype=bool)
-    free = 0  # first round Mallory observes again
-    for i in np.flatnonzero(o0 | o1).tolist():
-        if i >= n - 1:
-            break
-        if i >= free:
-            injected[i + 1 : i + step] = True
-            free = i + step
+    for k in range(1, step):
+        injected[picks[picks + k < n] + k] = True
     return injected
 
 

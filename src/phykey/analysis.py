@@ -80,7 +80,7 @@ def marcum_q1(a: float, b: float) -> float:
 
 def closed_form_p0_p1(
     profile,
-    paths_ma,
+    gains_ma,
     los_mean_amplitude: float,
     sigma0: float,
     q_minus: float,
@@ -91,7 +91,8 @@ def closed_form_p0_p1(
 ):
     """Mode-averaged success probabilities (p0, p1) for O0 and O1 attacks.
 
-    p1 = mean over modes of Q1(nu/varsigma, r_plus/varsigma) and
+    gains_ma is the profile's gain matrix on the M-A paths (a scenario's
+    `g_am`). p1 = mean over modes of Q1(nu/varsigma, r_plus/varsigma) and
     p0 = mean of the complementary CDF term at r_minus, with
     r = 10^((q - P_x)/20) the amplitude matching threshold q in dBm.
     Degenerate modes (varsigma == 0: zero gain on every M-A path) are
@@ -100,9 +101,7 @@ def closed_form_p0_p1(
     """
     r_plus = 10.0 ** ((q_plus - p_x_dbm) / 20.0)
     r_minus = 10.0 ** ((q_minus - p_x_dbm) / 20.0)
-    nu, varsigma = rician_params(
-        profile.gain_matrix(paths_ma.angles_deg), los_mean_amplitude, sigma0
-    )
+    nu, varsigma = rician_params(gains_ma, los_mean_amplitude, sigma0)
     live = varsigma > 0.0
     if not np.any(live):
         raise ContractError("every mode is degenerate on the M-A link")

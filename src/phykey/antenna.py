@@ -71,17 +71,19 @@ class AntennaProfile:
         """Interpolated gains for every mode at the given angles.
 
         Returns an array of shape (mode_count, len(angles_deg)); used by
-        the simulator to weight per-path fading coefficients.
+        the simulator to weight per-path fading coefficients. Bit-identical
+        to `np.interp(angles % 360, angles_deg, row, period=360)` per mode:
+        the same padded table, one bracketing index for every mode, and
+        numpy's formula in its operation order.
         """
-        query = np.asarray(angles_deg, dtype=float) % 360.0
-        if self.angles_deg.size == 1:
-            return np.broadcast_to(
-                self.gains[:, 0:1], (self.mode_count, query.size)
-            ).copy()
-        out = np.empty((self.mode_count, query.size))
-        for i in range(self.mode_count):
-            out[i] = np.interp(query, self.angles_deg, self.gains[i], period=360.0)
-        return out
+        # the second % folds the 360.0 a tiny negative angle rounds to
+        x = np.asarray(angles_deg, dtype=float).reshape(-1) % 360.0 % 360.0
+        a, g = self.angles_deg, self.gains
+        xp = np.concatenate((a[-1:] - 360.0, a, a[:1] + 360.0))
+        fp = np.concatenate((g[:, -1:], g, g[:, :1]), axis=1)
+        j = np.minimum(np.searchsorted(xp, x, side="right") - 1, xp.size - 2)
+        slope = (fp[:, j + 1] - fp[:, j]) / (xp[j + 1] - xp[j])
+        return np.where(xp[j] == x, fp[:, j], slope * (x - xp[j]) + fp[:, j])
 
 
 def omni_profile() -> AntennaProfile:
@@ -111,14 +113,15 @@ def synthesize_rotated_beam(
         raise ProfileError("front_to_back_db must be >= 0")
     if beam_exponent <= 0:
         raise ProfileError("beam_exponent must be > 0")
+    if not np.isfinite(angle_step_deg):
+        raise ProfileError("angle_step_deg must be finite")
     angles = np.arange(0.0, 360.0, 1.0)
     offsets = np.radians(angles)
     atten_db = front_to_back_db * ((1.0 - np.cos(offsets)) / 2.0) ** beam_exponent
     base = 10.0 ** (-atten_db / 20.0)
-    gains = np.empty((mode_count, angles.size))
-    for u in range(mode_count):
-        shift = int(round(u * angle_step_deg)) % angles.size
-        gains[u] = np.roll(base, shift)
+    # row u is base rolled by its shift: np.roll(base, s)[k] == base[(k - s) % 360]
+    shifts = (np.round(np.arange(mode_count) * angle_step_deg) % angles.size).astype(np.int64)
+    gains = base[(np.arange(angles.size) - shifts[:, None]) % angles.size]
     return AntennaProfile(
         modes=tuple(range(mode_count)), angles_deg=angles, gains=gains, kind=RA_KIND
     )
@@ -192,6 +195,7 @@ def calibrate_tx_power(
     los_mean_amplitude: float,
     sigma0: float,
     paths: LinkPathSet | None = None,
+    gains: np.ndarray | None = None,
 ) -> float:
     """Transmit power (dBm) so every usable mode reaches the detection threshold.
 
@@ -199,13 +203,16 @@ def calibrate_tx_power(
     amplitude) + P_x; the returned P_x is the maximum over modes of the
     minimum power meeting the threshold. Modes with zero gain on every
     A->B path have no finite calibration and are excluded with a warning.
+    `gains` is the profile's gain matrix on the A->B paths, when the
+    caller already holds it.
     """
     if not np.isfinite(detection_threshold_dbm):
         raise CalibrationError("detection threshold must be finite")
-    if paths is None:
-        paths = path_angles(topology, "alice", "bob")
-    g = profile.gain_matrix(paths.angles_deg)
-    usable = np.any(g > 0.0, axis=1)
+    if gains is None:
+        if paths is None:
+            paths = path_angles(topology, "alice", "bob")
+        gains = profile.gain_matrix(paths.angles_deg)
+    usable = np.any(gains > 0.0, axis=1)
     if not np.any(usable):
         raise CalibrationError("every mode has zero gain on all A->B paths")
     if not np.all(usable):
@@ -214,7 +221,7 @@ def calibrate_tx_power(
             f"excluding {len(dead)} zero-gain mode(s) from calibration: {dead[:8]}...",
             stacklevel=2,
         )
-    nu, varsigma = rician_params(g[usable], los_mean_amplitude, sigma0)
+    nu, varsigma = rician_params(gains[usable], los_mean_amplitude, sigma0)
     mean_amp = rician_mean_amplitude(nu, varsigma)
     if np.any(mean_amp <= 0.0):
         raise CalibrationError("degenerate mode with zero mean amplitude")

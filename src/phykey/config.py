@@ -10,12 +10,17 @@ import math
 from typing import Literal, Optional
 
 import yaml
-from pydantic import BaseModel, ConfigDict, Field, ValidationError
+from pydantic import BaseModel, ConfigDict, Field, PrivateAttr, ValidationError
 
 from .antenna import AntennaProfile, load_antenna_profile, omni_profile, synthesize_rotated_beam
 from .errors import ConfigError
 from .geometry import Topology
 from .reed_solomon import RsParams
+from .session import Scenario, build_scenario
+
+# the fields a Scenario is derived from
+_SCENARIO_FIELDS = {"scheme", "detection_threshold_dbm", "wavelength_m",
+                    "topology", "antenna", "fading"}
 
 _DEFAULT_MALLORY_Y = 5.0 * math.sqrt(3.0)
 
@@ -88,6 +93,12 @@ class ExperimentConfig(_StrictModel):
     fading: FadingConfig = Field(default_factory=FadingConfig)
     attack: AttackConfig = Field(default_factory=AttackConfig)
     reconciliation: ReconciliationConfig = Field(default_factory=ReconciliationConfig)
+    # (scenario fields as JSON, the Scenario built from them)
+    _scenario: Optional[tuple[str, Scenario]] = PrivateAttr(default=None)
+
+    def __eq__(self, other) -> bool:
+        # configs are equal by their fields; a cached scenario is not one
+        return type(other) is type(self) and self.__dict__ == other.__dict__
 
     def build_topology(self) -> Topology:
         t = self.topology
@@ -113,6 +124,17 @@ class ExperimentConfig(_StrictModel):
             front_to_back_db=s.front_to_back_db,
             beam_exponent=s.beam_exponent,
         )
+
+    def build_scenario(self) -> Scenario:
+        """The run's Scenario, built on the first call. Later calls, and copies
+        of this config that change none of its fields (seed, rounds, attack,
+        ...), return the same one, so a profile CSV is read once."""
+        key = self.model_dump_json(include=_SCENARIO_FIELDS)
+        if self._scenario is None or self._scenario[0] != key:
+            self._scenario = (key, build_scenario(
+                self.build_topology(), self.build_profile(), self.fading, self.scheme,
+                self.detection_threshold_dbm))
+        return self._scenario[1]
 
     def rs_params(self) -> RsParams:
         r = self.reconciliation

@@ -8,6 +8,7 @@ the simulator does it.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,12 +17,10 @@ import numpy as np
 
 from . import adversary, fuzzy, metrics
 from .analysis import AnalysisResult, closed_form_p0_p1, expected_rates, guess_count_pmf, key_guess_probability
-from .antenna import calibrate_tx_power, omni_profile
 from .config import ExperimentConfig
 from .errors import ContractError
-from .geometry import Topology
 from .quantize import Bitstream, confirm_excursions, find_excursions, quantize, thresholds
-from .session import LinkSet, MeasurementTrace, build_links, simulate_session
+from .session import MeasurementTrace, simulate_session
 from .traceio import export_trace_csv, write_bitstream, write_commitments
 
 _PMF_REPORT_LIMIT = 20_000
@@ -67,35 +66,21 @@ def run_protocol(trace: MeasurementTrace, beta: float, excursion_len: int, d: fl
 
 
 def _simulate_from_config(
-    cfg: ExperimentConfig, rng: np.random.Generator, topology: Topology, links: LinkSet
+    cfg: ExperimentConfig, rng: np.random.Generator, **overrides
 ) -> MeasurementTrace:
-    return simulate_session(
-        profile=cfg.build_profile(),
-        topology=topology,
-        links=links,
-        scheme=cfg.scheme,
+    """A session of the config's scenario and run parameters, less any overrides."""
+    args = dict(
         n_rounds=cfg.rounds,
         coherence_block_rounds=cfg.coherence_block_rounds,
         beta=cfg.beta,
         noise_sigma_db=cfg.noise_sigma_db,
-        detection_threshold_dbm=cfg.detection_threshold_dbm,
         rng=rng,
         attack_enabled=cfg.attack.enabled,
         attack_d=cfg.attack.d,
         injection_power_dbm=cfg.attack.injection_power_dbm,
         repeat_injection=cfg.attack.repeat_injection,
     )
-
-
-def _tx_power_gap_vs_oa(
-    cfg: ExperimentConfig, topology: Topology, links: LinkSet, p_ra: float
-) -> float:
-    """Calibrated RA power minus the OA baseline on the same geometry."""
-    amp, sig = abs(links.fading_ab.los_mean), links.fading_ab.sigma0
-    p_oa = calibrate_tx_power(
-        omni_profile(), topology, cfg.detection_threshold_dbm, amp, sig, links.ab
-    )
-    return p_ra - p_oa
+    return simulate_session(cfg.build_scenario(), **{**args, **overrides})
 
 
 def build_report(
@@ -183,9 +168,8 @@ def run_experiment(
     files, and the commitment blob (the set the report verified) into it.
     """
     rng = np.random.default_rng(cfg.seed)
-    topology = cfg.build_topology()
-    links = build_links(topology, cfg.fading)
-    trace = _simulate_from_config(cfg, rng, topology, links)
+    scenario = cfg.build_scenario()
+    trace = _simulate_from_config(cfg, rng)
     protocol = run_protocol(trace, cfg.beta, cfg.excursion_len, cfg.attack.d)
     if include_attack_rounds is None:
         include_attack_rounds = (
@@ -195,10 +179,8 @@ def run_experiment(
     report, commitments = build_report(
         cfg, trace, protocol, rng=rng, include_attack_rounds=include_attack_rounds
     )
-    if cfg.scheme == "RAKG":
-        # the session calibrated the RA power on this same geometry
-        report.tx_power_gap_vs_oa_db = _tx_power_gap_vs_oa(cfg, topology, links, trace.p_x_dbm)
-    paths = links.ab.path_count
+    report.tx_power_gap_vs_oa_db = scenario.tx_power_gap_vs_oa_db
+    links, paths = scenario.links, scenario.links.ab.path_count
     report.extra["fading_k_factor"] = {
         "ab": links.fading_ab.k_factor(paths),
         "ma": links.fading_am.k_factor(paths),
@@ -244,18 +226,7 @@ def replay_trace(
             power_offset_db=offset,
             repeat_injection=cfg.attack.repeat_injection,
         )
-        trace = MeasurementTrace(
-            mode=trace.mode,
-            x_a=x_a,
-            x_b=x_b,
-            rss_ma=trace.rss_ma,
-            rss_mb=trace.rss_mb,
-            injected=injected,
-            p_x_dbm=trace.p_x_dbm,
-            injection_power_dbm=trace.injection_power_dbm,
-            coherence_block_rounds=trace.coherence_block_rounds,
-            scheme=trace.scheme,
-        )
+        trace = dataclasses.replace(trace, x_a=x_a, x_b=x_b, injected=injected)
     protocol = run_protocol(trace, cfg.beta, cfg.excursion_len, cfg.attack.d)
     rng = np.random.default_rng(cfg.seed)
     include = (
@@ -271,6 +242,7 @@ def run_trials(cfg: ExperimentConfig, trials: int):
     if trials < 1:
         raise ContractError("trials must be >= 1")
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(trials)]
+    cfg.build_scenario()  # built once: the per-trial copies share it
     return [
         run_experiment(cfg.model_copy(update={"seed": seed}), include_attack_rounds=False)[0]
         for seed in seeds
@@ -291,37 +263,19 @@ def analyze_config(
     seed (Eq.-style mean/std of Alice's series); counts are
     (ell, n, n0) from a measured or simulated run.
     """
-    topology = cfg.build_topology()
-    profile = cfg.build_profile()
-    links = build_links(topology, cfg.fading)
-    p_x = calibrate_tx_power(
-        profile,
-        topology,
-        cfg.detection_threshold_dbm,
-        abs(links.fading_ab.los_mean),
-        links.fading_ab.sigma0,
-        links.ab,
-    )
+    scenario = cfg.build_scenario()
     if q_minus is None or q_plus is None:
-        cal_cfg = cfg.model_copy(
-            update={
-                "rounds": min(cfg.rounds, calibration_rounds),
-                "attack": cfg.attack.model_copy(update={"enabled": False}),
-            }
-        )
         cal_trace = _simulate_from_config(
-            cal_cfg, np.random.default_rng(cfg.seed), topology, links
+            cfg,
+            np.random.default_rng(cfg.seed),
+            n_rounds=min(cfg.rounds, calibration_rounds),
+            attack_enabled=False,
         )
         q_minus, q_plus = thresholds(cal_trace.x_a, cfg.beta)
+    fading, p_x = scenario.links.fading_am, scenario.p_x_dbm
     p0, p1, excluded_modes = closed_form_p0_p1(
-        profile,
-        links.am,
-        abs(links.fading_am.los_mean),
-        links.fading_am.sigma0,
-        q_minus,
-        q_plus,
-        p_x,
-        return_excluded=True,
+        scenario.profile, scenario.g_am, abs(fading.los_mean), fading.sigma0,
+        q_minus, q_plus, p_x, return_excluded=True,
     )
     e_kre = e_krr = None
     key_guess = None

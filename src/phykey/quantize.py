@@ -16,20 +16,6 @@ from .errors import ContractError, ProtocolError
 
 
 @dataclass(frozen=True)
-class QuantizerConfig:
-    """Threshold weight beta (0 < beta < 1) and excursion length e >= 1."""
-
-    beta: float = 0.4
-    excursion_len: int = 1
-
-    def __post_init__(self):
-        if not (0.0 < self.beta < 1.0):
-            raise ContractError(f"beta must be in (0, 1), got {self.beta}")
-        if self.excursion_len < 1:
-            raise ContractError("excursion_len must be >= 1")
-
-
-@dataclass(frozen=True)
 class Bitstream:
     """Extracted bits with the probing round each bit came from."""
 

@@ -229,11 +229,3 @@ class ReedSolomon:
 def codec(params: RsParams) -> ReedSolomon:
     """The shared codec of one code, built on first use."""
     return ReedSolomon(params)
-
-
-def rs_encode(word, params: RsParams) -> np.ndarray:
-    return codec(params).encode(word)
-
-
-def rs_decode(received, params: RsParams):
-    return codec(params).decode(received)

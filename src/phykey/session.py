@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adversary
-from .antenna import OA_KIND, AntennaProfile, calibrate_tx_power
+from .antenna import OA_KIND, AntennaProfile, calibrate_tx_power, omni_profile
 from .errors import ContractError
 from .fading import FadingParams, sample_fading_blocks
 from .geometry import LinkPathSet, Topology, path_angles
@@ -62,9 +62,6 @@ class MeasurementTrace:
     def n_rounds(self) -> int:
         return int(self.x_a.size)
 
-    def block_index(self) -> np.ndarray:
-        return np.arange(self.n_rounds) // self.coherence_block_rounds
-
 
 def build_links(topology: Topology, fading_cfg) -> LinkSet:
     """Per-link path sets and fading parameters.
@@ -107,17 +104,51 @@ def _rss(h: np.ndarray, p_x: float) -> np.ndarray:
         return 20.0 * np.log10(mag) + p_x
 
 
+@dataclass(frozen=True, eq=False)
+class Scenario:
+    """What a run derives from its config before drawing randomness: links,
+    the profile's gain matrices on the A-B and A-M paths, the calibrated
+    power and (RAKG only) its gap to the omni calibration. Built once per run."""
+
+    scheme: str
+    topology: Topology
+    profile: AntennaProfile
+    links: LinkSet
+    g_ab: np.ndarray
+    g_am: np.ndarray
+    p_x_dbm: float
+    tx_power_gap_vs_oa_db: float | None
+
+
+def build_scenario(
+    topology: Topology, profile: AntennaProfile, fading_cfg, scheme: str,
+    detection_threshold_dbm: float,
+) -> Scenario:
+    """Transmit power is calibrated so every usable mode reaches the
+    detection threshold on the A-B link. OAKG requires the omni (OA) profile."""
+    if scheme not in (RAKG, OAKG):
+        raise ContractError(f"unknown scheme {scheme!r}")
+    if scheme == OAKG and profile.kind != OA_KIND:
+        raise ContractError("OAKG needs the omni (OA) profile")
+    links = build_links(topology, fading_cfg)
+    g_ab = profile.gain_matrix(links.ab.angles_deg)
+    g_am = profile.gain_matrix(links.am.angles_deg)
+    g_ab.setflags(write=False)
+    g_am.setflags(write=False)
+    calibration = (topology, detection_threshold_dbm, abs(links.fading_ab.los_mean),
+                   links.fading_ab.sigma0, links.ab)
+    p_x = calibrate_tx_power(profile, *calibration, gains=g_ab)
+    gap = p_x - calibrate_tx_power(omni_profile(), *calibration) if scheme == RAKG else None
+    return Scenario(scheme, topology, profile, links, g_ab, g_am, p_x, gap)
+
+
 def simulate_session(
+    scenario: Scenario,
     *,
-    profile: AntennaProfile,
-    topology: Topology,
-    links: LinkSet,
-    scheme: str,
     n_rounds: int,
     coherence_block_rounds: int,
     beta: float,
     noise_sigma_db: float,
-    detection_threshold_dbm: float,
     rng: np.random.Generator,
     attack_enabled: bool = True,
     attack_d: float = 3.0,
@@ -128,27 +159,14 @@ def simulate_session(
 
     The antenna profile drives both the A-B and the M-A channels
     through Alice's per-round mode; Bob and Mallory are omnidirectional
-    so the M-B channel only changes across coherence blocks. Transmit
-    power is calibrated so every usable mode reaches the detection
-    threshold on the A-B link. OAKG requires the omni (OA) profile.
+    so the M-B channel only changes across coherence blocks. Every
+    probe goes out at the scenario's calibrated power.
     """
     if n_rounds < 1:
         raise ContractError("n_rounds must be >= 1")
     if coherence_block_rounds < 1:
         raise ContractError("coherence_block_rounds must be >= 1")
-    if scheme not in (RAKG, OAKG):
-        raise ContractError(f"unknown scheme {scheme!r}")
-    if scheme == OAKG and profile.kind != OA_KIND:
-        raise ContractError("OAKG needs the omni (OA) profile")
-
-    p_x = calibrate_tx_power(
-        profile,
-        topology,
-        detection_threshold_dbm,
-        abs(links.fading_ab.los_mean),
-        links.fading_ab.sigma0,
-        links.ab,
-    )
+    links, p_x = scenario.links, scenario.p_x_dbm
     p_m = p_x if injection_power_dbm is None else float(injection_power_dbm)
 
     n_blocks = -(-n_rounds // coherence_block_rounds)
@@ -157,12 +175,9 @@ def simulate_session(
     a_am = sample_fading_blocks(rng, links.fading_am, links.am.path_count, n_blocks)
     a_mb = sample_fading_blocks(rng, links.fading_mb, links.mb_path_count, n_blocks)
 
-    mode_idx = rng.integers(0, profile.mode_count, size=n_rounds)
-    g_ab = profile.gain_matrix(links.ab.angles_deg)
-    g_am = profile.gain_matrix(links.am.angles_deg)
-
-    h_ab = np.sum(g_ab[mode_idx] * a_ab[block], axis=1)
-    h_am = np.sum(g_am[mode_idx] * a_am[block], axis=1)
+    mode_idx = rng.integers(0, scenario.profile.mode_count, size=n_rounds)
+    h_ab = np.sum(scenario.g_ab[mode_idx] * a_ab[block], axis=1)
+    h_am = np.sum(scenario.g_am[mode_idx] * a_am[block], axis=1)
     h_mb = np.sum(a_mb[block], axis=1)
 
     clean_ab = _rss(h_ab, p_x)
@@ -191,7 +206,7 @@ def simulate_session(
     else:
         injected = np.zeros(n_rounds, dtype=bool)
 
-    modes = np.asarray(profile.modes, dtype=np.int64)[mode_idx]
+    modes = np.asarray(scenario.profile.modes, dtype=np.int64)[mode_idx]
     return MeasurementTrace(
         mode=modes,
         x_a=x_a,
@@ -202,5 +217,5 @@ def simulate_session(
         p_x_dbm=p_x,
         injection_power_dbm=p_m,
         coherence_block_rounds=coherence_block_rounds,
-        scheme=scheme,
+        scheme=scenario.scheme,
     )

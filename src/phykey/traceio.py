@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TraceFormatError
+from .errors import ContractError, TraceFormatError
 from .fuzzy import Commitment, pack_bits, unpack_bits
 from .quantize import Bitstream
 from .reed_solomon import RsParams
@@ -64,8 +64,10 @@ def ingest_trace(
     Requires the round,x_a,x_b,rss_ma,rss_mb columns; mode and injected
     are optional (zero when absent, as in raw experiment captures).
     Every field is a number as Python's `float` reads it; blank lines
-    are skipped. The required columns must be finite, mode an integer
-    and injected 0 or 1; errors name the file line as `row N`.
+    are skipped. The required columns must be finite or -inf, the
+    erasure sentinel the simulator records for a zero-gain round and
+    export writes as `-inf`; NaN and +inf are refused. mode must be an
+    integer and injected 0 or 1; errors name the file line as `row N`.
     """
     # undecodable bytes become U+FFFD, which no number or column name
     # holds, so they are reported at their line instead of raising
@@ -85,8 +87,8 @@ def ingest_trace(
         mode = data[:, idx["mode"]] if "mode" in idx else np.zeros(data.shape[0])
         injected = data[:, idx["injected"]] if "injected" in idx else np.zeros(data.shape[0])
         for bad, why in (
-            (~np.isfinite(data[:, [idx[c] for c in REQUIRED_COLUMNS]]).all(axis=1),
-             "non-finite value"),
+            (~(data[:, [idx[c] for c in REQUIRED_COLUMNS]] < np.inf).all(axis=1),
+             "non-finite value other than -inf"),
             (~((mode == np.floor(mode)) & (np.abs(mode) < 2.0**63)), "mode is not an integer"),
             ((injected != 0) & (injected != 1), "injected is not 0 or 1"),
         ):
@@ -209,7 +211,10 @@ def read_commitments(path) -> tuple[list[Commitment], RsParams]:
         if len(header) != _COMMIT_HEADER.size:
             raise TraceFormatError(f"{path}: truncated header")
         m, n, k, count = _COMMIT_HEADER.unpack(header)
-        params = RsParams(m=m, n=n, k=k)
+        try:
+            params = RsParams(m=m, n=n, k=k)
+        except ContractError as exc:
+            raise TraceFormatError(f"{path}: {exc}") from None
         blob_len = (params.block_bits + 7) // 8
         commitments = []
         for b in range(count):

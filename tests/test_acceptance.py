@@ -22,7 +22,7 @@ from phykey.config import config_from_mapping
 from phykey.fuzzy import ReconcileFailure, commit, open_commitment
 from phykey.quantize import thresholds
 from phykey.reed_solomon import RsParams
-from phykey.session import build_links, simulate_session
+from phykey.session import simulate_session
 
 
 def _report(num: int, desc: str, ok: bool) -> bool:
@@ -30,26 +30,17 @@ def _report(num: int, desc: str, ok: bool) -> bool:
     return ok
 
 
-def _simulate(cfg, **kw):
-    topology = cfg.build_topology()
-    profile = cfg.build_profile()
-    links = build_links(topology, cfg.fading)
-    args = dict(
-        profile=profile,
-        topology=topology,
-        links=links,
-        scheme=cfg.scheme,
+def _simulate(cfg):
+    return simulate_session(
+        cfg.build_scenario(),
         n_rounds=cfg.rounds,
         coherence_block_rounds=cfg.coherence_block_rounds,
         beta=cfg.beta,
         noise_sigma_db=cfg.noise_sigma_db,
-        detection_threshold_dbm=cfg.detection_threshold_dbm,
         rng=np.random.default_rng(cfg.seed),
         attack_enabled=cfg.attack.enabled,
         attack_d=cfg.attack.d,
     )
-    args.update(kw)
-    return simulate_session(**args)
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -58,24 +49,23 @@ def test_criterion_01_closed_form_matches_monte_carlo():
     t_start = time.perf_counter()
     cfg = config_from_mapping({"seed": 2024, "rounds": 200_000,
                                "attack": {"enabled": False}})
-    topology = cfg.build_topology()
-    profile = cfg.build_profile()
-    links = build_links(topology, cfg.fading)
+    scenario = cfg.build_scenario()
+    profile, links = scenario.profile, scenario.links
     assert profile.mode_count == 360
-    assert len(topology.scatterers) == 2
+    assert len(scenario.topology.scatterers) == 2
 
     trace = _simulate(cfg)
     q_minus, q_plus = thresholds(trace.x_a, cfg.beta)
     p_x = trace.p_x_dbm
+    g_am = profile.gain_matrix(links.am.angles_deg)
     p0_cf, p1_cf = closed_form_p0_p1(
-        profile, links.am, abs(links.fading_am.los_mean), links.fading_am.sigma0,
+        profile, g_am, abs(links.fading_am.los_mean), links.fading_am.sigma0,
         q_minus, q_plus, p_x,
     )
 
     # Monte Carlo oracle: fresh mode + fresh fading per sample on the M-A link
     rng = np.random.default_rng(777)
     n_samples = 1_000_000
-    g_am = profile.gain_matrix(links.am.angles_deg)
     u = rng.integers(0, profile.mode_count, size=n_samples)
     a = links.fading_am.sigma0 * (
         rng.standard_normal((n_samples, links.am.path_count))

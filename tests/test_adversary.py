@@ -263,8 +263,34 @@ def _oracle_guess(records, bits_a, rng):
     return guess
 
 
+# Opportunity patterns ("1" = opportunity round) for the run-based
+# scheduler. With repeat_injection, acting on a run's last round keeps
+# Mallory jamming through the start of a run two rounds later, so that
+# run begins a round late, and its own last pick may block the next.
+HAND_BUILT_OPPORTUNITIES = [
+    "1011011011000",  # chain: each run starts two rounds after a pick at the last index
+    "1111011110",  # picks at 0 and 3 (last index) block the run at 5
+    "101010",  # the blocked run at 2 has no pick, so the run at 4 starts on time
+    "110110110",  # pick at 0, not the last index: no run is blocked
+    "1011",  # blocked chain ending on the last round
+    "11111111111",
+    "0",
+    "",
+]
+
+
 @pytest.mark.parametrize("repeat_injection", [False, True])
 def test_columnar_adversary_matches_sequential_oracle(repeat_injection):
+    for pattern in HAND_BUILT_OPPORTUNITIES:
+        rss = np.array([-40.0 if c == "1" else -50.0 for c in pattern])
+        injected = schedule_attacks(rss, rss, -60, -42, 2, repeat_injection)
+        np.testing.assert_array_equal(
+            injected, _oracle_schedule(rss, rss, -60, -42, 2, repeat_injection)
+        )
+        if pattern == HAND_BUILT_OPPORTUNITIES[0]:
+            # step 3 acts on rounds 0, 3, 6, 9; step 2 on rounds 0, 2, 5, 8
+            expected = "0110110110110" if repeat_injection else "0101001001000"
+            assert "".join(str(int(v)) for v in injected) == expected
     for seed in range(60):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(20, 600))

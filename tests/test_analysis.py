@@ -44,10 +44,11 @@ def test_degenerate_mode_rejected():
         modes=(0,), angles_deg=np.array([0.0]), gains=np.array([[0.0]])
     )
     paths = LinkPathSet(angles_deg=(0.0,))
-    _, varsigma = rician_params(profile.gain_matrix(paths.angles_deg), 1.0, 1.0)
+    g = profile.gain_matrix(paths.angles_deg)
+    _, varsigma = rician_params(g, 1.0, 1.0)
     assert varsigma.tolist() == [0.0]
     with pytest.raises(ContractError, match="every mode is degenerate"):
-        closed_form_p0_p1(profile, paths, 1.0, 1.0, -3.0, 3.0, 0.0)
+        closed_form_p0_p1(profile, g, 1.0, 1.0, -3.0, 3.0, 0.0)
 
 
 def test_amplitude_distribution_matches_rician(rng):
@@ -73,7 +74,9 @@ def test_closed_form_single_mode_against_monte_carlo(rng):
     paths = LinkPathSet(angles_deg=(0.0, 70.0))
     sigma0, los, p_x = 0.3, 1.5, 5.0
     q_minus, q_plus = 4.0, 9.0
-    p0, p1 = closed_form_p0_p1(omni_profile(), paths, los, sigma0, q_minus, q_plus, p_x)
+    omni = omni_profile()
+    g = omni.gain_matrix(paths.angles_deg)
+    p0, p1 = closed_form_p0_p1(omni, g, los, sigma0, q_minus, q_plus, p_x)
     n = 1_000_000
     a = sigma0 * (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))
     a[:, 0] += los
@@ -87,20 +90,21 @@ def test_closed_form_complementary_tails_at_shared_median(rng, beam_profile):
     # complements (amplitude law is continuous)
     paths = LinkPathSet(angles_deg=(60.0, 20.3, 101.9))
     q = -62.0
-    p0, p1 = closed_form_p0_p1(beam_profile, paths, 1e-4, 2e-6, q, q, 5.0)
+    g = beam_profile.gain_matrix(paths.angles_deg)
+    p0, p1 = closed_form_p0_p1(beam_profile, g, 1e-4, 2e-6, q, q, 5.0)
     assert p0 + p1 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_closed_form_excludes_degenerate_modes():
     gains = np.array([[1.0], [0.0]])
     profile = AntennaProfile(modes=(0, 1), angles_deg=np.array([0.0]), gains=gains)
-    paths = LinkPathSet(angles_deg=(0.0,))
+    g = profile.gain_matrix(LinkPathSet(angles_deg=(0.0,)).angles_deg)
     with pytest.warns(UserWarning, match="degenerate"):
-        p0, p1 = closed_form_p0_p1(profile, paths, 1.0, 0.5, -3.0, 3.0, 0.0)
+        p0, p1 = closed_form_p0_p1(profile, g, 1.0, 0.5, -3.0, 3.0, 0.0)
     assert 0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0
     # the count analyze_config reports comes from the same exclusion
     with pytest.warns(UserWarning, match="excluding 1 degenerate"):
-        counted = closed_form_p0_p1(profile, paths, 1.0, 0.5, -3.0, 3.0, 0.0, return_excluded=True)
+        counted = closed_form_p0_p1(profile, g, 1.0, 0.5, -3.0, 3.0, 0.0, return_excluded=True)
     assert counted == (p0, p1, 1)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phykey import analysis, antenna
 from phykey.antenna import (
@@ -68,6 +70,77 @@ def test_synthesized_profile_is_circular_shift_of_mode_zero():
     base = profile.gains[0]
     for u in (1, 37, 180, 359):
         np.testing.assert_allclose(profile.gains[u], np.roll(base, u))
+
+
+# Reference oracles: the per-mode np.interp and per-mode np.roll loops the
+# gather kernels replaced. Both kernels must match them bit for bit.
+
+
+def oracle_gain_matrix(profile, angles_deg):
+    query = np.asarray(angles_deg, dtype=float) % 360.0
+    return np.array([
+        np.interp(query, profile.angles_deg, row, period=360.0) for row in profile.gains
+    ]).reshape(profile.mode_count, query.size)
+
+
+def oracle_rotated_gains(base, mode_count, angle_step_deg):
+    return np.array([
+        np.roll(base, int(round(u * angle_step_deg)) % base.size) for u in range(mode_count)
+    ])
+
+
+@st.composite
+def profiles_and_queries(draw):
+    grid = draw(st.sampled_from([0.5, 1.0, 7.5, 45.0, None]))
+    if grid is None:
+        pool = st.floats(0.0, 360.0, exclude_max=True)
+    else:
+        pool = st.integers(0, int(360 / grid) - 1).map(lambda i: i * grid)
+    angles = sorted(draw(st.sets(pool, min_size=1, max_size=12)))
+    modes = draw(st.integers(1, 5))
+    gain = st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(0.0, 1e-300))
+    gains = [[draw(gain) + 0.0 for _ in angles] for _ in range(modes)]
+    profile = AntennaProfile(modes=tuple(range(modes)), angles_deg=angles, gains=gains)
+    listed = st.sampled_from(angles).flatmap(
+        lambda a: st.sampled_from([a, a - 360.0, a + 360.0, a + 720.0, -a])
+    )
+    query = st.one_of(listed, st.floats(-1e4, 1e4), st.sampled_from([-0.0, -1e-20, 360.0]))
+    return profile, draw(st.lists(query, max_size=20))
+
+
+# -1e-20 % 360 rounds to 360.0; np.interp folds it again to 0, where this
+# table's segment from 319 to 360 gives a value an ulp off from gains[0]
+WRAPPED_TINY_NEGATIVE = (
+    AntennaProfile(modes=(0,), angles_deg=[0.0, 319.0],
+                   gains=[[0.08401534358238483, 0.8326441476533978]]),
+    [-1e-20],
+)
+
+
+@given(case=profiles_and_queries())
+@example(case=WRAPPED_TINY_NEGATIVE)
+@settings(max_examples=150, deadline=None)
+def test_gain_matrix_bit_identical_to_per_mode_interp(case):
+    profile, query = case
+    got = profile.gain_matrix(query)
+    want = oracle_gain_matrix(profile, query)
+    assert got.shape == want.shape == (profile.mode_count, len(query))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode_count, step", [(360, 1.0), (360, 0.5), (12, 30.0), (7, 2.5),
+                                             (400, 1.0), (5, -3.5), (1, 1.0), (4, 1e17)])
+def test_rotated_beam_equals_rolled_base(mode_count, step):
+    profile = synthesize_rotated_beam(mode_count, 15.0, 1.3, angle_step_deg=step)
+    base = synthesize_rotated_beam(1, 15.0, 1.3).gains[0]
+    want = oracle_rotated_gains(base, mode_count, step)
+    assert profile.gains.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf])
+def test_rotated_beam_rejects_non_finite_step(step):
+    with pytest.raises(ProfileError, match="angle_step_deg"):
+        synthesize_rotated_beam(4, 15.0, 1.0, angle_step_deg=step)
 
 
 def test_synthesized_profile_front_to_back_span():
@@ -153,7 +226,9 @@ def test_zero_gain_mode_excluded_with_warning(monkeypatch):
     with pytest.warns(UserWarning, match="zero-gain"):
         p_x = calibrate_tx_power(profile, TOP, -75.0, 1e-4, 2e-6, paths)
     with pytest.warns(UserWarning, match="excluding 1 degenerate mode"):
-        analysis.closed_form_p0_p1(profile, paths, 1e-4, 2e-6, -80.0, -70.0, p_x)
+        analysis.closed_form_p0_p1(
+            profile, profile.gain_matrix(paths.angles_deg), 1e-4, 2e-6, -80.0, -70.0, p_x
+        )
     (cal_nu, cal_vs), (cf_nu, cf_vs) = seen
     assert cal_nu.shape == (6,) and cf_nu.shape == (7,) and cf_vs[6] == 0.0
     np.testing.assert_array_equal(cal_nu, cf_nu[:6])

@@ -6,7 +6,7 @@ import pytest
 from phykey.antenna import AntennaProfile, omni_profile, synthesize_rotated_beam
 from phykey.config import config_from_mapping
 from phykey.fading import FadingParams, sample_fading_blocks
-from phykey.session import build_links, simulate_session
+from phykey.session import build_scenario, simulate_session
 
 
 def _one_block(rng, params, path_count):
@@ -85,22 +85,23 @@ def test_channel_gain_across_modes_matches_brute_force(rng):
 
 def _session(overrides=None, profile=None, noise_sigma_db=0.0, rounds=400, seed=3):
     cfg = config_from_mapping({"seed": seed, "rounds": rounds, **(overrides or {})})
-    topology = cfg.build_topology()
-    links = build_links(topology, cfg.fading)
+    scenario = build_scenario(
+        cfg.build_topology(),
+        cfg.build_profile() if profile is None else profile,
+        cfg.fading,
+        cfg.scheme,
+        cfg.detection_threshold_dbm,
+    )
     trace = simulate_session(
-        profile=cfg.build_profile() if profile is None else profile,
-        topology=topology,
-        links=links,
-        scheme=cfg.scheme,
+        scenario,
         n_rounds=cfg.rounds,
         coherence_block_rounds=cfg.coherence_block_rounds,
         beta=cfg.beta,
         noise_sigma_db=noise_sigma_db,
-        detection_threshold_dbm=cfg.detection_threshold_dbm,
         rng=np.random.default_rng(seed),
         attack_enabled=False,
     )
-    return trace, links
+    return trace, scenario.links
 
 
 def _brute_force_rss_ab(trace, links, profile, seed):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phykey import fuzzy, pipeline
+from phykey.antenna import AntennaProfile, save_antenna_profile
 from phykey.config import config_from_mapping
 from phykey.traceio import export_trace_csv, ingest_trace, read_commitments
 
@@ -81,6 +82,27 @@ def test_export_ingest_replay_identity(tmp_path):
         assert getattr(replay_report, fieldname) == getattr(report, fieldname)
     assert replay_report.bit_mismatch_rate == report.bit_mismatch_rate
     assert replay_report.krr == report.krr
+
+
+def test_erased_rounds_survive_export_ingest_replay(tmp_path):
+    # mode 1 has zero gain everywhere, so about half the rounds are -inf erasures
+    csv = tmp_path / "profile.csv"
+    save_antenna_profile(
+        AntennaProfile(modes=(0, 1), angles_deg=[0.0], gains=[[1.0], [0.0]]), csv
+    )
+    cfg = small_cfg(rounds=2000, antenna={"profile_csv": str(csv)})
+    with pytest.warns(UserWarning, match="zero-gain"):
+        report, trace, _ = pipeline.run_experiment(cfg, tmp_path / "run")
+    erased = np.isneginf(trace.x_a)
+    assert erased.sum() > 500 and np.array_equal(erased, trace.mode == 1)
+    back = ingest_trace(tmp_path / "run" / "trace.csv", p_x_dbm=trace.p_x_dbm,
+                        coherence_block_rounds=cfg.coherence_block_rounds)
+    np.testing.assert_array_equal(np.isneginf(back.x_a), erased)
+    replay_report, _, _ = pipeline.replay_trace(back, cfg)
+    for fieldname in ("ell", "n", "n0", "m", "attacked_total", "krr", "bit_mismatch_rate",
+                      "reconciliation_ok", "verification_ok"):
+        assert getattr(replay_report, fieldname) == getattr(report, fieldname)
+    assert report.attacked_total > 0
 
 
 def test_clean_export_then_offline_attack_matches_direct():

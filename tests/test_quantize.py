@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phykey.errors import ContractError, ProtocolError
+from phykey.config import config_from_mapping
+from phykey.errors import ConfigError, ContractError, ProtocolError
 from phykey.quantize import (
     Bitstream,
-    QuantizerConfig,
     confirm_excursions,
     find_excursions,
     quantize,
@@ -123,10 +123,13 @@ def test_boundary_equal_values_produce_no_bit():
 
 
 def test_quantizer_config_validation():
-    with pytest.raises(ContractError):
-        QuantizerConfig(beta=1.5)
-    with pytest.raises(ContractError):
-        QuantizerConfig(beta=0.4, excursion_len=0)
+    # the experiment config is where beta and the excursion length are checked
+    for bad, field in (({"beta": 1.5}, "beta"), ({"beta": 0.0}, "beta"),
+                       ({"excursion_len": 0}, "excursion_len")):
+        with pytest.raises(ConfigError, match=field):
+            config_from_mapping({"seed": 1, **bad})
+    cfg = config_from_mapping({"seed": 1, "beta": 0.4, "excursion_len": 2})
+    assert (cfg.beta, cfg.excursion_len) == (0.4, 2)
 
 
 def test_bitstream_invariants():

@@ -6,7 +6,7 @@ import pytest
 
 from phykey.errors import ContractError
 from phykey.galois import field
-from phykey.reed_solomon import DecodeFailure, ReedSolomon, RsParams, rs_decode, rs_encode
+from phykey.reed_solomon import DecodeFailure, ReedSolomon, RsParams, codec
 
 RS15 = RsParams(m=4, n=15, k=11)
 
@@ -137,21 +137,21 @@ def test_params_validation():
 
 
 def test_zero_word_encodes_to_zero_codeword():
-    np.testing.assert_array_equal(rs_encode(np.zeros(11, dtype=int), RS15), np.zeros(15))
+    np.testing.assert_array_equal(codec(RS15).encode(np.zeros(11, dtype=int)), np.zeros(15))
 
 
 def test_encoding_is_systematic_and_roundtrips(rng):
     word = rng.integers(0, 16, size=11)
-    cw = rs_encode(word, RS15)
+    cw = codec(RS15).encode(word)
     np.testing.assert_array_equal(cw[:11], word)
-    np.testing.assert_array_equal(rs_decode(cw, RS15), word)
+    np.testing.assert_array_equal(codec(RS15).decode(cw), word)
 
 
 def test_codeword_syndromes_vanish_at_generator_roots(rng):
     # independent oracle: evaluate the codeword polynomial at alpha^i
     gf = field(4)
     word = rng.integers(0, 16, size=11)
-    cw = rs_encode(word, RS15)
+    cw = codec(RS15).encode(word)
     for i in range(15 - 11):
         root = gf.pow(2, i)
         acc = 0
@@ -163,15 +163,15 @@ def test_codeword_syndromes_vanish_at_generator_roots(rng):
 def test_encode_linearity(rng):
     w1 = rng.integers(0, 16, size=11)
     w2 = rng.integers(0, 16, size=11)
-    c1, c2 = rs_encode(w1, RS15), rs_encode(w2, RS15)
-    np.testing.assert_array_equal(rs_encode(w1 ^ w2, RS15), c1 ^ c2)
+    c1, c2 = codec(RS15).encode(w1), codec(RS15).encode(w2)
+    np.testing.assert_array_equal(codec(RS15).encode(w1 ^ w2), c1 ^ c2)
 
 
 def test_symbol_out_of_range_rejected():
     with pytest.raises(ContractError):
-        rs_encode(np.array([16] + [0] * 10), RS15)
+        codec(RS15).encode(np.array([16] + [0] * 10))
     with pytest.raises(ContractError):
-        rs_decode(np.array([16] + [0] * 14), RS15)
+        codec(RS15).decode(np.array([16] + [0] * 14))
 
 
 @pytest.mark.parametrize("params", [RS15, RsParams(m=4, n=13, k=7), RsParams(m=6, n=63, k=45)])

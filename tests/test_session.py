@@ -4,29 +4,23 @@ import pytest
 from phykey.config import config_from_mapping
 from phykey.errors import ContractError
 from phykey.pipeline import run_protocol
-from phykey.session import build_links, simulate_session
+from phykey.session import build_scenario, simulate_session
 
 
-def _run(cfg, **kw):
-    topology = cfg.build_topology()
-    profile = cfg.build_profile()
-    links = build_links(topology, cfg.fading)
-    args = dict(
-        profile=profile,
-        topology=topology,
-        links=links,
-        scheme=cfg.scheme,
+def _run(cfg, profile=None):
+    scenario = cfg.build_scenario() if profile is None else build_scenario(
+        cfg.build_topology(), profile, cfg.fading, cfg.scheme, cfg.detection_threshold_dbm
+    )
+    return simulate_session(
+        scenario,
         n_rounds=cfg.rounds,
         coherence_block_rounds=cfg.coherence_block_rounds,
         beta=cfg.beta,
         noise_sigma_db=cfg.noise_sigma_db,
-        detection_threshold_dbm=cfg.detection_threshold_dbm,
         rng=np.random.default_rng(cfg.seed),
         attack_enabled=cfg.attack.enabled,
         attack_d=cfg.attack.d,
     )
-    args.update(kw)
-    return simulate_session(**args)
 
 
 def test_oakg_static_channel_is_constant_series():
@@ -118,7 +112,7 @@ def test_same_block_same_mode_reproduces_identical_rss():
          "attack": {"enabled": False}}
     )
     trace = _run(cfg)
-    block = trace.block_index()
+    block = np.arange(trace.n_rounds) // trace.coherence_block_rounds
     seen = {}
     hits = 0
     for i in range(trace.n_rounds):

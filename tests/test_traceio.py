@@ -1,3 +1,4 @@
+import struct
 import warnings
 
 import numpy as np
@@ -112,24 +113,12 @@ def trace_from_columns(mode, x_a, x_b, rss_ma, rss_mb, injected):
 
 
 def check_export_and_ingest(trace, tmp_path):
-    """Export equals the oracle's bytes; ingest equals the oracle's parse.
-
-    Rows holding -inf are refused at their own line, so the ingest check
-    runs on the file as written and again with those rows dropped.
-    """
+    """Export equals the oracle's bytes; ingest equals the oracle's parse,
+    -inf erasures included."""
     path, ref = tmp_path / "t.csv", tmp_path / "ref.csv"
     export_trace_csv(trace, path)
     oracle_export(trace, ref)
     assert path.read_bytes() == ref.read_bytes()
-    values = np.stack([trace.x_a, trace.x_b, trace.rss_ma, trace.rss_mb])
-    erased = ~np.isfinite(values).all(axis=0)
-    if erased.any():
-        with pytest.raises(TraceFormatError, match=f"row {np.argmax(erased) + 2}: non-finite"):
-            ingest_trace(path)
-        keep = ~erased
-        trace = trace_from_columns(*(c[keep] for c in (
-            trace.mode, trace.x_a, trace.x_b, trace.rss_ma, trace.rss_mb, trace.injected)))
-        export_trace_csv(trace, path)
     if trace.n_rounds:
         assert_ingest_matches_oracle(path)
 
@@ -204,9 +193,15 @@ def test_ragged_row_reports_row(tmp_path):
 
 def test_non_finite_value_rejected(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("round,x_a,x_b,rss_ma,rss_mb\n0,-inf,-60,-55,-55\n")
-    with pytest.raises(TraceFormatError, match="non-finite"):
-        ingest_trace(path)
+    for value in ("nan", "inf", "+inf", "-nan"):
+        path.write_text(f"round,x_a,x_b,rss_ma,rss_mb\n0,-60,-60,-55,-55\n1,-60,-60,{value},-55\n")
+        with pytest.raises(TraceFormatError, match="row 3: non-finite value other than -inf"):
+            ingest_trace(path)
+    # -inf is the erasure sentinel export writes, so it reads back as is
+    path.write_text("round,x_a,x_b,rss_ma,rss_mb\n0,-inf,-inf,-55,-inf\n")
+    back = ingest_trace(path)
+    assert (back.x_a[0], back.x_b[0], back.rss_ma[0], back.rss_mb[0]) == (
+        -np.inf, -np.inf, -55.0, -np.inf)
 
 
 def test_bitstream_roundtrip_with_sidecar(tmp_path):
@@ -357,7 +352,7 @@ def test_header_only_file_reports_no_rows_without_warning(tmp_path):
 @pytest.mark.parametrize(
     "row, error",
     [
-        ("1,-inf,-60,-55,-55,1,0", "row 5: non-finite value"),
+        ("1,inf,-60,-55,-55,1,0", "row 5: non-finite value other than -inf"),
         ("1,-60,-60,-55,-55,1.7,0", "row 5: mode is not an integer"),
         ("1,-60,-60,-55,-55,nan,0", "row 5: mode is not an integer"),
         ("1,-60,-60,-55,-55,1,2", "row 5: injected is not 0 or 1"),
@@ -397,3 +392,15 @@ def test_truncated_commitment_header_rejected(tmp_path):
     path.write_bytes(b"PKFC" + bytes(2))
     with pytest.raises(TraceFormatError, match="c.bin: truncated header"):
         read_commitments(path)
+
+
+def test_impossible_commitment_code_is_a_located_format_error(tmp_path, capsys):
+    path = tmp_path / "c.bin"
+    bits_path = tmp_path / "s.bits"
+    write_bitstream(bits_path, Bitstream(bits=np.ones(60, np.uint8), source_rounds=np.arange(60)))
+    for m, n, k in ((4, 11, 15), (4, 15, 15), (1, 1, 1)):
+        path.write_bytes(b"PKFC" + struct.pack("<BHHI", m, n, k, 0))
+        with pytest.raises(TraceFormatError, match=r"c\.bin: (need m|require 1 <= k < n)"):
+            read_commitments(path)
+        assert main(["open", str(bits_path), "--commitments", str(path)]) == 2
+        assert "c.bin: " in capsys.readouterr().err
