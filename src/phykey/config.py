@@ -126,9 +126,14 @@ class ExperimentConfig(_StrictModel):
         )
 
     def build_scenario(self) -> Scenario:
-        """The run's Scenario, built on the first call. Later calls, and copies
-        of this config that change none of its fields (seed, rounds, attack,
-        ...), return the same one, so a profile CSV is read once."""
+        """The run's Scenario, built on the first call and kept on this config.
+
+        Later calls return the same object while the fields it is derived
+        from are unchanged. `model_copy` carries the kept scenario along, so
+        a copy made after a build shares it, also when it changes seed,
+        rounds or attack. A copy of a config that has not built one yet
+        builds its own (one beam synthesis, or one profile CSV read, and the
+        calibrations) on its first call."""
         key = self.model_dump_json(include=_SCENARIO_FIELDS)
         if self._scenario is None or self._scenario[0] != key:
             self._scenario = (key, build_scenario(

@@ -62,23 +62,16 @@ def thresholds(x, beta: float) -> tuple[float, float]:
     return (mu - beta * sigma, mu + beta * sigma)
 
 
-def _excursion_runs(beyond: np.ndarray, e: int) -> list[int]:
-    """Starting indices of maximal runs of True with length >= e."""
-    idx = np.flatnonzero(beyond)
-    if idx.size == 0:
-        return []
-    starts = []
-    run_start = idx[0]
-    prev = idx[0]
-    for i in idx[1:]:
-        if i != prev + 1:
-            if prev - run_start + 1 >= e:
-                starts.append(int(run_start))
-            run_start = i
-        prev = i
-    if prev - run_start + 1 >= e:
-        starts.append(int(run_start))
-    return starts
+def _sides(x: np.ndarray, q_minus: float, q_plus: float) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the finite samples strictly above q_plus and strictly below q_minus."""
+    finite = np.isfinite(x)
+    return (x > q_plus) & finite, (x < q_minus) & finite
+
+
+def _all_in_window(mask: np.ndarray, e: int) -> np.ndarray:
+    """w[i] is True where mask[i : i + e] is all True, for i in 0 .. size - e."""
+    count = np.concatenate(([0], np.cumsum(mask)))
+    return count[e:] - count[:-e] == e
 
 
 def find_excursions(x, q_minus: float, q_plus: float, e: int = 1) -> np.ndarray:
@@ -89,27 +82,23 @@ def find_excursions(x, q_minus: float, q_plus: float, e: int = 1) -> np.ndarray:
     length >= e lying entirely on one side. -inf erasures never count.
     """
     x = np.asarray(x, dtype=float)
-    finite = np.isfinite(x)
-    above = (x > q_plus) & finite
-    below = (x < q_minus) & finite
+    above, below = _sides(x, q_minus, q_plus)
     if e == 1:
         return np.flatnonzero(above | below).astype(np.int64)
-    starts = sorted(_excursion_runs(above, e) + _excursion_runs(below, e))
-    return np.asarray(starts, dtype=np.int64)
-
-
-def _has_excursion_at(x, i: int, q_minus: float, q_plus: float, e: int) -> bool:
-    if i + e > x.size:
-        return False
-    window = x[i : i + e]
-    if not np.all(np.isfinite(window)):
-        return False
-    return bool(np.all(window > q_plus) or np.all(window < q_minus))
+    starts = []
+    for side in (above, below):
+        full = _all_in_window(side, e)
+        # a full window starts a maximal run only where the sample before it is off that side
+        full[1:] &= ~side[: max(full.size - 1, 0)]
+        starts.append(full)
+    return np.flatnonzero(starts[0] | starts[1]).astype(np.int64)
 
 
 def confirm_excursions(x_b, l_a, q_minus: float, q_plus: float, e: int = 1) -> np.ndarray:
     """Bob's pass: keep L_a indices where his series also has an excursion.
 
+    With e > 1 the excursion is the e samples from the index on, all on
+    one side; a window running past the end of the series is none.
     Which side Bob's excursion is on is not checked here; the index
     lists are public positions only, so side disagreements stay in and
     later surface as bit mismatches.
@@ -122,10 +111,11 @@ def confirm_excursions(x_b, l_a, q_minus: float, q_plus: float, e: int = 1) -> n
         finite = np.isfinite(x_b[l_a])
         keep = ((x_b[l_a] > q_plus) | (x_b[l_a] < q_minus)) & finite
         return l_a[keep]
-    return np.asarray(
-        [i for i in l_a if _has_excursion_at(x_b, int(i), q_minus, q_plus, e)],
-        dtype=np.int64,
-    )
+    above, below = _sides(x_b, q_minus, q_plus)
+    full = _all_in_window(above, e) | _all_in_window(below, e)
+    keep = l_a < full.size
+    keep[keep] = full[l_a[keep]]
+    return l_a[keep]
 
 
 def quantize(x, indices, q_minus: float, q_plus: float) -> Bitstream:

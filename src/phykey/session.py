@@ -7,6 +7,16 @@ the draw always lands on it. Within one round both probe directions see
 the identical channel, so with zero measurement noise x_a(i) == x_b(i)
 exactly on clean rounds. Mallory's per-round observations of Alice's
 and Bob's probes ride on the same frozen fading.
+
+The channel is computed on a (block, round-in-block) grid: the per-round
+mode draws are padded to whole blocks and reshaped to (n_blocks,
+block_len), so each path's frozen coefficient broadcasts over its
+block's rounds and no per-round copy of the coefficients is built. The
+M-B channel has no per-round input at all, so its RSS is computed once
+per block and repeated. Each link's magnitude is taken with complex
+`np.abs`, the function the per-round formula used: `np.hypot(re, im)`
+on the two parts differs from it in the last bit on about a third of
+the rounds, which would move every digest of a trace or a key.
 """
 from __future__ import annotations
 
@@ -104,6 +114,28 @@ def _rss(h: np.ndarray, p_x: float) -> np.ndarray:
         return 20.0 * np.log10(mag) + p_x
 
 
+def _block_channel(g: np.ndarray, a: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """sum_p g[mode, p] * a[block, p] on a (block, round-in-block) mode grid.
+
+    Each path's gains are a 1-D take from one gain column, scaled by that
+    block's coefficient broadcast over its rounds. A real gain times a
+    complex coefficient is the gain times each part, and a complex sum adds
+    the parts separately, so accumulating them in path order rounds exactly
+    as the complex sum over the paths of per-round gathers does.
+    """
+    gain = g[:, 0].take(grid)
+    re = gain * a[:, 0, None].real
+    im = gain * a[:, 0, None].imag
+    for p in range(1, g.shape[1]):
+        g[:, p].take(grid, out=gain)
+        re += gain * a[:, p, None].real
+        im += gain * a[:, p, None].imag
+    h = np.empty(grid.shape, dtype=complex)
+    h.real = re
+    h.imag = im
+    return h
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """What a run derives from its config before drawing randomness: links,
@@ -161,6 +193,12 @@ def simulate_session(
     through Alice's per-round mode; Bob and Mallory are omnidirectional
     so the M-B channel only changes across coherence blocks. Every
     probe goes out at the scenario's calibrated power.
+
+    Round i sits at (i // block_len, i % block_len) of the mode grid,
+    where block_len is the coherence length capped at n_rounds; the
+    last block is padded with mode 0 and the padding is cut off again
+    before the RSS leaves this function. The results are bit-identical
+    to summing g[mode] * a[block] over the paths of each round.
     """
     if n_rounds < 1:
         raise ContractError("n_rounds must be >= 1")
@@ -170,19 +208,18 @@ def simulate_session(
     p_m = p_x if injection_power_dbm is None else float(injection_power_dbm)
 
     n_blocks = -(-n_rounds // coherence_block_rounds)
-    block = np.arange(n_rounds) // coherence_block_rounds
     a_ab = sample_fading_blocks(rng, links.fading_ab, links.ab.path_count, n_blocks)
     a_am = sample_fading_blocks(rng, links.fading_am, links.am.path_count, n_blocks)
     a_mb = sample_fading_blocks(rng, links.fading_mb, links.mb_path_count, n_blocks)
 
     mode_idx = rng.integers(0, scenario.profile.mode_count, size=n_rounds)
-    h_ab = np.sum(scenario.g_ab[mode_idx] * a_ab[block], axis=1)
-    h_am = np.sum(scenario.g_am[mode_idx] * a_am[block], axis=1)
-    h_mb = np.sum(a_mb[block], axis=1)
+    # one block never spans more rounds than the session has
+    block_len = min(coherence_block_rounds, n_rounds)
+    grid = np.pad(mode_idx, (0, n_blocks * block_len - n_rounds)).reshape(n_blocks, block_len)
 
-    clean_ab = _rss(h_ab, p_x)
-    rss_ma = _rss(h_am, p_x)
-    rss_mb = _rss(h_mb, p_x)
+    clean_ab = _rss(_block_channel(scenario.g_ab, a_ab, grid), p_x).reshape(-1)[:n_rounds]
+    rss_ma = _rss(_block_channel(scenario.g_am, a_am, grid), p_x).reshape(-1)[:n_rounds]
+    rss_mb = np.repeat(_rss(np.sum(a_mb, axis=1), p_x), block_len)[:n_rounds]
     if noise_sigma_db > 0.0:
         x_a = clean_ab + noise_sigma_db * rng.standard_normal(n_rounds)
         x_b = clean_ab + noise_sigma_db * rng.standard_normal(n_rounds)

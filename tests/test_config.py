@@ -103,3 +103,25 @@ def test_empty_config_rejected(tmp_path):
 def test_yaml_syntax_error_rejected(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(write(tmp_path, "seed: [1,\n"))
+
+
+def test_scenario_shared_by_copies_made_after_the_build():
+    cfg = config_from_mapping({"seed": 1, "rounds": 1000})
+    scenario = cfg.build_scenario()
+    copy = cfg.model_copy(update={"seed": 2, "rounds": 500, "attack": {"enabled": False}})
+    assert copy.build_scenario() is scenario
+    assert cfg.build_scenario() is scenario
+
+
+def test_scenario_rebuilt_by_copies_made_before_the_build():
+    cfg = config_from_mapping({"seed": 1, "rounds": 1000})
+    copy = cfg.model_copy(update={"seed": 2})
+    scenario = cfg.build_scenario()
+    rebuilt = copy.build_scenario()
+    assert rebuilt is not scenario
+    assert rebuilt.p_x_dbm == scenario.p_x_dbm
+    assert rebuilt.tx_power_gap_vs_oa_db == scenario.tx_power_gap_vs_oa_db
+    assert rebuilt.links == scenario.links
+    for name in ("g_ab", "g_am"):
+        assert getattr(rebuilt, name).tobytes() == getattr(scenario, name).tobytes()
+    assert rebuilt.profile.gains.tobytes() == scenario.profile.gains.tobytes()

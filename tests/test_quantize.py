@@ -176,3 +176,58 @@ def test_pipeline_bits_have_excursions_both_sides(seed, n, beta):
     for i in l_b:
         assert x_a[i] > qa[1] or x_a[i] < qa[0]
         assert x_b[i] > qb[1] or x_b[i] < qb[0]
+
+
+def _oracle_runs(beyond, e):
+    """Starting indices of maximal runs of True with length >= e, by a loop."""
+    idx = np.flatnonzero(beyond)
+    if idx.size == 0:
+        return []
+    starts = []
+    run_start = prev = idx[0]
+    for i in idx[1:]:
+        if i != prev + 1:
+            if prev - run_start + 1 >= e:
+                starts.append(int(run_start))
+            run_start = i
+        prev = i
+    if prev - run_start + 1 >= e:
+        starts.append(int(run_start))
+    return starts
+
+
+def _oracle_has_excursion_at(x, i, q_minus, q_plus, e):
+    if i + e > x.size:
+        return False
+    window = x[i : i + e]
+    if not np.all(np.isfinite(window)):
+        return False
+    return bool(np.all(window > q_plus) or np.all(window < q_minus))
+
+
+@given(
+    values=st.lists(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, -np.inf]), max_size=60),
+    e=st.integers(1, 4),
+    picks=st.lists(st.integers(0, 59), max_size=30),
+)
+@settings(max_examples=300, deadline=None)
+def test_excursion_windows_match_loop_oracles(values, e, picks):
+    # small alphabets make long one-sided runs, runs cut by -inf erasures and
+    # runs that touch the end of the series common
+    x = np.asarray(values, dtype=float)
+    q_minus, q_plus = -0.5, 0.5
+    finite = np.isfinite(x)
+    above, below = (x > q_plus) & finite, (x < q_minus) & finite
+    if e == 1:
+        want = np.flatnonzero(above | below)
+    else:
+        want = sorted(_oracle_runs(above, e) + _oracle_runs(below, e))
+    got = find_excursions(x, q_minus, q_plus, e)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, np.asarray(want, dtype=np.int64))
+
+    l_a = np.asarray([i for i in picks if i < x.size], dtype=np.int64)
+    want = [i for i in l_a if _oracle_has_excursion_at(x, int(i), q_minus, q_plus, e)]
+    got = confirm_excursions(x, l_a, q_minus, q_plus, e)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, np.asarray(want, dtype=np.int64))

@@ -1,8 +1,18 @@
+import functools
+import re
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from phykey import adversary
+from phykey.antenna import AntennaProfile, synthesize_rotated_beam
 from phykey.config import config_from_mapping
 from phykey.errors import ContractError
+from phykey.fading import sample_fading_blocks
 from phykey.pipeline import run_protocol
 from phykey.session import build_scenario, simulate_session
 
@@ -200,3 +210,102 @@ def test_rakg_wide_band_filters_small_noise():
 
     assert bit_mismatch_rate(proto.s_a.bits, proto.s_b.bits) == 0.0
     assert len(proto.l_b) < len(proto.l_a)
+
+
+def _oracle_session(scenario, n_rounds, coherence, beta, noise_sigma_db, rng,
+                    attack_enabled, attack_d):
+    """simulate_session drawn in the same order, with each link's channel as a
+    per-round gather of gains and block coefficients summed over the paths."""
+    links, p_x = scenario.links, scenario.p_x_dbm
+    n_blocks = -(-n_rounds // coherence)
+    block = np.arange(n_rounds) // coherence
+    a_ab = sample_fading_blocks(rng, links.fading_ab, links.ab.path_count, n_blocks)
+    a_am = sample_fading_blocks(rng, links.fading_am, links.am.path_count, n_blocks)
+    a_mb = sample_fading_blocks(rng, links.fading_mb, links.mb_path_count, n_blocks)
+    mode_idx = rng.integers(0, scenario.profile.mode_count, size=n_rounds)
+    h_ab = np.sum(scenario.g_ab[mode_idx] * a_ab[block], axis=1)
+    h_am = np.sum(scenario.g_am[mode_idx] * a_am[block], axis=1)
+    h_mb = np.sum(a_mb[block], axis=1)
+    with np.errstate(divide="ignore"):
+        clean_ab, rss_ma, rss_mb = (20.0 * np.log10(np.abs(h)) + p_x for h in (h_ab, h_am, h_mb))
+    x_a, x_b = clean_ab, clean_ab.copy()
+    if noise_sigma_db > 0.0:
+        x_a = clean_ab + noise_sigma_db * rng.standard_normal(n_rounds)
+        x_b = clean_ab + noise_sigma_db * rng.standard_normal(n_rounds)
+        rss_ma = rss_ma + noise_sigma_db * rng.standard_normal(n_rounds)
+        rss_mb = rss_mb + noise_sigma_db * rng.standard_normal(n_rounds)
+    injected = np.zeros(n_rounds, dtype=bool)
+    if attack_enabled:
+        x_a, x_b, injected = adversary.apply_attack(
+            x_a, x_b, rss_ma, rss_mb, beta, attack_d, power_offset_db=0.0)
+    mode = np.asarray(scenario.profile.modes, dtype=np.int64)[mode_idx]
+    return {"mode": mode, "x_a": x_a, "x_b": x_b, "rss_ma": rss_ma, "rss_mb": rss_mb,
+            "injected": injected}
+
+
+@functools.cache
+def _oracle_scenario(kind):
+    cfg = config_from_mapping({"seed": 0, "scheme": "OAKG" if kind == "omni" else "RAKG"})
+    if kind != "zero-gain mode":
+        return cfg.build_scenario()
+    # a six-mode beam plus a mode with zero gain everywhere: its rounds are -inf erasures
+    beam = synthesize_rotated_beam(mode_count=6, front_to_back_db=15.0)
+    profile = AntennaProfile(modes=tuple(range(7)), angles_deg=beam.angles_deg,
+                             gains=np.vstack([beam.gains, np.zeros(360)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return build_scenario(cfg.build_topology(), profile, cfg.fading, "RAKG",
+                              cfg.detection_threshold_dbm)
+
+
+@given(
+    kind=st.sampled_from(["beam", "omni", "zero-gain mode"]),
+    n_rounds=st.integers(1, 400),
+    coherence=st.one_of(st.integers(1, 40), st.integers(401, 5000)),
+    noise_sigma_db=st.sampled_from([0.0, 1.5]),
+    attack_enabled=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_block_channel_matches_per_round_oracle(kind, n_rounds, coherence, noise_sigma_db,
+                                                attack_enabled, seed):
+    scenario = _oracle_scenario(kind)
+    args = dict(n_rounds=n_rounds, beta=0.4, noise_sigma_db=noise_sigma_db,
+                attack_enabled=attack_enabled, attack_d=3.0)
+    try:
+        want = _oracle_session(scenario, coherence=coherence,
+                               rng=np.random.default_rng(seed), **args)
+    except ContractError as err:
+        # the attack's thresholds need two finite samples; both paths refuse alike
+        with pytest.raises(ContractError, match=re.escape(str(err))):
+            simulate_session(scenario, coherence_block_rounds=coherence,
+                             rng=np.random.default_rng(seed), **args)
+        return
+    trace = simulate_session(scenario, coherence_block_rounds=coherence,
+                             rng=np.random.default_rng(seed), **args)
+    for name, expected in want.items():
+        got = getattr(trace, name)
+        assert got.dtype == expected.dtype, name
+        assert got.tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("attack", [False, True])
+def test_session_traced_peak_per_round(attack):
+    # one 100k-round session; the bound sits between the per-round-gather
+    # kernel (about 128-139 B/round) and the block kernel (about 80-91)
+    n_rounds = 100_000
+    scenario = config_from_mapping({"seed": 5}).build_scenario()
+
+    def run():
+        return simulate_session(scenario, n_rounds=n_rounds, coherence_block_rounds=10,
+                                beta=0.4, noise_sigma_db=0.0 if attack else 2.0,
+                                rng=np.random.default_rng(5), attack_enabled=attack)
+
+    run()  # warm-up: first-call allocations are not the session's
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n_rounds <= 110.0
