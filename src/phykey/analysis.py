@@ -7,6 +7,10 @@ parameters taken from the profile's gain matrix on the M-A paths.
 From (p0, p1) and the attack
 counts follow the guess-count PMF, the expected recovery rates, and
 the whole-key guessing probability with its random-guess comparison.
+
+A mode's two tails share one Poisson series. Each series is exponentiated
+only on a Bernstein window outside which exp gives exactly +0.0, and adding
++0.0 changes no bit of a sum; the dot product keeps [0, hi] (see marcum_q1).
 """
 from __future__ import annotations
 
@@ -33,6 +37,7 @@ __all__ = [
 ]
 
 _PMF_DIRECT_LIMIT = 4096  # above this, binomial convolution switches to FFT
+_LOG_ZERO = -746.0  # exp is exactly +0.0 below this: it rounds anything under e^-745.13 to 0
 
 
 # k and log k! for k = 0, 1, ...; grown on demand by _series_tables
@@ -54,28 +59,63 @@ def _series_tables(hi: int) -> tuple[np.ndarray, np.ndarray]:
     return _KS[: hi + 1], _LOG_FACTORIALS[: hi + 1]
 
 
+def _poisson_window(lam: float, n: int) -> tuple[int, int]:
+    """[lo, up) in [0, n) outside which log Pois(k; lam) < _LOG_ZERO: a term is at most
+    its tail, P(K <= lam - t) <= e^(-t^2/(2 lam)), P(K >= lam + t) <= e^(-t^2/(2 lam + 2t/3))."""
+    r, c = -2.0 * _LOG_ZERO * lam, -_LOG_ZERO / 3.0
+    return max(0, int(lam - math.sqrt(r))), min(n, int(lam + c + math.sqrt(c * c + r)) + 1)
+
+
+def _poisson_terms(lam: float, lo: int, up: int, ks, lf, out: np.ndarray) -> None:
+    """out[lo:up] = exp(k log lam - lam - log k!), in the full series' operation order."""
+    terms = np.multiply(ks[lo:up], math.log(lam), out=out[lo:up])
+    terms -= lam
+    terms -= lf[lo:up]
+    np.exp(terms, out=terms)
+
+
+def _marcum_q1_tails(a: float, bs: tuple[float, ...]) -> list[float]:
+    """[Q1(a, b) for b in bs]: the tails share one Poisson series of a^2/2."""
+    if not all(v >= 0.0 and math.isfinite(v) for v in (a, *bs)):
+        raise ContractError(f"marcum_q1 needs finite a, b >= 0, got {(a, *bs)}")
+    x, ys = a * a / 2.0, [b * b / 2.0 for b in bs]
+    if x == 0.0:  # a == 0, or a*a/2 underflowed: the Rayleigh tail
+        return [math.exp(-y) for y in ys]
+    his = [int(max(x, y) + 40.0 * math.sqrt(max(x, y) + 1.0) + 40.0) for y in ys]
+    ks, lf = _series_tables(max(his))
+    pois_x = np.zeros(max(his) + 1)
+    xlo, xup = _poisson_window(x, pois_x.size)
+    _poisson_terms(x, xlo, xup, ks, lf, pois_x)
+    out = []
+    for y, hi in zip(ys, his):
+        ylo, yup = _poisson_window(y, min(xup, hi + 1))
+        if y == 0.0 or ylo >= yup:  # y == 0 (or b*b/2 underflowed): Q1 = 1
+            out.append(1.0 if y == 0.0 else 0.0)  # else cdf_y is 0.0 wherever pois_x is not
+            continue
+        cdf_y = np.zeros(hi + 1)
+        _poisson_terms(y, ylo, yup, ks, lf, cdf_y)
+        np.add.accumulate(cdf_y[ylo:yup], out=cdf_y[ylo:yup])
+        cdf_y[yup:xup] = cdf_y[yup - 1]  # past yup the full running sum adds only +0.0
+        out.append(float(min(1.0, np.dot(pois_x[: hi + 1], cdf_y))))
+    return out
+
+
 def marcum_q1(a: float, b: float) -> float:
     """First-order Marcum Q: P(Rician(a, 1) > b).
 
-    Canonical series sum_k Pois(k; a^2/2) * P(Pois(b^2/2) <= k),
-    evaluated over a window wide enough that the truncated Poisson
-    mass is below 1e-16 of the total; log-domain term starts keep it
+    Canonical series sum_k Pois(k; x) * P(Pois(y) <= k), x = a^2/2 and
+    y = b^2/2, over k in [0, hi] with hi wide enough that the truncated
+    Poisson mass is below 1e-16 of the total; log-domain terms keep it
     stable for large arguments. Absolute error stays under 1e-10.
+    x == 0 (also when a*a/2 underflows) gives exp(-y); y == 0 gives 1.
+
+    A series is exponentiated only on its Bernstein window [lam -
+    sqrt(1492 lam), lam + c + sqrt(c^2 + 1492 lam)), c = 746/3; outside it
+    exp gives exactly +0.0, so y's running sum is 0.0 before its window and
+    constant after (to x's window end; past it each product is +0.0 anyway).
+    The dot product spans [0, hi], as BLAS groups its additions by index.
     """
-    if not (a >= 0.0 and b >= 0.0 and math.isfinite(a) and math.isfinite(b)):
-        raise ContractError(f"marcum_q1 needs finite a, b >= 0, got ({a}, {b})")
-    if b == 0.0:
-        return 1.0
-    y = b * b / 2.0
-    if a == 0.0:
-        return math.exp(-y)
-    x = a * a / 2.0
-    top = max(x, y)
-    hi = int(top + 40.0 * math.sqrt(top + 1.0) + 40.0)
-    ks, lf = _series_tables(hi)
-    pois_x = np.exp(-x + ks * math.log(x) - lf)
-    cdf_y = np.cumsum(np.exp(-y + ks * math.log(y) - lf))
-    return float(min(1.0, np.dot(pois_x, cdf_y)))
+    return _marcum_q1_tails(a, (b,))[0]
 
 
 def closed_form_p0_p1(
@@ -95,6 +135,7 @@ def closed_form_p0_p1(
     `g_am`). p1 = mean over modes of Q1(nu/varsigma, r_plus/varsigma) and
     p0 = mean of the complementary CDF term at r_minus, with
     r = 10^((q - P_x)/20) the amplitude matching threshold q in dBm.
+    A mode's two tails share one Poisson series of (nu/varsigma)^2/2.
     Degenerate modes (varsigma == 0: zero gain on every M-A path) are
     excluded with a warning, mirroring power calibration; with
     return_excluded the result is (p0, p1, number of excluded modes).
@@ -111,12 +152,10 @@ def closed_form_p0_p1(
             f"excluding {len(dead)} degenerate mode(s) from p0/p1: {dead[:8]}",
             stacklevel=2,
         )
-    p0_terms, p1_terms = [], []
-    for nu_u, vs_u in zip(nu[live].tolist(), varsigma[live].tolist()):
-        ratio = nu_u / vs_u
-        p1_terms.append(marcum_q1(ratio, r_plus / vs_u))
-        p0_terms.append(1.0 - marcum_q1(ratio, r_minus / vs_u))
-    p0, p1 = float(np.mean(p0_terms)), float(np.mean(p1_terms))
+    modes = zip(nu[live].tolist(), varsigma[live].tolist())
+    tails = [_marcum_q1_tails(nu_u / vs_u, (r_minus / vs_u, r_plus / vs_u)) for nu_u, vs_u in modes]
+    p0 = float(np.mean([1.0 - above_minus for above_minus, _ in tails]))
+    p1 = float(np.mean([above_plus for _, above_plus in tails]))
     if return_excluded:
         return p0, p1, int(np.count_nonzero(~live))
     return p0, p1
