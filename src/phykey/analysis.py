@@ -89,8 +89,8 @@ def _marcum_q1_tails(a: float, bs: tuple[float, ...]) -> list[float]:
     out = []
     for y, hi in zip(ys, his):
         ylo, yup = _poisson_window(y, min(xup, hi + 1))
-        if y == 0.0 or ylo >= yup:  # y == 0 (or b*b/2 underflowed): Q1 = 1
-            out.append(1.0 if y == 0.0 else 0.0)  # else cdf_y is 0.0 wherever pois_x is not
+        if y == 0.0 or ylo >= yup:  # Q1 is 1 at y == 0; else every product is +0.0
+            out.append(1.0 if y == 0.0 else 0.0)
             continue
         cdf_y = np.zeros(hi + 1)
         _poisson_terms(y, ylo, yup, ks, lf, cdf_y)

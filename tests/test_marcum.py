@@ -157,9 +157,7 @@ def test_windowed_series_bit_identical_to_full_window(args):
     assert marcum_q1(a, b) == _marcum_full_window(a, b)
 
 
-@pytest.mark.parametrize(
-    "geometry", ["default", "k1250"],
-)
+@pytest.mark.parametrize("geometry", ["default", "k1250"])
 def test_closed_form_bit_identical_to_per_mode_full_window(geometry):
     if geometry == "default":  # the paper's geometry and its calibrated thresholds
         cfg = config_from_mapping({"seed": 1234})
