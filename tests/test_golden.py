@@ -69,7 +69,18 @@ GOLDEN = {
     }
 }
 
-REPLAY_GOLDEN = "7ad0dbd4d0021eae1f0dbb6d740a207f4228fc488c5903516ab23ad092a60372"
+# every file `replay --out-dir` writes; it writes no commitment blob
+REPLAY_ARTIFACTS = ("report.json", "trace.csv", "alice.bits", "alice.bits.rounds",
+                    "bob.bits", "bob.bits.rounds")
+
+REPLAY_GOLDEN = {
+    "report.json": "7ad0dbd4d0021eae1f0dbb6d740a207f4228fc488c5903516ab23ad092a60372",
+    "trace.csv": "ece5b520537f62b2a9efa390ed58b4f42b6781a4e01bf964d6166dadb3907987",
+    "alice.bits": "1a908e6d6dca10f3270041e060d5a7b7d19d62b45a85862d046406175555a814",
+    "alice.bits.rounds": "72e6b50100927ecf2c0081ed957da198ee393e8ec64a9dbcf314639c09879947",
+    "bob.bits": "3169f870758da5041d37e6bc266d445dc9ab010fca9d1a715daad1437dca6628",
+    "bob.bits.rounds": "72e6b50100927ecf2c0081ed957da198ee393e8ec64a9dbcf314639c09879947",
+}
 
 # sha256 of analyze_config(...).to_dict() (p0/p1, rates, p_key, pmf)
 ANALYSIS_GOLDEN = {
@@ -88,15 +99,18 @@ def run_digests(name, out_dir) -> dict:
     return {a: _sha256(out_dir / a) for a in ARTIFACTS}
 
 
-def replay_digest(tmp_dir) -> str:
-    """report.json of `replay` applying the attack offline to the clean capture."""
+def replay_digests(tmp_dir) -> dict:
+    """Every file `replay` writes when it applies the attack offline to the
+    clean capture; asserts it writes no other."""
     run_digests("rakg_clean", tmp_dir / "clean")
     cfg_path = tmp_dir / "attack.yaml"
     cfg_path.write_text(json.dumps(dict(CONFIGS["rakg_clean"], attack={"enabled": True})))
+    out = tmp_dir / "replay"
     code = main(["replay", str(tmp_dir / "clean" / "trace.csv"), "--config", str(cfg_path),
-                 "--out-dir", str(tmp_dir / "replay")])
+                 "--out-dir", str(out)])
     assert code == 0
-    return _sha256(tmp_dir / "replay" / "report.json")
+    assert sorted(p.name for p in out.iterdir()) == sorted(REPLAY_ARTIFACTS)
+    return {a: _sha256(out / a) for a in REPLAY_ARTIFACTS}
 
 
 def _zero_gain_profile(path):
@@ -150,8 +164,8 @@ def test_artifact_digests(name, tmp_path):
     assert run_digests(name, tmp_path) == GOLDEN[name]
 
 
-def test_offline_replay_report_digest(tmp_path, capsys):
-    assert replay_digest(tmp_path) == REPLAY_GOLDEN
+def test_offline_replay_artifact_digests(tmp_path, capsys):
+    assert replay_digests(tmp_path) == REPLAY_GOLDEN
 
 
 @pytest.mark.parametrize("name", sorted(ANALYSIS_GOLDEN))
@@ -169,11 +183,11 @@ if __name__ == "__main__":
         tmp = Path(tmp)
         digests = {name: run_digests(name, tmp / name) for name in sorted(CONFIGS)}
         with contextlib.redirect_stdout(io.StringIO()):
-            replay = replay_digest(tmp / "replay")
+            replay = replay_digests(tmp / "replay")
         analyses = {}
         for name in ("oakg_attacked_seed5", "rakg_attacked", "zero_gain_mode"):
             (tmp / "analysis" / name).mkdir(parents=True)
             analyses[name] = analysis_digest(name, tmp / "analysis" / name)
         print("GOLDEN =", json.dumps(digests, indent=4))
-        print("REPLAY_GOLDEN =", json.dumps(replay))
+        print("REPLAY_GOLDEN =", json.dumps(replay, indent=4))
         print("ANALYSIS_GOLDEN =", json.dumps(analyses, indent=4))
