@@ -124,7 +124,6 @@ class AttackTrace:
     count towards attacked_total.
     """
 
-    d: float
     q_minus: float
     q_plus: float
     round_index: np.ndarray
@@ -181,7 +180,6 @@ def account_attacks(
     rss_ma: np.ndarray,
     rss_mb: np.ndarray,
     injected: np.ndarray,
-    d: float,
     beta: float,
     bits_a: Bitstream,
 ) -> AttackTrace:
@@ -220,7 +218,6 @@ def account_attacks(
     x_r = x_a[rounds]
     tail = np.where(kind == OpportunityKind.O1, x_r > q_plus, x_r < q_minus)
     return AttackTrace(
-        d=d,
         q_minus=q_minus,
         q_plus=q_plus,
         round_index=rounds,

@@ -76,9 +76,12 @@ def _poisson_terms(lam: float, lo: int, up: int, ks, lf, out: np.ndarray) -> Non
 
 def _marcum_q1_tails(a: float, bs: tuple[float, ...]) -> list[float]:
     """[Q1(a, b) for b in bs]: the tails share one Poisson series of a^2/2."""
-    if not all(v >= 0.0 and math.isfinite(v) for v in (a, *bs)):
-        raise ContractError(f"marcum_q1 needs finite a, b >= 0, got {(a, *bs)}")
     x, ys = a * a / 2.0, [b * b / 2.0 for b in bs]
+    # a NaN fails v >= 0; an infinite one, or a square that overflows, leaves x or a y infinite
+    if not (all(v >= 0.0 for v in (a, *bs)) and all(math.isfinite(v) for v in (x, *ys))):
+        raise ContractError(
+            f"marcum_q1 needs a, b >= 0 with finite a*a/2 and b*b/2, got {(a, *bs)}"
+        )
     if x == 0.0:  # a == 0, or a*a/2 underflowed: the Rayleigh tail
         return [math.exp(-y) for y in ys]
     his = [int(max(x, y) + 40.0 * math.sqrt(max(x, y) + 1.0) + 40.0) for y in ys]
@@ -106,8 +109,12 @@ def marcum_q1(a: float, b: float) -> float:
     Canonical series sum_k Pois(k; x) * P(Pois(y) <= k), x = a^2/2 and
     y = b^2/2, over k in [0, hi] with hi wide enough that the truncated
     Poisson mass is below 1e-16 of the total; log-domain terms keep it
-    stable for large arguments. Absolute error stays under 1e-10.
+    stable for large arguments. Against `scipy.stats.ncx2.sf` the absolute
+    error stays under 1e-10 for a, b <= 75 (worst 3.4e-11 on a 25 x 25
+    grid); it reaches 1.0e-10 by 100 and 1.9e-9 at (200, 196).
     x == 0 (also when a*a/2 underflows) gives exp(-y); y == 0 gives 1.
+    a or b negative, NaN or infinite, or a*a/2 or b*b/2 overflowing, raises
+    ContractError.
 
     A series is exponentiated only on its Bernstein window [lam -
     sqrt(1492 lam), lam + c + sqrt(c^2 + 1492 lam)), c = 746/3; outside it
@@ -126,10 +133,9 @@ def closed_form_p0_p1(
     q_minus: float,
     q_plus: float,
     p_x_dbm: float,
-    *,
-    return_excluded: bool = False,
-):
-    """Mode-averaged success probabilities (p0, p1) for O0 and O1 attacks.
+) -> tuple[float, float, int]:
+    """(p0, p1, excluded modes): mode-averaged success probabilities for
+    O0 and O1 attacks, and the number of degenerate modes left out.
 
     gains_ma is the profile's gain matrix on the M-A paths (a scenario's
     `g_am`). p1 = mean over modes of Q1(nu/varsigma, r_plus/varsigma) and
@@ -137,8 +143,7 @@ def closed_form_p0_p1(
     r = 10^((q - P_x)/20) the amplitude matching threshold q in dBm.
     A mode's two tails share one Poisson series of (nu/varsigma)^2/2.
     Degenerate modes (varsigma == 0: zero gain on every M-A path) are
-    excluded with a warning, mirroring power calibration; with
-    return_excluded the result is (p0, p1, number of excluded modes).
+    excluded with a warning, mirroring power calibration.
     """
     r_plus = 10.0 ** ((q_plus - p_x_dbm) / 20.0)
     r_minus = 10.0 ** ((q_minus - p_x_dbm) / 20.0)
@@ -156,9 +161,7 @@ def closed_form_p0_p1(
     tails = [_marcum_q1_tails(nu_u / vs_u, (r_minus / vs_u, r_plus / vs_u)) for nu_u, vs_u in modes]
     p0 = float(np.mean([1.0 - above_minus for above_minus, _ in tails]))
     p1 = float(np.mean([above_plus for _, above_plus in tails]))
-    if return_excluded:
-        return p0, p1, int(np.count_nonzero(~live))
-    return p0, p1
+    return p0, p1, int(np.count_nonzero(~live))
 
 
 def guess_count_pmf(n: int, n0: int, p0: float, p1: float) -> np.ndarray:

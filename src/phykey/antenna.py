@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationError, ProfileError
-from .geometry import LinkPathSet, Topology, path_angles
 from .rician import rician_mean_amplitude, rician_params
 
 OA_KIND = "OA"
@@ -190,28 +189,22 @@ def save_antenna_profile(profile: AntennaProfile, path) -> None:
 
 def calibrate_tx_power(
     profile: AntennaProfile,
-    topology: Topology,
+    gains: np.ndarray,
     detection_threshold_dbm: float,
     los_mean_amplitude: float,
     sigma0: float,
-    paths: LinkPathSet | None = None,
-    gains: np.ndarray | None = None,
 ) -> float:
     """Transmit power (dBm) so every usable mode reaches the detection threshold.
 
-    For each mode the expected Alice->Bob RSS is 20*log10(mean Rician
-    amplitude) + P_x; the returned P_x is the maximum over modes of the
-    minimum power meeting the threshold. Modes with zero gain on every
-    A->B path have no finite calibration and are excluded with a warning.
-    `gains` is the profile's gain matrix on the A->B paths, when the
-    caller already holds it.
+    `gains` is the profile's gain matrix on the A->B paths (column 0 the
+    LoS path). For each mode the expected Alice->Bob RSS is
+    20*log10(mean Rician amplitude) + P_x; the returned P_x is the maximum
+    over modes of the minimum power meeting the threshold. Modes with zero
+    gain on every A->B path have no finite calibration and are excluded
+    with a warning.
     """
     if not np.isfinite(detection_threshold_dbm):
         raise CalibrationError("detection threshold must be finite")
-    if gains is None:
-        if paths is None:
-            paths = path_angles(topology, "alice", "bob")
-        gains = profile.gain_matrix(paths.angles_deg)
     usable = np.any(gains > 0.0, axis=1)
     if not np.any(usable):
         raise CalibrationError("every mode has zero gain on all A->B paths")

@@ -136,7 +136,10 @@ def analyze(config_path, seed, report_path, fmt):
 @click.option("--strict", is_flag=True, default=False)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def replay(trace_csv, config_path, seed, out_dir, strict, fmt):
-    """Re-run quantization and attack accounting on a recorded trace."""
+    """Re-run quantization and attack accounting on a recorded trace.
+
+    With --out-dir, writes the same session files as simulate, less the
+    commitment blob."""
     cfg = _load_config(config_path, seed)
     trace = traceio.ingest_trace(
         trace_csv,
@@ -146,21 +149,10 @@ def replay(trace_csv, config_path, seed, out_dir, strict, fmt):
     )
     report, trace, protocol = pipeline.replay_trace(trace, cfg)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        traceio.export_trace_csv(trace, out / "trace.csv")
-        traceio.write_bitstream(out / "alice.bits", protocol.s_a)
-        traceio.write_bitstream(out / "bob.bits", protocol.s_b)
-        with open(out / "report.json", "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        pipeline.write_session_files(out_dir, report, trace, protocol)
     _emit(_summary(report), fmt)
     if strict and (report.reconciliation_ok is False or report.verification_ok is False):
         raise RuntimeFailure("reconciliation or verification failed")
-
-
-def _rs_from_options(symbol_bits, n, k) -> RsParams:
-    return RsParams(m=symbol_bits, n=n, k=k)
 
 
 @cli.command()
@@ -172,7 +164,7 @@ def _rs_from_options(symbol_bits, n, k) -> RsParams:
 @click.option("--k", type=int, default=11, show_default=True)
 def commit(bitstream, out, seed, symbol_bits, n, k):
     """Commit to a bitstream file; emits the commitment blob."""
-    params = _rs_from_options(symbol_bits, n, k)
+    params = RsParams(m=symbol_bits, n=n, k=k)
     stream = traceio.read_bitstream(bitstream)
     commitments, covered = fuzzy.commit_stream(
         stream.bits, params, np.random.default_rng(seed)

@@ -13,7 +13,7 @@ import yaml
 from pydantic import BaseModel, ConfigDict, Field, PrivateAttr, ValidationError
 
 from .antenna import AntennaProfile, load_antenna_profile, omni_profile, synthesize_rotated_beam
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .geometry import Topology
 from .reed_solomon import RsParams
 from .session import Scenario, build_scenario
@@ -73,7 +73,7 @@ class AttackConfig(_StrictModel):
 
 
 class ReconciliationConfig(_StrictModel):
-    symbol_bits: int = Field(default=8, ge=2)
+    symbol_bits: int = 8  # RsParams checks it against the supported field sizes
     n: int = Field(default=255, ge=3)
     k: int = Field(default=223, ge=1)
 
@@ -182,11 +182,9 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
         cfg = ExperimentConfig(**data)
     except ValidationError as exc:
         raise ConfigError(_format_validation_error(exc)) from None
-    if cfg.reconciliation.k >= cfg.reconciliation.n:
-        raise ConfigError("reconciliation.k: must be smaller than n")
     try:
         cfg.rs_params()
-    except Exception as exc:
+    except ContractError as exc:
         raise ConfigError(f"reconciliation: {exc}") from None
     return cfg
 

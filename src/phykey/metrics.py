@@ -7,7 +7,7 @@ approximate entropy. Each test reports a p-value; p >= 0.01 passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import gammaincc
@@ -16,6 +16,7 @@ from .errors import ContractError
 
 PASS_LEVEL = 0.01
 MIN_BITS = 100
+APEN_BLOCK = 2  # the pattern length m of every approximate entropy phykey reports
 
 
 def attack_metrics(n: int, m: int, ell: int) -> tuple[float | None, float]:
@@ -77,13 +78,13 @@ class TestResult:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "p_value": self.p_value,
-            "passed": self.passed,
-            "applicable": self.applicable,
-            "note": self.note,
-        }
+        return _shallow_dict(self)
+
+
+def _shallow_dict(obj) -> dict:
+    """Field name -> value in declaration order; unlike `asdict`, values are
+    not copied."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def _not_applicable(name: str, why: str) -> TestResult:
@@ -99,11 +100,12 @@ def monobit_test(bits: np.ndarray) -> TestResult:
     return TestResult("monobit", p, p >= PASS_LEVEL)
 
 
-def block_frequency_test(bits: np.ndarray, block_size: int | None = None) -> TestResult:
+def block_frequency_test(bits: np.ndarray) -> TestResult:
+    """Blocks of 128 bits, or of n/10 (at least 20) below 1280 bits."""
     n = bits.size
     if n < MIN_BITS:
         return _not_applicable("block_frequency", f"needs >= {MIN_BITS} bits")
-    m = block_size if block_size else (128 if n >= 1280 else max(20, n // 10))
+    m = 128 if n >= 1280 else max(20, n // 10)
     n_blocks = n // m
     pi = bits[: n_blocks * m].reshape(n_blocks, m).mean(axis=1)
     chi2 = 4.0 * m * float(np.sum((pi - 0.5) ** 2))
@@ -125,17 +127,18 @@ def runs_test(bits: np.ndarray) -> TestResult:
     return TestResult("runs", p, p >= PASS_LEVEL)
 
 
-def approximate_entropy_test(bits: np.ndarray, m_block: int = 2) -> TestResult:
+def approximate_entropy_test(bits: np.ndarray) -> TestResult:
+    """ApEn with pattern length APEN_BLOCK against its i.i.d. limit ln 2."""
     n = bits.size
     if n < MIN_BITS:
         return _not_applicable("approximate_entropy", f"needs >= {MIN_BITS} bits")
-    apen = approximate_entropy(bits, m_block)
+    apen = approximate_entropy(bits, APEN_BLOCK)
     chi2 = 2.0 * n * (math.log(2.0) - apen)
-    p = float(gammaincc(2 ** (m_block - 1), max(chi2, 0.0) / 2.0))
+    p = float(gammaincc(2 ** (APEN_BLOCK - 1), max(chi2, 0.0) / 2.0))
     return TestResult("approximate_entropy", p, p >= PASS_LEVEL)
 
 
-def randomness_tests(bits, apen_block: int = 2) -> dict[str, TestResult]:
+def randomness_tests(bits) -> dict[str, TestResult]:
     """Run the four-test battery; too-short inputs get not-applicable markers."""
     bits = np.asarray(bits, dtype=np.uint8)
     return {
@@ -144,7 +147,7 @@ def randomness_tests(bits, apen_block: int = 2) -> dict[str, TestResult]:
             monobit_test(bits),
             block_frequency_test(bits),
             runs_test(bits),
-            approximate_entropy_test(bits, apen_block),
+            approximate_entropy_test(bits),
         )
     }
 
@@ -192,28 +195,9 @@ class SessionReport:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "scheme": self.scheme,
-            "seed": self.seed,
-            "n_rounds": self.n_rounds,
-            "ell": self.ell,
-            "n": self.n,
-            "n0": self.n0,
-            "m": self.m,
-            "attacked_total": self.attacked_total,
-            "kre": self.kre,
-            "krr": self.krr,
-            "bit_mismatch_rate": self.bit_mismatch_rate,
-            "secret_bit_rate": self.secret_bit_rate,
-            "apen": self.apen,
-            "randomness": {k: v.to_dict() for k, v in self.randomness.items()},
-            "reconciliation_ok": self.reconciliation_ok,
-            "verification_ok": self.verification_ok,
-            "p_x_dbm": self.p_x_dbm,
-            "tx_power_gap_vs_oa_db": self.tx_power_gap_vs_oa_db,
-            "thresholds_alice": self.thresholds_alice,
-            "thresholds_bob": self.thresholds_bob,
-            "attack_rounds": self.attack_rounds,
-        }
-        out.update(self.extra)
+        """The fields in declaration order, randomness results as dicts and
+        `extra`'s keys merged in at the top level."""
+        out = _shallow_dict(self)
+        out["randomness"] = {k: v.to_dict() for k, v in self.randomness.items()}
+        out.update(out.pop("extra"))
         return out

@@ -24,6 +24,8 @@ from .session import MeasurementTrace, simulate_session
 from .traceio import export_trace_csv, write_bitstream, write_commitments
 
 _PMF_REPORT_LIMIT = 20_000
+# analyze_config's own thresholds come from a clean session of at most this many rounds
+_CALIBRATION_ROUNDS = 200_000
 # reports list per-attack records only up to this many attacked rounds
 _ATTACK_ROUNDS_REPORT_LIMIT = 10_000
 
@@ -41,7 +43,7 @@ class ProtocolResult:
     attack: adversary.AttackTrace | None
 
 
-def run_protocol(trace: MeasurementTrace, beta: float, excursion_len: int, d: float) -> ProtocolResult:
+def run_protocol(trace: MeasurementTrace, beta: float, excursion_len: int) -> ProtocolResult:
     """Threshold selection, index exchange, quantization, attack accounting."""
     q_a = thresholds(trace.x_a, beta)
     q_b = thresholds(trace.x_b, beta)
@@ -52,7 +54,7 @@ def run_protocol(trace: MeasurementTrace, beta: float, excursion_len: int, d: fl
     attack = None
     if np.any(trace.injected):
         attack = adversary.account_attacks(
-            trace.x_a, trace.rss_ma, trace.rss_mb, trace.injected, d, beta, s_a,
+            trace.x_a, trace.rss_ma, trace.rss_mb, trace.injected, beta, s_a,
         )
     return ProtocolResult(
         thresholds_alice=q_a,
@@ -93,8 +95,11 @@ def build_report(
 ) -> tuple[metrics.SessionReport, list[fuzzy.Commitment]]:
     """Reconcile, verify, and assemble the session report.
 
-    Also returns the commitments the reconciliation opened (none when
-    Alice's stream is shorter than one block).
+    The report lists one record per attacked round when
+    include_attack_rounds is set and there are at most
+    _ATTACK_ROUNDS_REPORT_LIMIT of them. Also returns the commitments the
+    reconciliation opened (none when Alice's stream is shorter than one
+    block).
     """
     ell = len(protocol.s_a)
     attack = protocol.attack
@@ -102,6 +107,8 @@ def build_report(
     n0 = attack.n0 if attack else 0
     m = attack.m if attack else 0
     kre, krr = metrics.attack_metrics(n, m, ell) if ell else (None, 0.0)
+    listed = bool(attack and include_attack_rounds
+                  and attack.attacked_total <= _ATTACK_ROUNDS_REPORT_LIMIT)
 
     rs = cfg.rs_params()
     reconciliation_ok: bool | None = None
@@ -128,7 +135,7 @@ def build_report(
     )
     randomness = metrics.randomness_tests(protocol.s_a.bits) if ell else {}
     apen = (
-        metrics.approximate_entropy(protocol.s_a.bits, 2) if ell >= 8 else None
+        metrics.approximate_entropy(protocol.s_a.bits, metrics.APEN_BLOCK) if ell >= 8 else None
     )
     mismatch = metrics.bit_mismatch_rate(protocol.s_a.bits, protocol.s_b.bits)
     report = metrics.SessionReport(
@@ -151,31 +158,47 @@ def build_report(
         p_x_dbm=trace.p_x_dbm,
         thresholds_alice=protocol.thresholds_alice,
         thresholds_bob=protocol.thresholds_bob,
-        attack_rounds=attack.to_records() if attack and include_attack_rounds else [],
+        attack_rounds=attack.to_records() if listed else [],
     )
     return report, commitments
+
+
+def write_session_files(
+    out_dir: str | Path,
+    report: metrics.SessionReport,
+    trace: MeasurementTrace,
+    protocol: ProtocolResult,
+) -> Path:
+    """Write trace.csv, alice.bits, bob.bits (each bitstream with its .rounds
+    sidecar) and report.json into out_dir, creating it; returns it."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    export_trace_csv(trace, out / "trace.csv")
+    write_bitstream(out / "alice.bits", protocol.s_a)
+    write_bitstream(out / "bob.bits", protocol.s_b)
+    with open(out / "report.json", "w", encoding="utf-8") as fh:
+        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return out
 
 
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
     *,
-    include_attack_rounds: bool | None = None,
+    include_attack_rounds: bool = True,
 ) -> tuple[metrics.SessionReport, MeasurementTrace, ProtocolResult]:
     """simulate -> quantize -> attack accounting -> reconcile -> report.
 
-    With out_dir set, writes report.json, trace.csv, the two bitstream
-    files, and the commitment blob (the set the report verified) into it.
+    With out_dir set, writes the session files (`write_session_files`)
+    and the commitment blob (the set the report verified) into it.
+    include_attack_rounds=False leaves the per-attack records out of the
+    report (see `build_report`).
     """
     rng = np.random.default_rng(cfg.seed)
     scenario = cfg.build_scenario()
     trace = _simulate_from_config(cfg, rng)
-    protocol = run_protocol(trace, cfg.beta, cfg.excursion_len, cfg.attack.d)
-    if include_attack_rounds is None:
-        include_attack_rounds = (
-            protocol.attack is not None
-            and protocol.attack.attacked_total <= _ATTACK_ROUNDS_REPORT_LIMIT
-        )
+    protocol = run_protocol(trace, cfg.beta, cfg.excursion_len)
     report, commitments = build_report(
         cfg, trace, protocol, rng=rng, include_attack_rounds=include_attack_rounds
     )
@@ -187,16 +210,9 @@ def run_experiment(
         "mb": links.fading_mb.k_factor(paths),
     }
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        export_trace_csv(trace, out / "trace.csv")
-        write_bitstream(out / "alice.bits", protocol.s_a)
-        write_bitstream(out / "bob.bits", protocol.s_b)
+        out = write_session_files(out_dir, report, trace, protocol)
         if commitments:
             write_commitments(out / "commitments.bin", commitments, cfg.rs_params())
-        with open(out / "report.json", "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return report, trace, protocol
 
 
@@ -227,13 +243,8 @@ def replay_trace(
             repeat_injection=cfg.attack.repeat_injection,
         )
         trace = dataclasses.replace(trace, x_a=x_a, x_b=x_b, injected=injected)
-    protocol = run_protocol(trace, cfg.beta, cfg.excursion_len, cfg.attack.d)
-    rng = np.random.default_rng(cfg.seed)
-    include = (
-        protocol.attack is not None
-        and protocol.attack.attacked_total <= _ATTACK_ROUNDS_REPORT_LIMIT
-    )
-    report, _ = build_report(cfg, trace, protocol, rng=rng, include_attack_rounds=include)
+    protocol = run_protocol(trace, cfg.beta, cfg.excursion_len)
+    report, _ = build_report(cfg, trace, protocol, rng=np.random.default_rng(cfg.seed))
     return report, trace, protocol
 
 
@@ -255,27 +266,27 @@ def analyze_config(
     q_minus: float | None = None,
     q_plus: float | None = None,
     counts: tuple[int, int, int] | None = None,
-    calibration_rounds: int = 200_000,
 ) -> AnalysisResult:
     """Closed-form p0/p1 for the config, plus rate/PMF/p_key when counts given.
 
     Thresholds default to a clean calibration session at the config's
-    seed (Eq.-style mean/std of Alice's series); counts are
-    (ell, n, n0) from a measured or simulated run.
+    seed and at most _CALIBRATION_ROUNDS rounds (Eq.-style mean/std of
+    Alice's series); counts are (ell, n, n0) from a measured or simulated
+    run.
     """
     scenario = cfg.build_scenario()
     if q_minus is None or q_plus is None:
         cal_trace = _simulate_from_config(
             cfg,
             np.random.default_rng(cfg.seed),
-            n_rounds=min(cfg.rounds, calibration_rounds),
+            n_rounds=min(cfg.rounds, _CALIBRATION_ROUNDS),
             attack_enabled=False,
         )
         q_minus, q_plus = thresholds(cal_trace.x_a, cfg.beta)
     fading, p_x = scenario.links.fading_am, scenario.p_x_dbm
     p0, p1, excluded_modes = closed_form_p0_p1(
         scenario.profile, scenario.g_am, abs(fading.los_mean), fading.sigma0,
-        q_minus, q_plus, p_x, return_excluded=True,
+        q_minus, q_plus, p_x,
     )
     e_kre = e_krr = None
     key_guess = None

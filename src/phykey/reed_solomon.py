@@ -22,20 +22,26 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ContractError
-from .galois import field
+from .galois import PRIMITIVE_POLY, field
 
 
 @dataclass(frozen=True)
 class RsParams:
-    """Code geometry: m-bit symbols, n total, k data, t correctable."""
+    """Code geometry: m-bit symbols, n total, k data, t correctable.
+
+    m must be a field size `galois.PRIMITIVE_POLY` has a polynomial for.
+    """
 
     m: int
     n: int
     k: int
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ContractError("need m >= 2 bits per symbol")
+        if self.m not in PRIMITIVE_POLY:
+            raise ContractError(
+                f"need m = {min(PRIMITIVE_POLY)}..{max(PRIMITIVE_POLY)} bits per symbol "
+                f"(the supported GF(2^m) sizes), got m={self.m}"
+            )
         if not (1 <= self.k < self.n <= (1 << self.m) - 1):
             raise ContractError(
                 f"require 1 <= k < n <= 2^m - 1, got (m={self.m}, n={self.n}, k={self.k})"

@@ -27,7 +27,7 @@ def rician_params(gains, los_mean_amplitude: float, sigma0: float):
 
 
 def rician_mean_amplitude(nu, varsigma):
-    """E|X| for X Rician(nu, varsigma); vectorized, overflow-safe.
+    """E|X| for X Rician(nu, varsigma), elementwise over arrays; overflow-safe.
 
     Uses the Laguerre form E|X| = varsigma * sqrt(pi/2) * L_{1/2}(-x)
     with x = nu^2 / (2 varsigma^2) and exponentially scaled Bessel
@@ -38,7 +38,4 @@ def rician_mean_amplitude(nu, varsigma):
     x = nu**2 / (2.0 * varsigma**2)
     # L_{1/2}(-x) = e^{-x/2} [(1+x) I0(x/2) + x I1(x/2)]; i0e/i1e carry the e^{-x/2}
     laguerre = (1.0 + x) * i0e(x / 2.0) + x * i1e(x / 2.0)
-    out = varsigma * np.sqrt(np.pi / 2.0) * laguerre
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return varsigma * np.sqrt(np.pi / 2.0) * laguerre

@@ -167,10 +167,12 @@ def build_scenario(
     g_am = profile.gain_matrix(links.am.angles_deg)
     g_ab.setflags(write=False)
     g_am.setflags(write=False)
-    calibration = (topology, detection_threshold_dbm, abs(links.fading_ab.los_mean),
-                   links.fading_ab.sigma0, links.ab)
-    p_x = calibrate_tx_power(profile, *calibration, gains=g_ab)
-    gap = p_x - calibrate_tx_power(omni_profile(), *calibration) if scheme == RAKG else None
+    calibration = (detection_threshold_dbm, abs(links.fading_ab.los_mean), links.fading_ab.sigma0)
+    p_x = calibrate_tx_power(profile, g_ab, *calibration)
+    gap = None
+    if scheme == RAKG:
+        omni = omni_profile()
+        gap = p_x - calibrate_tx_power(omni, omni.gain_matrix(links.ab.angles_deg), *calibration)
     return Scenario(scheme, topology, profile, links, g_ab, g_am, p_x, gap)
 
 

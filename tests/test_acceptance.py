@@ -58,7 +58,7 @@ def test_criterion_01_closed_form_matches_monte_carlo():
     q_minus, q_plus = thresholds(trace.x_a, cfg.beta)
     p_x = trace.p_x_dbm
     g_am = profile.gain_matrix(links.am.angles_deg)
-    p0_cf, p1_cf = closed_form_p0_p1(
+    p0_cf, p1_cf, _ = closed_form_p0_p1(
         profile, g_am, abs(links.fading_am.los_mean), links.fading_am.sigma0,
         q_minus, q_plus, p_x,
     )
@@ -100,7 +100,7 @@ def test_criterion_02_attack_success_independent_of_opportunity():
         "seed": 5, "rounds": 3_000_000, "coherence_block_rounds": 3_000_000,
     })
     trace = _simulate(cfg)
-    proto = pipeline.run_protocol(trace, cfg.beta, cfg.excursion_len, cfg.attack.d)
+    proto = pipeline.run_protocol(trace, cfg.beta, cfg.excursion_len)
     at = proto.attack
     hits, total = at.tail_stats(OpportunityKind.O1)
     uncond = float(np.mean(trace.rss_ma > at.q_plus))
@@ -272,8 +272,7 @@ def test_criterion_08_zero_noise_reciprocity_ten_seeds():
                 "attack": {"enabled": False},
             })
             trace = _simulate(cfg)
-            proto = pipeline.run_protocol(trace, cfg.beta, cfg.excursion_len,
-                                          cfg.attack.d)
+            proto = pipeline.run_protocol(trace, cfg.beta, cfg.excursion_len)
             ok &= len(proto.s_a) == len(proto.s_b)
             ok &= bool(np.array_equal(proto.s_a.bits, proto.s_b.bits))
     assert _report(8, "10 seeds x {RAKG, OAKG}: bit mismatch rate exactly 0", ok)
@@ -287,7 +286,7 @@ def test_criterion_09_randomness_qualitative_pattern():
         "attack": {"enabled": False},
     })
     ra_trace = _simulate(ra_cfg)
-    ra = pipeline.run_protocol(ra_trace, ra_cfg.beta, 1, ra_cfg.attack.d)
+    ra = pipeline.run_protocol(ra_trace, ra_cfg.beta, 1)
     from phykey.metrics import randomness_tests
 
     ra_res = randomness_tests(ra.s_a.bits)
@@ -296,7 +295,7 @@ def test_criterion_09_randomness_qualitative_pattern():
         "coherence_block_rounds": 10, "attack": {"enabled": False},
     })
     oa_trace = _simulate(oa_cfg)
-    oa = pipeline.run_protocol(oa_trace, oa_cfg.beta, 1, oa_cfg.attack.d)
+    oa = pipeline.run_protocol(oa_trace, oa_cfg.beta, 1)
     oa_res = randomness_tests(oa.s_a.bits)
 
     ra_ok = len(ra.s_a) >= 1_000_000 and all(r.passed for r in ra_res.values())

@@ -102,7 +102,7 @@ def test_account_attacks_kinds_guesses_and_correctness():
     x_a, rss_ma, rss_mb, injected = _toy_attacked_trace()
     # clean rounds are -50, -50, -55 -> q band roughly (-53.2, -51.2)
     bits = Bitstream(bits=np.array([1, 0], dtype=np.uint8), source_rounds=np.array([1, 3]))
-    trace = account_attacks(x_a, rss_ma, rss_mb, injected, d=2.0, beta=0.4, bits_a=bits)
+    trace = account_attacks(x_a, rss_ma, rss_mb, injected, beta=0.4, bits_a=bits)
     assert trace.attacked_total == 2
     assert trace.n == 2 and trace.n0 == 1 and trace.m == 2
     assert trace.round_index.tolist() == [1, 3]
@@ -114,7 +114,7 @@ def test_account_attacks_kinds_guesses_and_correctness():
 def test_account_attacks_counts_non_surviving_rounds_separately():
     x_a, rss_ma, rss_mb, injected = _toy_attacked_trace()
     bits = Bitstream(bits=np.array([1], dtype=np.uint8), source_rounds=np.array([1]))
-    trace = account_attacks(x_a, rss_ma, rss_mb, injected, d=2.0, beta=0.4, bits_a=bits)
+    trace = account_attacks(x_a, rss_ma, rss_mb, injected, beta=0.4, bits_a=bits)
     assert trace.attacked_total == 2
     assert trace.n == 1  # round 3 yielded no key bit
     assert not trace.survived[1] and not trace.correct[1]
@@ -126,7 +126,7 @@ def test_account_attacks_counts_non_surviving_rounds_separately():
 def test_n0_plus_n1_equals_n():
     x_a, rss_ma, rss_mb, injected = _toy_attacked_trace()
     bits = Bitstream(bits=np.array([1, 0], dtype=np.uint8), source_rounds=np.array([1, 3]))
-    trace = account_attacks(x_a, rss_ma, rss_mb, injected, d=2.0, beta=0.4, bits_a=bits)
+    trace = account_attacks(x_a, rss_ma, rss_mb, injected, beta=0.4, bits_a=bits)
     n1 = int(np.count_nonzero(trace.survived & (trace.kind == OpportunityKind.O1)))
     assert trace.n0 + n1 == trace.n
 
@@ -138,7 +138,7 @@ def test_account_attacks_repeat_injection_shares_observation():
     rss_ma = np.array([-40.0, -40.0, -40.0, -55.0, -55.0])
     rss_mb = np.array([-40.5, -40.5, -40.5, -55.5, -55.5])
     bits = Bitstream(bits=np.array([1, 1], dtype=np.uint8), source_rounds=np.array([1, 2]))
-    trace = account_attacks(x_a, rss_ma, rss_mb, injected, d=2.0, beta=0.4, bits_a=bits)
+    trace = account_attacks(x_a, rss_ma, rss_mb, injected, beta=0.4, bits_a=bits)
     assert trace.kind.tolist() == [OpportunityKind.O1, OpportunityKind.O1]
     assert trace.m == 2
 
@@ -146,7 +146,6 @@ def test_account_attacks_repeat_injection_shares_observation():
 def _columns(rounds, kinds, survived, correct, q_minus=-53.0, q_plus=-51.0):
     n = len(rounds)
     return AttackTrace(
-        d=2.0,
         q_minus=q_minus,
         q_plus=q_plus,
         round_index=np.asarray(rounds, dtype=np.int64),
@@ -319,7 +318,7 @@ def test_columnar_adversary_matches_sequential_oracle(repeat_injection):
             bits=rng.integers(0, 2, size=keyed.size, dtype=np.uint8), source_rounds=keyed
         )
 
-        trace = account_attacks(x_a, obs_ma, obs_mb, injected, d, beta, bits_a)
+        trace = account_attacks(x_a, obs_ma, obs_mb, injected, beta, bits_a)
         oracle = _oracle_account(x_a, obs_ma, obs_mb, injected, d, beta, bits_a)
         assert trace.to_records() == [
             {k: v for k, v in rec.items() if k != "tail"} for rec in oracle

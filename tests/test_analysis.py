@@ -76,7 +76,7 @@ def test_closed_form_single_mode_against_monte_carlo(rng):
     q_minus, q_plus = 4.0, 9.0
     omni = omni_profile()
     g = omni.gain_matrix(paths.angles_deg)
-    p0, p1 = closed_form_p0_p1(omni, g, los, sigma0, q_minus, q_plus, p_x)
+    p0, p1, _ = closed_form_p0_p1(omni, g, los, sigma0, q_minus, q_plus, p_x)
     n = 1_000_000
     a = sigma0 * (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))
     a[:, 0] += los
@@ -91,7 +91,7 @@ def test_closed_form_complementary_tails_at_shared_median(rng, beam_profile):
     paths = LinkPathSet(angles_deg=(60.0, 20.3, 101.9))
     q = -62.0
     g = beam_profile.gain_matrix(paths.angles_deg)
-    p0, p1 = closed_form_p0_p1(beam_profile, g, 1e-4, 2e-6, q, q, 5.0)
+    p0, p1, _ = closed_form_p0_p1(beam_profile, g, 1e-4, 2e-6, q, q, 5.0)
     assert p0 + p1 == pytest.approx(1.0, abs=1e-9)
 
 
@@ -100,11 +100,11 @@ def test_closed_form_excludes_degenerate_modes():
     profile = AntennaProfile(modes=(0, 1), angles_deg=np.array([0.0]), gains=gains)
     g = profile.gain_matrix(LinkPathSet(angles_deg=(0.0,)).angles_deg)
     with pytest.warns(UserWarning, match="degenerate"):
-        p0, p1 = closed_form_p0_p1(profile, g, 1.0, 0.5, -3.0, 3.0, 0.0)
+        p0, p1, _ = closed_form_p0_p1(profile, g, 1.0, 0.5, -3.0, 3.0, 0.0)
     assert 0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0
     # the count analyze_config reports comes from the same exclusion
     with pytest.warns(UserWarning, match="excluding 1 degenerate"):
-        counted = closed_form_p0_p1(profile, g, 1.0, 0.5, -3.0, 3.0, 0.0, return_excluded=True)
+        counted = closed_form_p0_p1(profile, g, 1.0, 0.5, -3.0, 3.0, 0.0)
     assert counted == (p0, p1, 1)
 
 

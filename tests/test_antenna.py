@@ -176,10 +176,16 @@ def test_malformed_row_reports_line_number(tmp_path):
 TOP = Topology(alice=(0, 0), bob=(10, 0), mallory=(5, 5))
 
 
+def _ab_gains(profile, paths=None):
+    """The profile's gain matrix on TOP's A->B paths, or on the given ones."""
+    paths = paths or path_angles(TOP, "alice", "bob")
+    return profile.gain_matrix(paths.angles_deg)
+
+
 def test_calibrate_oa_inverts_rss_formula():
     # mean channel amplitude 1e-4 at threshold -75 dBm -> P_x = 5 dBm;
     # with sigma0 -> 0 the Rician mean collapses to the LoS amplitude
-    p_x = calibrate_tx_power(omni_profile(), TOP, -75.0, 1e-4, 1e-12)
+    p_x = calibrate_tx_power(omni_profile(), _ab_gains(omni_profile()), -75.0, 1e-4, 1e-12)
     assert p_x == pytest.approx(-75.0 - 20.0 * math.log10(1e-4), abs=1e-6)
 
 
@@ -189,16 +195,16 @@ def test_degenerate_ra_matches_oa_power():
         angles_deg=np.array([0.0]),
         gains=np.ones((3, 1)),
     )
-    p_flat = calibrate_tx_power(flat, TOP, -75.0, 1e-4, 2e-6)
-    p_oa = calibrate_tx_power(omni_profile(), TOP, -75.0, 1e-4, 2e-6)
+    p_flat = calibrate_tx_power(flat, _ab_gains(flat), -75.0, 1e-4, 2e-6)
+    p_oa = calibrate_tx_power(omni_profile(), _ab_gains(omni_profile()), -75.0, 1e-4, 2e-6)
     assert p_flat == pytest.approx(p_oa, abs=1e-12)
 
 
 def test_calibration_monotone_in_threshold():
     profile = synthesize_rotated_beam(mode_count=36, front_to_back_db=15.0)
-    base = calibrate_tx_power(profile, TOP, -75.0, 1e-4, 2e-6)
+    base = calibrate_tx_power(profile, _ab_gains(profile), -75.0, 1e-4, 2e-6)
     for delta in (0.5, 3.0, 11.0):
-        raised = calibrate_tx_power(profile, TOP, -75.0 + delta, 1e-4, 2e-6)
+        raised = calibrate_tx_power(profile, _ab_gains(profile), -75.0 + delta, 1e-4, 2e-6)
         assert raised == pytest.approx(base + delta, abs=1e-9)
 
 
@@ -206,7 +212,7 @@ def test_zero_gain_mode_excluded_with_warning(monkeypatch):
     gains = np.array([[1.0], [0.0]])
     profile = AntennaProfile(modes=(0, 1), angles_deg=np.array([0.0]), gains=gains)
     with pytest.warns(UserWarning, match="zero-gain"):
-        p_x = calibrate_tx_power(profile, TOP, -75.0, 1e-4, 2e-6)
+        p_x = calibrate_tx_power(profile, _ab_gains(profile), -75.0, 1e-4, 2e-6)
     assert math.isfinite(p_x)
 
     # calibration and the closed form agree on (nu, varsigma) of the live
@@ -224,7 +230,7 @@ def test_zero_gain_mode_excluded_with_warning(monkeypatch):
     monkeypatch.setattr(analysis, "rician_params", recording)
     paths = path_angles(TOP, "alice", "bob")
     with pytest.warns(UserWarning, match="zero-gain"):
-        p_x = calibrate_tx_power(profile, TOP, -75.0, 1e-4, 2e-6, paths)
+        p_x = calibrate_tx_power(profile, _ab_gains(profile, paths), -75.0, 1e-4, 2e-6)
     with pytest.warns(UserWarning, match="excluding 1 degenerate mode"):
         analysis.closed_form_p0_p1(
             profile, profile.gain_matrix(paths.angles_deg), 1e-4, 2e-6, -80.0, -70.0, p_x
@@ -240,10 +246,10 @@ def test_all_zero_modes_rejected():
         modes=(0,), angles_deg=np.array([0.0]), gains=np.array([[0.0]])
     )
     with pytest.raises(CalibrationError):
-        calibrate_tx_power(profile, TOP, -75.0, 1e-4, 2e-6)
+        calibrate_tx_power(profile, _ab_gains(profile), -75.0, 1e-4, 2e-6)
 
 
 def test_calibrate_with_explicit_paths():
     paths = LinkPathSet(angles_deg=(0.0, 90.0))
-    p = calibrate_tx_power(omni_profile(), TOP, -75.0, 1e-4, 1e-12, paths)
+    p = calibrate_tx_power(omni_profile(), _ab_gains(omni_profile(), paths), -75.0, 1e-4, 1e-12)
     assert math.isfinite(p)

@@ -150,6 +150,24 @@ def test_commit_open_cycle(tmp_path, capsys, rng):
     assert res["recovered_bits"] == 120
 
 
+def test_commit_unsupported_symbol_size_exit_2_before_reading(tmp_path, capsys, monkeypatch):
+    from phykey import traceio
+
+    def read_bitstream(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(traceio, "read_bitstream", read_bitstream)
+    bits_path = tmp_path / "alice.bits"
+    bits_path.write_bytes(b"\xff")
+    code, _, err = run_cli(
+        capsys, "commit", str(bits_path), "--out", str(tmp_path / "c.bin"), "--seed", "1",
+        "--symbol-bits", "13",
+    )
+    assert code == 2
+    assert "got m=13" in err
+    assert not (tmp_path / "c.bin").exists()
+
+
 def test_open_strict_failure_exit_3(tmp_path, capsys, rng):
     bits = rng.integers(0, 2, size=60).astype(np.uint8)
     from phykey.quantize import Bitstream

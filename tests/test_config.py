@@ -65,6 +65,13 @@ def test_rs_params_checked():
         config_from_mapping({"seed": 1, "reconciliation": {"symbol_bits": 4, "n": 99, "k": 5}})
 
 
+def test_unsupported_symbol_size_rejected_at_load(tmp_path):
+    # no primitive polynomial for GF(2^13): fail at load, not after a session
+    path = write(tmp_path, "seed: 1\nreconciliation: {symbol_bits: 13, n: 15, k: 11}\n")
+    with pytest.raises(ConfigError, match=r"^reconciliation: need m = 2\.\.12 .*got m=13"):
+        parse_config(path)
+
+
 def test_scheme_literal():
     with pytest.raises(ConfigError, match="scheme"):
         config_from_mapping({"seed": 1, "scheme": "XAKG"})

@@ -89,6 +89,21 @@ def test_bounds_and_validation():
         marcum_q1(1.0, float("nan"))
 
 
+@pytest.mark.parametrize("a,b", [(1e200, 1.0), (1.0, 1e200), (1e155, 1.0), (1.0, 1e155)])
+def test_overflowing_square_is_a_contract_error(a, b):
+    # 1e155 is finite but its square over 2 is not
+    with pytest.raises(ContractError, match="finite a\\*a/2 and b\\*b/2"):
+        marcum_q1(a, b)
+
+
+def test_absolute_error_under_1e_10_up_to_75():
+    grid = np.linspace(0.0, 75.0, 25)
+    worst = max(
+        abs(marcum_q1(a, b) - stats.ncx2.sf(b * b, 2, a * a)) for a in grid for b in grid
+    )
+    assert worst < 1e-10
+
+
 def test_series_tables_slice_equals_a_fresh_build():
     # the grown table's prefix is bit-identical to one built for hi alone,
     # whatever order the windows are asked for in
@@ -180,7 +195,7 @@ def test_closed_form_bit_identical_to_per_mode_full_window(geometry):
     p1_terms = [_marcum_full_window(n / v, r_plus / v) for n, v in zip(nu, varsigma)]
     expected = (float(np.mean(p0_terms)), float(np.mean(p1_terms)))
     assert 0.0 < expected[1] < 1.0
-    assert closed_form_p0_p1(profile, g, los, sigma0, q_minus, q_plus, p_x) == expected
+    assert closed_form_p0_p1(profile, g, los, sigma0, q_minus, q_plus, p_x)[:2] == expected
 
 
 @pytest.mark.parametrize(
@@ -200,7 +215,7 @@ def test_closed_form_with_underflowing_mode_ratio():
     # nu/varsigma = 1e-170 squares to 0.0: the Rayleigh tails, as for nu == 0
     profile = synthesize_rotated_beam(mode_count=4, front_to_back_db=20.0)
     g = profile.gain_matrix(LinkPathSet(angles_deg=(30.0,)).angles_deg)
-    p0, p1 = closed_form_p0_p1(profile, g, 1e-170, 1.0, -3.0, 3.0, 0.0)
-    p0_rayleigh, p1_rayleigh = closed_form_p0_p1(profile, g, 0.0, 1.0, -3.0, 3.0, 0.0)
+    p0, p1, _ = closed_form_p0_p1(profile, g, 1e-170, 1.0, -3.0, 3.0, 0.0)
+    p0_rayleigh, p1_rayleigh, _ = closed_form_p0_p1(profile, g, 0.0, 1.0, -3.0, 3.0, 0.0)
     assert (p0, p1) == (p0_rayleigh, p1_rayleigh)
     assert 0.0 < p0 < 1.0 and 0.0 < p1 < 1.0

@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phykey
 from phykey.errors import ContractError
 from phykey.galois import field
 from phykey.reed_solomon import DecodeFailure, ReedSolomon, RsParams, codec
@@ -307,6 +310,11 @@ def test_importing_the_cli_builds_no_codec_tables():
         "assert reed_solomon.codec.cache_info().currsize == 0\n"
         "assert analysis._KS.size == 0\n"
     )
+    # the child imports the phykey this process imported, also when pytest's
+    # `pythonpath` setting put it on sys.path and PYTHONPATH is unset
+    src = str(Path(phykey.__file__).resolve().parents[1])
+    paths = (src, os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120)
+                          timeout=120, env=env)
     assert done.returncode == 0, done.stderr

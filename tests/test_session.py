@@ -160,7 +160,7 @@ def test_zero_noise_full_pipeline_reciprocity_ten_seeds():
                 }
             )
             trace = _run(cfg)
-            proto = run_protocol(trace, cfg.beta, cfg.excursion_len, cfg.attack.d)
+            proto = run_protocol(trace, cfg.beta, cfg.excursion_len)
             assert len(proto.s_a) == len(proto.s_b)
             np.testing.assert_array_equal(proto.s_a.bits, proto.s_b.bits)
 
@@ -188,7 +188,7 @@ def test_noise_produces_positive_mismatch():
          "attack": {"enabled": False}}
     )
     trace = _run(cfg)
-    proto = run_protocol(trace, cfg.beta, cfg.excursion_len, cfg.attack.d)
+    proto = run_protocol(trace, cfg.beta, cfg.excursion_len)
     from phykey.metrics import bit_mismatch_rate
 
     rate = bit_mismatch_rate(proto.s_a.bits, proto.s_b.bits)
@@ -205,7 +205,7 @@ def test_rakg_wide_band_filters_small_noise():
          "attack": {"enabled": False}}
     )
     trace = _run(cfg)
-    proto = run_protocol(trace, cfg.beta, cfg.excursion_len, cfg.attack.d)
+    proto = run_protocol(trace, cfg.beta, cfg.excursion_len)
     from phykey.metrics import bit_mismatch_rate
 
     assert bit_mismatch_rate(proto.s_a.bits, proto.s_b.bits) == 0.0

@@ -394,6 +394,13 @@ def test_truncated_commitment_header_rejected(tmp_path):
         read_commitments(path)
 
 
+def test_unsupported_commitment_symbol_size_is_a_located_format_error(tmp_path):
+    path = tmp_path / "c.bin"
+    path.write_bytes(b"PKFC" + struct.pack("<BHHI", 13, 15, 11, 0))
+    with pytest.raises(TraceFormatError, match=r"c\.bin: need m = 2\.\.12 .*got m=13"):
+        read_commitments(path)
+
+
 def test_impossible_commitment_code_is_a_located_format_error(tmp_path, capsys):
     path = tmp_path / "c.bin"
     bits_path = tmp_path / "s.bits"
