@@ -53,7 +53,7 @@ def _phi(bits: np.ndarray, m: int) -> float:
     return float(np.sum(pi * np.log(pi)))
 
 
-def approximate_entropy(bits, m_block: int = 2) -> float:
+def approximate_entropy(bits, m_block: int = APEN_BLOCK) -> float:
     """ApEn(m) = Phi(m) - Phi(m+1) over cyclically extended windows.
 
     0 for any deterministic periodic sequence; ln 2 in the i.i.d.
@@ -132,7 +132,7 @@ def approximate_entropy_test(bits: np.ndarray) -> TestResult:
     n = bits.size
     if n < MIN_BITS:
         return _not_applicable("approximate_entropy", f"needs >= {MIN_BITS} bits")
-    apen = approximate_entropy(bits, APEN_BLOCK)
+    apen = approximate_entropy(bits)
     chi2 = 2.0 * n * (math.log(2.0) - apen)
     p = float(gammaincc(2 ** (APEN_BLOCK - 1), max(chi2, 0.0) / 2.0))
     return TestResult("approximate_entropy", p, p >= PASS_LEVEL)

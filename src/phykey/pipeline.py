@@ -134,9 +134,7 @@ def build_report(
         reconciled_bits if reconciliation_ok else 0, m, parity_bits, trace.n_rounds
     )
     randomness = metrics.randomness_tests(protocol.s_a.bits) if ell else {}
-    apen = (
-        metrics.approximate_entropy(protocol.s_a.bits, metrics.APEN_BLOCK) if ell >= 8 else None
-    )
+    apen = metrics.approximate_entropy(protocol.s_a.bits) if ell >= 8 else None
     mismatch = metrics.bit_mismatch_rate(protocol.s_a.bits, protocol.s_b.bits)
     report = metrics.SessionReport(
         scheme=trace.scheme,
