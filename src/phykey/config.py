@@ -73,9 +73,10 @@ class AttackConfig(_StrictModel):
 
 
 class ReconciliationConfig(_StrictModel):
-    symbol_bits: int = 8  # RsParams checks it against the supported field sizes
-    n: int = Field(default=255, ge=3)
-    k: int = Field(default=223, ge=1)
+    # checked as RsParams(m=symbol_bits, n, k) at load: RsParams alone states the rule
+    symbol_bits: int = 8
+    n: int = 255
+    k: int = 223
 
 
 class ExperimentConfig(_StrictModel):

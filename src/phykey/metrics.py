@@ -76,9 +76,13 @@ class TestResult:
     passed: bool | None
     applicable: bool = True
     note: str = ""
+    # the test's own statistic (ApEn for approximate_entropy); not reported
+    statistic: float | None = None
 
     def to_dict(self) -> dict:
-        return _shallow_dict(self)
+        out = _shallow_dict(self)
+        del out["statistic"]
+        return out
 
 
 def _shallow_dict(obj) -> dict:
@@ -135,7 +139,7 @@ def approximate_entropy_test(bits: np.ndarray) -> TestResult:
     apen = approximate_entropy(bits)
     chi2 = 2.0 * n * (math.log(2.0) - apen)
     p = float(gammaincc(2 ** (APEN_BLOCK - 1), max(chi2, 0.0) / 2.0))
-    return TestResult("approximate_entropy", p, p >= PASS_LEVEL)
+    return TestResult("approximate_entropy", p, p >= PASS_LEVEL, statistic=apen)
 
 
 def randomness_tests(bits) -> dict[str, TestResult]:

@@ -134,7 +134,10 @@ def build_report(
         reconciled_bits if reconciliation_ok else 0, m, parity_bits, trace.n_rounds
     )
     randomness = metrics.randomness_tests(protocol.s_a.bits) if ell else {}
-    apen = metrics.approximate_entropy(protocol.s_a.bits) if ell >= 8 else None
+    if ell >= metrics.MIN_BITS:
+        apen = randomness["approximate_entropy"].statistic
+    else:  # the battery does not run ApEn below MIN_BITS; its formula needs 8
+        apen = metrics.approximate_entropy(protocol.s_a.bits) if ell >= 8 else None
     mismatch = metrics.bit_mismatch_rate(protocol.s_a.bits, protocol.s_b.bits)
     report = metrics.SessionReport(
         scheme=trace.scheme,
@@ -168,7 +171,12 @@ def write_session_files(
     protocol: ProtocolResult,
 ) -> Path:
     """Write trace.csv, alice.bits, bob.bits (each bitstream with its .rounds
-    sidecar) and report.json into out_dir, creating it; returns it."""
+    sidecar) and report.json into out_dir, creating it; returns it.
+
+    The two sidecars are byte-identical: both streams are quantized on
+    L_b, the rounds Bob confirmed. Each is still written, because the
+    sidecar fixes its bitstream's bit count, so either `.bits` file is a
+    complete input to `randomness`, `commit` and `open` on its own."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     export_trace_csv(trace, out / "trace.csv")

@@ -11,6 +11,14 @@ value v therefore returns float("%.4f" % v), not v, and a replayed
 session can differ from the simulated one where that rounding moves a
 value across a quantization threshold.
 
+Export writes the bytes `_ROW_FORMAT` gives, chunk by chunk with numpy:
+each field is looked up in space-padded digit tables and the padding is
+dropped. A `%.4f` value goes through the tables only where rounding
+|v| * 1e4 to an integer is certain to match the exact binary value
+(`_fixed4`); a row holding any other value, or a negative mode, is
+formatted by `_ROW_FORMAT` itself. The sidecar writer shares the
+integer tables.
+
 Bitstreams: packed binary, MSB-first within bytes, zero-padded tail,
 plus a `<name>.rounds` sidecar listing each bit's source round (one
 per line, so the sidecar also fixes the exact bit count).
@@ -20,6 +28,7 @@ followed by one 32-byte digest plus one packed delta blob per block.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import struct
 import warnings
@@ -44,12 +53,123 @@ _COMMIT_HEADER = struct.Struct("<BHHI")
 
 def export_trace_csv(trace: MeasurementTrace, path) -> None:
     columns = (trace.mode, trace.x_a, trace.x_b, trace.rss_ma, trace.rss_mb, trace.injected)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(TRACE_HEADER) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(TRACE_HEADER) + "\n").encode())
         for lo in range(0, trace.n_rounds, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, trace.n_rounds)
-            rows = zip(range(lo, hi), *(c[lo:hi].tolist() for c in columns))
-            fh.write("".join(map(_ROW_FORMAT.__mod__, rows)))
+            fh.write(_csv_rows(lo, *(c[lo:lo + _CHUNK_ROWS] for c in columns)))
+
+
+def _csv_rows(lo: int, mode, x_a, x_b, rss_ma, rss_mb, injected) -> bytes:
+    """`_ROW_FORMAT` of rows lo, lo + 1, ... of the given columns, byte for byte.
+
+    A row with a negative mode, or with a value `_fixed4` cannot round
+    (exact and near ties, |v| >= 10**4, inf, nan), is formatted by
+    `_ROW_FORMAT` itself.
+    """
+    tables = _digit_tables()
+    mode = np.asarray(mode, dtype=np.int64)
+    bad = mode < 0
+    fields = _int_fields(np.arange(lo, lo + mode.size, dtype=np.int64), tables["units_comma"])
+    fields += _int_fields(np.where(bad, 0, mode), tables["units_comma"])
+    for column in (x_a, x_b, rss_ma, rss_mb):
+        whole, frac, exact = _fixed4(np.asarray(column, dtype=np.float64))
+        fields += (tables["whole"][whole], tables["frac"][frac])
+        bad |= ~exact
+    fields.append(tables["flag"][np.asarray(injected, dtype=np.int64)])
+    columns = (mode, x_a, x_b, rss_ma, rss_mb, injected)
+    return _join_rows(
+        fields, bad, lambda i: _ROW_FORMAT % (lo + i, *(c[i].item() for c in columns))
+    )
+
+
+def _fixed4(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`%.4f` of v as (sign and integer part, 4 decimals, exact) table indices.
+
+    For y = |v| * 1e4 and k = rint(y), `%.4f` rounds v to k / 1e4 with v's
+    sign whenever |y - k| <= 0.5 - 2**-18 and k < 10**8: below 10**8, y
+    is within 2**-27 of the exact product, so k is its nearest integer.
+    Where that test fails, `exact` is False and the indices are 0.
+    """
+    y = np.abs(v) * 1e4
+    k = np.rint(y)
+    with np.errstate(invalid="ignore"):
+        exact = (np.abs(y - k) <= 0.5 - 2.0**-18) & (k < 1e8)
+    whole, frac = np.divmod(np.where(exact, k, 0.0).astype(np.int64), 10_000)
+    whole += np.signbit(v) * 10_000
+    return whole, frac, exact
+
+
+def _int_fields(values: np.ndarray, units: np.ndarray) -> list[np.ndarray]:
+    """`%d` of the non-negative int64 `values` as string columns of 4-digit
+    groups, most significant first; the last group comes from `units`."""
+    top = int(values.max()) if values.size else 0
+    inner = _digit_tables()["group"]
+    fields = []
+    rest = values
+    for j in range((len(str(top)) + 3) // 4):
+        rest, group = np.divmod(rest, 10_000)
+        fields.append((inner if j else units)[group + (rest == 0) * 10_000])
+    return fields[::-1]
+
+
+def _join_rows(fields: list[np.ndarray], bad: np.ndarray, fallback) -> bytes:
+    """The rows of the string columns `fields`, joined with their padding
+    spaces dropped; row i is `fallback(i)` instead where `bad[i]`.
+
+    Empties `fields`, so each column is freed once it is copied."""
+    rows = np.empty(bad.size, dtype=[(f"f{i}", f.dtype) for i, f in enumerate(fields)])
+    for i, f in enumerate(fields):
+        rows[f"f{i}"] = f
+    fields.clear()
+    if not bad.any():
+        padded = rows.tobytes()
+        del rows
+        return padded.translate(None, b" ")
+    out, start = [], 0
+    for i in np.flatnonzero(bad).tolist():
+        out += (rows[start:i].tobytes().translate(None, b" "), fallback(i).encode())
+        start = i + 1
+    out.append(rows[start:].tobytes().translate(None, b" "))
+    return b"".join(out)
+
+
+@functools.cache
+def _digit_tables() -> dict[str, np.ndarray]:
+    """Space-padded lookup tables of the CSV and sidecar writers.
+
+    Integers print as 4-digit groups. `group` holds an inner group q as
+    `%04d` at [q], and a leading one as `%4d` at [10**4 + q], blank for 0.
+    `units_comma` and `units_newline` hold the last group the same way,
+    except that a lone 0 prints, followed by its terminator. `whole`
+    holds the sign and integer part of a `%.4f` value and its point:
+    `%5d` of +q at [q], "-q" right-aligned at [10**4 + q]. `frac` holds
+    the 4 decimals and a comma, `flag` the injected flag and the newline.
+    """
+    q = np.arange(10_000)[:, None]
+    zero = (q // 10 ** np.arange(3, -1, -1) % 10 + ord("0")).astype(np.uint8)
+    ndigits = 1 + (q >= 10) + (q >= 100) + (q >= 1000)
+    lead = np.where(np.arange(4) < 4 - ndigits, ord(" "), zero).astype(np.uint8)
+    blank0 = lead.copy()
+    blank0[0] = ord(" ")
+    plus = np.hstack([np.full_like(q, ord(" "), dtype=np.uint8), lead])
+    minus = plus.copy()
+    minus[q[:, 0], 4 - ndigits[:, 0]] = ord("-")
+    return {
+        "group": _strings(np.vstack([zero, blank0])),
+        "units_comma": _strings(np.vstack([zero, lead]), b","),
+        "units_newline": _strings(np.vstack([zero, lead]), b"\n"),
+        "whole": _strings(np.vstack([plus, minus]), b"."),
+        "frac": _strings(zero, b","),
+        "flag": _strings(zero[:2, 3:], b"\n"),
+    }
+
+
+def _strings(cells: np.ndarray, end: bytes = b"") -> np.ndarray:
+    """Each row of the uint8 array `cells`, followed by `end`, as one `S` string."""
+    tail = np.broadcast_to(np.frombuffer(end, np.uint8), (len(cells), len(end)))
+    block = np.ascontiguousarray(np.hstack([cells, tail]))
+    block.flags.writeable = False  # the tables are shared by every caller
+    return block.view(f"S{block.shape[1]}")[:, 0]
 
 
 def ingest_trace(
@@ -165,8 +285,13 @@ def _sidecar(path: Path) -> Path:
 def write_bitstream(path, stream: Bitstream) -> None:
     path = Path(path)
     path.write_bytes(pack_bits(stream.bits))
-    rounds = stream.source_rounds.tolist()
-    _sidecar(path).write_text(("%d\n" * len(rounds)) % tuple(rounds), encoding="utf-8")
+    rounds = np.asarray(stream.source_rounds, dtype=np.int64)
+    with open(_sidecar(path), "wb") as fh:
+        for lo in range(0, rounds.size, _CHUNK_ROWS):
+            chunk = rounds[lo:lo + _CHUNK_ROWS]
+            bad = chunk < 0
+            fields = _int_fields(np.where(bad, 0, chunk), _digit_tables()["units_newline"])
+            fh.write(_join_rows(fields, bad, lambda i: "%d\n" % chunk[i]))
 
 
 def read_bitstream(path) -> Bitstream:

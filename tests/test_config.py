@@ -65,6 +65,15 @@ def test_rs_params_checked():
         config_from_mapping({"seed": 1, "reconciliation": {"symbol_bits": 4, "n": 99, "k": 5}})
 
 
+def test_code_size_rule_is_rs_params_alone():
+    # the smallest code RsParams allows loads; below it, its message names n or k
+    cfg = config_from_mapping({"seed": 1, "reconciliation": {"symbol_bits": 2, "n": 2, "k": 1}})
+    assert (cfg.rs_params().n, cfg.rs_params().k) == (2, 1)
+    for field, value in (("n", 1), ("k", 0)):
+        with pytest.raises(ConfigError, match=rf"^reconciliation: require 1 <= k < n .*\b{field}={value}\b"):
+            config_from_mapping({"seed": 1, "reconciliation": {field: value}})
+
+
 def test_unsupported_symbol_size_rejected_at_load(tmp_path):
     # no primitive polynomial for GF(2^13): fail at load, not after a session
     path = write(tmp_path, "seed: 1\nreconciliation: {symbol_bits: 13, n: 15, k: 11}\n")

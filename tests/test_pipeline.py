@@ -27,6 +27,23 @@ def test_run_experiment_reports_consistent_counts():
     assert report.krr == pytest.approx(report.m / report.ell)
 
 
+@pytest.mark.parametrize("rounds", [100, 20_000])
+def test_report_apen_computed_once(rounds, monkeypatch):
+    # from the battery's ApEn test at >= MIN_BITS bits, directly below it
+    calls = []
+    apen = pipeline.metrics.approximate_entropy
+
+    def counted(bits, *args):
+        calls.append(1)
+        return apen(bits, *args)
+
+    monkeypatch.setattr(pipeline.metrics, "approximate_entropy", counted)
+    report, _, proto = pipeline.run_experiment(small_cfg(rounds=rounds))
+    assert 8 <= report.ell < 100 if rounds == 100 else report.ell >= 100
+    assert len(calls) == 1
+    assert report.apen == apen(proto.s_a.bits)
+
+
 def test_kre_krr_recount_from_raw_trace():
     # independent counting pass over the trace agrees with the tallies
     report, trace, proto = pipeline.run_experiment(small_cfg())

@@ -79,6 +79,14 @@ def assert_ingest_matches_oracle(path):
         np.testing.assert_array_equal(back.injected, data[:, columns.index("injected")] == 1)
 
 
+# `%.4f` rounding that carries into a new digit, and magnitudes at and
+# above 10**4, where the digit tables give way to the format itself
+CARRY_AND_LARGE = [
+    0.99996, 9.99995, 9999.99997, -9999.99997, 99999.99996, 9999.99995, -0.99996,
+    1e4, -1e4, 10000.00004, -12345.67891, 1e8 - 0.00004, 1e8, -3.5e15, 1.25e300,
+]
+
+
 def hard_values(rng, n):
     """dBm-like doubles mixed with the cases `%.4f` rounding must get right."""
     k = rng.integers(-10**10, 10**10, n)  # ten-thousandths, up to 1e6
@@ -94,6 +102,7 @@ def hard_values(rng, n):
         np.nextafter(tie, np.inf),
         np.nextafter(tie, -np.inf),
         rng.uniform(-1e6, 1e6, n),
+        rng.choice(CARRY_AND_LARGE, n),
     ]
     return np.choose(rng.integers(0, len(pools), n), pools)
 
@@ -272,7 +281,7 @@ def test_export_ingest_match_oracles_over_seeds(seed, tmp_path, monkeypatch):
 
 _HARD_FLOATS = st.one_of(
     st.floats(-1e6, 1e6),
-    st.sampled_from([-np.inf, -0.0, 0.03125, -0.03125, 0.09375, -4e-5]),
+    st.sampled_from([-np.inf, -0.0, 0.03125, -0.03125, 0.09375, -4e-5, *CARRY_AND_LARGE]),
     st.floats(-0.00005, 0.0, exclude_min=True),
     st.integers(-10**10, 10**10).flatmap(
         lambda k: st.sampled_from(
@@ -283,17 +292,66 @@ _HARD_FLOATS = st.one_of(
 )
 
 
+# beam modes, and other modes ingest reads back exactly: >= 10**4 and negative
+_MODES = st.one_of(st.integers(0, 359), st.integers(-2**53, 2**53))
+
+
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_export_ingest_match_oracles_on_drawn_columns(data, tmp_path_factory):
     n = data.draw(st.integers(0, 40))
     columns = [data.draw(st.lists(_HARD_FLOATS, min_size=n, max_size=n)) for _ in range(4)]
     trace = trace_from_columns(
-        data.draw(st.lists(st.integers(0, 359), min_size=n, max_size=n)),
+        data.draw(st.lists(_MODES, min_size=n, max_size=n)),
         *columns,
         data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
     )
     check_export_and_ingest(trace, tmp_path_factory.mktemp("drawn"))
+
+
+@pytest.mark.parametrize("lo", [0, 9_990, 99_999_990, 10**12 - 3, 2**62])
+def test_csv_rows_match_row_format_across_digit_groups(lo):
+    # the row index crosses 9,999 -> 10**4 and 99,999,999 -> 10**8; modes,
+    # values and flags take every digit-group and fallback case
+    modes = [0, 359, 9_999, 10_000, 99_999_999, 10**8, 2**63 - 1, -1, -10**4, -2**63]
+    values = [0.0, -0.0, -0.00001, 0.03125, -60.12345, np.inf, -np.inf, np.nan,
+              5e-324, *CARRY_AND_LARGE]
+    n = 20
+    rng = np.random.default_rng(lo % 1000)
+    columns = (
+        np.resize(modes, n).astype(np.int64),
+        *(rng.permutation(np.resize(values, n)) for _ in range(4)),
+        rng.random(n) < 0.5,
+    )
+    expected = "".join(
+        traceio._ROW_FORMAT % (lo + i, *(c[i].item() for c in columns)) for i in range(n)
+    )
+    assert traceio._csv_rows(lo, *columns) == expected.encode()
+    clean = [np.zeros(n, np.int64), *(np.full(n, -60.5) for _ in range(4)), np.zeros(n, bool)]
+    assert traceio._csv_rows(lo, *clean) == "".join(
+        traceio._ROW_FORMAT % (lo + i, 0, -60.5, -60.5, -60.5, -60.5, 0) for i in range(n)
+    ).encode()
+
+
+def test_export_crosses_ten_thousand_rows(tmp_path, monkeypatch):
+    monkeypatch.setattr(traceio, "_CHUNK_ROWS", 4_096)
+    rng = np.random.default_rng(3)
+    n = 10_050
+    trace = trace_from_columns(
+        rng.integers(0, 12_000, n), *(rng.normal(-60.0, 15.0, n) for _ in range(4)),
+        rng.random(n) < 0.3,
+    )
+    check_export_and_ingest(trace, tmp_path)
+
+
+def test_sidecar_matches_oracle_across_digit_groups(tmp_path, monkeypatch):
+    monkeypatch.setattr(traceio, "_CHUNK_ROWS", 3)
+    rounds = np.array([-10**4, -1, 0, 9_999, 10_000, 99_999_999, 10**8, 2**40, 2**63 - 1])
+    stream = Bitstream(bits=np.ones(rounds.size, np.uint8), source_rounds=rounds)
+    bits_path = tmp_path / "s.bits"
+    write_bitstream(bits_path, stream)
+    assert (tmp_path / "s.bits.rounds").read_text() == oracle_sidecar_text(stream)
+    np.testing.assert_array_equal(read_bitstream(bits_path).source_rounds, rounds)
 
 
 _GRAMMAR_HEADER = "round,x_a,x_b,rss_ma,rss_mb\n"
