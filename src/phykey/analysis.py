@@ -40,22 +40,29 @@ _PMF_DIRECT_LIMIT = 4096  # above this, binomial convolution switches to FFT
 _LOG_ZERO = -746.0  # exp is exactly +0.0 below this: it rounds anything under e^-745.13 to 0
 
 
-# k and log k! for k = 0, 1, ...; grown on demand by _series_tables
+# k and log k! for k = 0, 1, ...; grown on demand by _series_tables, up to
+# _TABLE_CAP entries (1 MiB each), twice the 65.6k the K=3000 closed form uses
 _KS = _LOG_FACTORIALS = np.zeros(0)
+_TABLE_CAP = 1 << 17
 
 
 def _series_tables(hi: int) -> tuple[np.ndarray, np.ndarray]:
     """k and log k! for k = 0..hi, as views of tables that grow on demand.
 
+    Tables past _TABLE_CAP entries are built for the call and not kept.
     A running sum's prefix does not depend on how far it runs, so a
     slice of a longer table equals the table built for hi alone.
     """
     global _KS, _LOG_FACTORIALS
     if _KS.size <= hi:
-        _KS = np.arange(max(hi + 1, 2 * _KS.size), dtype=float)
-        _LOG_FACTORIALS = np.concatenate(([0.0], np.cumsum(np.log(_KS[1:]))))
-        _KS.setflags(write=False)  # callers get views: keep the shared tables intact
-        _LOG_FACTORIALS.setflags(write=False)
+        size = max(hi + 1, min(2 * _KS.size, _TABLE_CAP))
+        ks = np.arange(size, dtype=float)
+        log_factorials = np.concatenate(([0.0], np.cumsum(np.log(ks[1:]))))
+        ks.setflags(write=False)  # callers get views: keep the shared tables intact
+        log_factorials.setflags(write=False)
+        if size > _TABLE_CAP:
+            return ks[: hi + 1], log_factorials[: hi + 1]
+        _KS, _LOG_FACTORIALS = ks, log_factorials
     return _KS[: hi + 1], _LOG_FACTORIALS[: hi + 1]
 
 
@@ -111,7 +118,11 @@ def marcum_q1(a: float, b: float) -> float:
     Poisson mass is below 1e-16 of the total; log-domain terms keep it
     stable for large arguments. Against `scipy.stats.ncx2.sf` the absolute
     error stays under 1e-10 for a, b <= 75 (worst 3.4e-11 on a 25 x 25
-    grid); it reaches 1.0e-10 by 100 and 1.9e-9 at (200, 196).
+    grid); it reaches 1.0e-10 by 100 and 1.9e-9 at (200, 196). On the
+    closed form's own arguments (seeds 1-10) b reaches 106 at the default
+    config (K=300) and 335 at K=3000, with worst errors of 4.3e-12 and
+    8.4e-11. Work and memory grow with max(a, b)^2 / 2; the k and log k!
+    tables are kept up to _TABLE_CAP entries and built per call past it.
     x == 0 (also when a*a/2 underflows) gives exp(-y); y == 0 gives 1.
     a or b negative, NaN or infinite, or a*a/2 or b*b/2 overflowing, raises
     ContractError.

@@ -81,8 +81,11 @@ class AntennaProfile:
         xp = np.concatenate((a[-1:] - 360.0, a, a[:1] + 360.0))
         fp = np.concatenate((g[:, -1:], g, g[:, :1]), axis=1)
         j = np.minimum(np.searchsorted(xp, x, side="right") - 1, xp.size - 2)
-        slope = (fp[:, j + 1] - fp[:, j]) / (xp[j + 1] - xp[j])
-        return np.where(xp[j] == x, fp[:, j], slope * (x - xp[j]) + fp[:, j])
+        # angles a few ulps apart overflow the slope, and inf * 0 is nan where
+        # x is a table angle and the slope goes unused; np.interp does the same
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = (fp[:, j + 1] - fp[:, j]) / (xp[j + 1] - xp[j])
+            return np.where(xp[j] == x, fp[:, j], slope * (x - xp[j]) + fp[:, j])
 
 
 def omni_profile() -> AntennaProfile:

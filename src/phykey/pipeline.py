@@ -174,14 +174,16 @@ def write_session_files(
     sidecar) and report.json into out_dir, creating it; returns it.
 
     The two sidecars are byte-identical: both streams are quantized on
-    L_b, the rounds Bob confirmed. Each is still written, because the
-    sidecar fixes its bitstream's bit count, so either `.bits` file is a
-    complete input to `randomness`, `commit` and `open` on its own."""
+    L_b, the rounds Bob confirmed, so Bob's is copied from Alice's. Each
+    is still written, because the sidecar fixes its bitstream's bit
+    count, so either `.bits` file is a complete input to `randomness`,
+    `commit` and `open` on its own."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     export_trace_csv(trace, out / "trace.csv")
     write_bitstream(out / "alice.bits", protocol.s_a)
-    write_bitstream(out / "bob.bits", protocol.s_b)
+    same = np.array_equal(protocol.s_a.source_rounds, protocol.s_b.source_rounds)
+    write_bitstream(out / "bob.bits", protocol.s_b, same_rounds_as=out / "alice.bits" if same else None)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -19,6 +19,15 @@ dropped. A `%.4f` value goes through the tables only where rounding
 formatted by `_ROW_FORMAT` itself. The sidecar writer shares the
 integer tables.
 
+Ingest reads a file whose header line is export's with a numpy kernel
+for the rows export writes (`_export_rows`): blocks of the file are
+checked with whole-block byte counts, and each number is read from the
+8-byte word ending at its field. A file holding anything else (-inf
+erasures, |v| >= 1000 dBm, modes past 8 digits, spaces, CRLF, blank
+lines, exponents) is read whole by `_read_any_form`, which defines the
+accepted grammar, the values and the located errors; the kernel returns
+the same columns bit for bit, or leaves the file to it.
+
 Bitstreams: packed binary, MSB-first within bytes, zero-padded tail,
 plus a `<name>.rounds` sidecar listing each bit's source round (one
 per line, so the sidecar also fixes the exact bit count).
@@ -30,8 +39,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import shutil
 import struct
 import warnings
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +56,12 @@ from .session import MeasurementTrace
 TRACE_HEADER = ["round", "mode", "x_a", "x_b", "rss_ma", "rss_mb", "injected"]
 REQUIRED_COLUMNS = ["round", "x_a", "x_b", "rss_ma", "rss_mb"]
 _ROW_FORMAT = "%d,%d,%.4f,%.4f,%.4f,%.4f,%d\n"
+_EXPORT_HEADER = (",".join(TRACE_HEADER) + "\n").encode()
 # rows formatted per write, so export memory stays flat on long traces
 _CHUNK_ROWS = 65_536
+# bytes read per block by the export-form reader, and the word it reads fields in
+_READ_BLOCK = 1 << 18
+_WORD = 8
 _COMMIT_MAGIC = b"PKFC"
 _COMMIT_HEADER = struct.Struct("<BHHI")
 
@@ -54,7 +69,7 @@ _COMMIT_HEADER = struct.Struct("<BHHI")
 def export_trace_csv(trace: MeasurementTrace, path) -> None:
     columns = (trace.mode, trace.x_a, trace.x_b, trace.rss_ma, trace.rss_mb, trace.injected)
     with open(path, "wb") as fh:
-        fh.write((",".join(TRACE_HEADER) + "\n").encode())
+        fh.write(_EXPORT_HEADER)
         for lo in range(0, trace.n_rounds, _CHUNK_ROWS):
             fh.write(_csv_rows(lo, *(c[lo:lo + _CHUNK_ROWS] for c in columns)))
 
@@ -187,8 +202,136 @@ def ingest_trace(
     are skipped. The required columns must be finite or -inf, the
     erasure sentinel the simulator records for a zero-gain round and
     export writes as `-inf`; NaN and +inf are refused. mode must be an
-    integer and injected 0 or 1; errors name the file line as `row N`.
+    integer in the int64 range, and comes back exactly as written;
+    injected must be 0 or 1. Errors name the file line as `row N`.
+
+    A file whose header line is export's, byte for byte, is read by
+    `_read_export_form` when every row is in the narrow form export
+    writes (no -inf, no |value| >= 1000 dBm, modes of up to 8 digits);
+    it returns the same columns `_read_any_form` would, contiguous. Any
+    other file goes whole to `_read_any_form`, which defines the grammar,
+    the values and the errors.
     """
+    with open(path, "rb") as fh:
+        columns = _read_export_form(fh) if fh.readline() == _EXPORT_HEADER else None
+    if columns is None:
+        columns = _read_any_form(path)
+    return MeasurementTrace(
+        *columns,
+        p_x_dbm=p_x_dbm,
+        injection_power_dbm=p_x_dbm if injection_power_dbm is None else injection_power_dbm,
+        coherence_block_rounds=coherence_block_rounds,
+        scheme=scheme,
+    )
+
+
+def _read_export_form(fh) -> tuple[np.ndarray, ...] | None:
+    """(mode, x_a, x_b, rss_ma, rss_mb, injected) of the rest of `fh`, or
+    None unless it holds rows, each in the form `_export_rows` reads and
+    ended by a newline.
+
+    `fh` is read in `_READ_BLOCK` blocks, each parsed up to its last
+    newline, so the working set stays small on long traces.
+    """
+    parts, carry = [], b""
+    for chunk in iter(functools.partial(fh.read, _READ_BLOCK), b""):
+        buf = bytes(_WORD) + carry + chunk
+        del chunk
+        end = buf.rfind(b"\n") + 1
+        carry = buf[max(end, _WORD):]
+        if end:
+            part = _export_rows(buf, end)
+            if part is None:
+                return None
+            parts.append(part)
+    if carry or not parts:
+        return None
+    mode = np.concatenate([p[0] for p in parts])
+    values = [np.concatenate([p[1][j] for p in parts]) for j in range(4)]
+    return mode, *values, np.concatenate([p[2] for p in parts])
+
+
+def _export_rows(buf: bytes, end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(mode, (4, rows) dBm values, injected) of the rows in buf[_WORD:end],
+    or None unless each is `round,mode,x_a,x_b,rss_ma,rss_mb,injected\n`
+    with round 1 to 19 digits, mode an optional `-` and 1 to 8 digits, each
+    dBm value an optional `-`, 0 to 3 digits, `.` and 4 digits, and
+    injected `0` or `1`. The first _WORD bytes of buf are padding.
+
+    The rules are checked with whole-block counts. The bytes below `-` are
+    the field ends: 6 commas and a newline per row. The bytes `-`, `.` and
+    `/` are only the signs found at field starts and the points found 5
+    bytes before each dBm field's end; no byte is above `9`. So every other
+    byte is a digit. Each numeric field is read as the 8-byte little-endian
+    word ending at its end, the bytes before its digits set to `0`, and
+    its digits combined by three multiply-shift steps (Lemire, "Number
+    Parsing at a Gigabyte per Second", 2021). A dBm value is its digits
+    k < 2**53 over 1e4, negated as a float: one exact division rounded
+    once, as `float` rounds the text, and `-0.0000` keeps its sign.
+    """
+    block = np.frombuffer(buf, np.uint8, count=end)
+    body = block[_WORD:]
+    flat = np.flatnonzero(body < ord("-"))
+    rows = flat.size // 7
+    if (
+        flat.size != 7 * rows
+        or np.count_nonzero(body == ord(",")) != 6 * rows
+        or body.max() > ord("9")
+    ):
+        return None
+    ends = np.add(flat.reshape(rows, 7).T, _WORD, order="C")  # (7, rows)
+    del flat
+    starts = np.empty_like(ends)
+    starts[0, 0] = _WORD
+    starts[0, 1:] = ends[6, :-1] + 1
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts
+    sign = block[starts[1:6]] == ord("-")  # of mode and the dBm fields
+    digits = lengths[1:6] - sign  # bytes after the sign, a dBm field's point included
+    flag = block[starts[6]]
+    if (
+        (block[ends[6]] != ord("\n")).any()
+        or lengths[0].min() < 1 or lengths[0].max() > 19
+        or digits[0].min() < 1 or digits[0].max() > 8
+        or digits[1:].min() < 5 or digits[1:].max() > 8
+        or (lengths[6] != 1).any() or flag.max() > ord("1")
+        # with each dBm field's point found below, no other byte is - . or /
+        or np.count_nonzero((body - np.uint8(ord("-"))) < 3) != 4 * rows + np.count_nonzero(sign)
+    ):
+        return None
+    # words[i] is the 8 bytes buf[i:i + 8]
+    words = np.ndarray((end - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    dbm = words[ends[2:6] - _WORD]
+    if ((dbm & np.uint64(0xFF << 24)) != np.uint64(ord(".") << 24)).any():
+        return None
+    values = _swar_digits(dbm, digits[1:], point=True) / 1e4
+    np.negative(values, out=values, where=sign[1:])
+    mode = _swar_digits(words[ends[1] - _WORD], digits[0], point=False).astype(np.int64)
+    np.negative(mode, out=mode, where=sign[0])
+    return mode, values, flag == ord("1")
+
+
+def _swar_digits(words: np.ndarray, count: np.ndarray, point: bool) -> np.ndarray:
+    """The number the last `count` (1 to 8) bytes of each little-endian word
+    spell in ASCII digits, most significant first; the bytes before them
+    read as `0`. With `point`, byte 3 (5th from the end) is a `.` to skip."""
+    u = np.uint64
+    # the bytes to subtract, and the weights of byte pairs 0 and 1 (pairs 2
+    # and 3 weigh 100 and 1); with the point, pair 1 is a digit and a 0
+    zeros, w0, w1 = (
+        (0x303030302E303030, 10**5, 10**3) if point else (0x3030303030303030, 10**6, 10**4)
+    )
+    keep = ~u(0) << (u(8) - count.astype(u)) * u(8)
+    d = words & keep
+    d -= u(zeros) & keep  # one digit value per byte
+    d = d * u(10) + (d >> u(8))  # pairs
+    pairs = u(0x000000FF000000FF)
+    return ((d & pairs) * u(100 + (w0 << 32)) + ((d >> u(16)) & pairs) * u(1 + (w1 << 32))) >> u(32)
+
+
+def _read_any_form(path) -> tuple[np.ndarray, ...]:
+    """(mode, x_a, x_b, rss_ma, rss_mb, injected) of any trace CSV
+    `ingest_trace` accepts; else the TraceFormatError naming its first bad row."""
     # undecodable bytes become U+FFFD, which no number or column name
     # holds, so they are reported at their line instead of raising
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
@@ -204,31 +347,44 @@ def ingest_trace(
         data = _read_rows(path, fh, len(columns), float, np.float64, "row", first_line=2)
         if not data.shape[0]:
             raise TraceFormatError(f"{path}: no data rows")
+
+        def rows():  # (line number, fields) of each data row
+            fh.seek(body)
+            return ((lineno, line.split(",")) for lineno, line in _data_lines(fh, first_line=2))
+
         mode = data[:, idx["mode"]] if "mode" in idx else np.zeros(data.shape[0])
         injected = data[:, idx["injected"]] if "injected" in idx else np.zeros(data.shape[0])
+        # a float holds each integer below 2**53 exactly; from there on, the
+        # field's text gives the value
+        wide = np.abs(mode) >= 2.0**53
+        exact = []
+        if wide.any():
+            exact = [_exact_int(f[idx["mode"]]) for (_, f), w in zip(rows(), wide) if w]
+        not_int = ~(mode == np.floor(mode))
+        not_int[wide] = [v is None for v in exact]
         for bad, why in (
             (~(data[:, [idx[c] for c in REQUIRED_COLUMNS]] < np.inf).all(axis=1),
              "non-finite value other than -inf"),
-            (~((mode == np.floor(mode)) & (np.abs(mode) < 2.0**63)), "mode is not an integer"),
+            (not_int, "mode is not an integer"),
             ((injected != 0) & (injected != 1), "injected is not 0 or 1"),
         ):
             if bad.any():
-                fh.seek(body)
-                lines = (lineno for lineno, _ in _data_lines(fh, first_line=2))
-                lineno = next(itertools.islice(lines, int(np.argmax(bad)), None))
+                lineno, _ = next(itertools.islice(rows(), int(np.argmax(bad)), None))
                 raise TraceFormatError(f"{path}: row {lineno}: {why}")
-    return MeasurementTrace(
-        mode=mode.astype(np.int64),
-        x_a=data[:, idx["x_a"]],
-        x_b=data[:, idx["x_b"]],
-        rss_ma=data[:, idx["rss_ma"]],
-        rss_mb=data[:, idx["rss_mb"]],
-        injected=injected.astype(bool),
-        p_x_dbm=p_x_dbm,
-        injection_power_dbm=p_x_dbm if injection_power_dbm is None else injection_power_dbm,
-        coherence_block_rounds=coherence_block_rounds,
-        scheme=scheme,
-    )
+    mode = (np.where(wide, 0.0, mode) if exact else mode).astype(np.int64)
+    mode[wide] = exact
+    return (mode, *(data[:, idx[c]] for c in REQUIRED_COLUMNS[1:]), injected.astype(bool))
+
+
+def _exact_int(text: str) -> int | None:
+    """The value of a number `float` reads, if it is an int64; else None."""
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        return None
+    if value == value.to_integral_value() and -(2**63) <= value < 2**63:
+        return int(value)
+    return None
 
 
 def _read_rows(path, fh, width: int, parse, dtype, label: str, first_line: int) -> np.ndarray:
@@ -282,9 +438,15 @@ def _sidecar(path: Path) -> Path:
     return path.with_suffix(path.suffix + ".rounds")
 
 
-def write_bitstream(path, stream: Bitstream) -> None:
+def write_bitstream(path, stream: Bitstream, same_rounds_as=None) -> None:
+    """Write stream's packed bits to path and its source rounds to path's
+    `.rounds` sidecar. `same_rounds_as` names a bitstream file already
+    written with the same source rounds: its sidecar is copied instead."""
     path = Path(path)
     path.write_bytes(pack_bits(stream.bits))
+    if same_rounds_as is not None:
+        shutil.copyfile(_sidecar(Path(same_rounds_as)), _sidecar(path))
+        return
     rounds = np.asarray(stream.source_rounds, dtype=np.int64)
     with open(_sidecar(path), "wb") as fh:
         for lo in range(0, rounds.size, _CHUNK_ROWS):

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from phykey import traceio
 from phykey.cli import main
+from phykey.config import config_from_mapping
 from phykey.errors import TraceFormatError
 from phykey.fuzzy import commit_stream
+from phykey.pipeline import run_experiment
 from phykey.quantize import Bitstream
 from phykey.reed_solomon import RsParams
 from phykey.session import MeasurementTrace
@@ -123,13 +125,14 @@ def trace_from_columns(mode, x_a, x_b, rss_ma, rss_mb, injected):
 
 def check_export_and_ingest(trace, tmp_path):
     """Export equals the oracle's bytes; ingest equals the oracle's parse,
-    -inf erasures included."""
+    -inf erasures included, and gives back the exact int64 modes."""
     path, ref = tmp_path / "t.csv", tmp_path / "ref.csv"
     export_trace_csv(trace, path)
     oracle_export(trace, ref)
     assert path.read_bytes() == ref.read_bytes()
     if trace.n_rounds:
         assert_ingest_matches_oracle(path)
+        assert ingest_trace(path).mode.tobytes() == trace.mode.tobytes()
 
 
 def toy_trace(n=5):
@@ -292,8 +295,8 @@ _HARD_FLOATS = st.one_of(
 )
 
 
-# beam modes, and other modes ingest reads back exactly: >= 10**4 and negative
-_MODES = st.one_of(st.integers(0, 359), st.integers(-2**53, 2**53))
+# beam modes, and any other int64 mode: >= 10**4, past 2**53 and negative
+_MODES = st.one_of(st.integers(0, 359), st.integers(-2**63, 2**63 - 1))
 
 
 @given(data=st.data())
@@ -463,3 +466,202 @@ def test_impossible_commitment_code_is_a_located_format_error(tmp_path, capsys):
             read_commitments(path)
         assert main(["open", str(bits_path), "--commitments", str(path)]) == 2
         assert "c.bin: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [2**53 + 1, 2**63 - 1, -2**63, -(2**53) - 1, 10**8, -10**8])
+def test_wide_modes_come_back_exactly(mode, tmp_path):
+    trace = trace_from_columns([0, mode, 7], *([-60.5, -61.25, 0.0] for _ in range(4)),
+                               [False, True, False])
+    path = tmp_path / "t.csv"
+    export_trace_csv(trace, path)
+    assert f"\n1,{mode},".encode() in path.read_bytes()
+    assert ingest_trace(path).mode.tolist() == [0, mode, 7]
+
+
+@pytest.mark.parametrize(
+    "mode, expected",
+    [
+        ("1.0", 1),
+        ("-0", 0),
+        ("9007199254740993", 2**53 + 1),
+        ("9007199254740993.0", 2**53 + 1),
+        ("9.223372036854775807e18", 2**63 - 1),
+        ("-9223372036854775808", -2**63),
+        ("9223372036854775808", "row 3: mode is not an integer"),
+        ("9007199254740992.5", "row 3: mode is not an integer"),
+        ("1e300", "row 3: mode is not an integer"),
+        ("inf", "row 3: mode is not an integer"),
+    ],
+)
+def test_mode_is_an_exact_int64(mode, expected, tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("round,x_a,x_b,rss_ma,rss_mb,mode\n0,-60,-60,-55,-55,4\n"
+                    f"1,-60,-60,-55,-55,{mode}\n")
+    if isinstance(expected, str):
+        with pytest.raises(TraceFormatError, match=expected):
+            ingest_trace(path)
+    else:
+        assert ingest_trace(path).mode.tolist() == [4, expected]
+
+
+# Rows in the export form, each field replaced in turn below. The export
+# header sends every case to the kernel's gate; the kernel must return
+# what the general reader returns, or leave the file to it.
+_EXPORT_ROWS = ["0,5,-60.1234,-61.0000,-55.5000,-0.0001,1", "1,359,60.5000,0.0000,9.9999,-1.0000,0"]
+_FIELDS = {name: i for i, name in enumerate(TRACE_HEADER)}
+
+
+@pytest.mark.parametrize(
+    "field, text, error",
+    [
+        ("x_a", "--1.0000", "row 3: could not convert"),
+        ("x_a", "1.00000", None),
+        ("x_b", "1.000", None),
+        ("x_b", "-.1234", None),
+        ("x_b", ".1234", None),
+        ("rss_ma", "+1.0000", None),
+        ("rss_ma", "1e5", None),
+        ("rss_mb", "007.0000", None),
+        ("rss_mb", "-0.0000", None),
+        ("rss_mb", "0.0000", None),
+        ("x_a", "1234.5678", None),
+        ("x_a", "-999.9999", None),
+        ("x_a", "-1.-000", "row 3: could not convert"),
+        ("x_a", "1.2.3456", "row 3: could not convert"),
+        ("x_a", "12.34-56", "row 3: could not convert"),
+        ("x_a", "", "row 3: could not convert"),
+        ("x_a", "-inf", None),
+        ("x_a", "nan", "row 3: non-finite value other than -inf"),
+        ("mode", "-0", None),
+        ("mode", "-12345678", None),
+        ("mode", "123456789", None),
+        ("mode", "00000007", None),
+        ("mode", "1.5", "row 3: mode is not an integer"),
+        ("mode", "-", "row 3: could not convert"),
+        ("injected", "-1", "row 3: injected is not 0 or 1"),
+        ("injected", "-0", None),
+        ("injected", "2", "row 3: injected is not 0 or 1"),
+        ("injected", "01", None),
+        ("injected", "10", "row 3: injected is not 0 or 1"),
+        ("injected", "1.", None),
+        ("injected", "", "row 3: could not convert"),
+        ("round", "-3", None),
+        ("round", "3.0", None),
+        ("round", "", "row 3: could not convert"),
+        ("round", "0" * 19, None),
+        ("round", "9" * 400, "row 3: non-finite value other than -inf"),
+        ("round", "1x", "row 3: could not convert"),
+        ("mode", "4x", "row 3: could not convert"),
+        ("x_b", "-6e.1234", "row 3: could not convert"),
+        ("rss_mb", "1.23:4", "row 3: could not convert"),
+        ("injected", "a", "row 3: could not convert"),
+    ],
+)
+def test_kernel_matches_general_reader_on_one_field(field, text, error, tmp_path):
+    rows = [r.split(",") for r in _EXPORT_ROWS]
+    rows[1][_FIELDS[field]] = text
+    body = "".join(",".join(r) + "\n" for r in rows + [_EXPORT_ROWS[0].split(",")])
+    check_against_general_reader(tmp_path, body, error)
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        (_EXPORT_ROWS[0] + "\n" + _EXPORT_ROWS[1] + ",0\n", "row 3: expected 7 fields, got 8"),
+        (_EXPORT_ROWS[0] + "\n" + _EXPORT_ROWS[1].rsplit(",", 1)[0] + "\n",
+         "row 3: expected 7 fields, got 6"),
+        (_EXPORT_ROWS[0] + "\r\n" + _EXPORT_ROWS[1] + "\r\n", None),
+        (_EXPORT_ROWS[0] + "\n" + _EXPORT_ROWS[1], None),
+        (_EXPORT_ROWS[0] + "\n\n" + _EXPORT_ROWS[1] + "\n", None),
+        ("\n" + _EXPORT_ROWS[0] + "\n", None),
+        (_EXPORT_ROWS[0] + "\n" + "2,1,-inf,-inf,-inf,-inf,0\n", None),
+        (_EXPORT_ROWS[0] + "\n" + _EXPORT_ROWS[1] + "\n,\n", "row 4: expected 7 fields, got 2"),
+        (_EXPORT_ROWS[0] + "\n" + " " + _EXPORT_ROWS[1] + "\n", None),
+        (_EXPORT_ROWS[0] + "\n1,5,-60.1234,-61.0000,-55.5000,-0.0001,1 \n", None),
+        ("\n", "no data rows"),
+        (_EXPORT_ROWS[0].replace(",", "\t", 1) + "\n", "row 2: expected 7 fields, got 6"),
+        # the 13 fields split into 7 and 7 at the wrong newline
+        (_EXPORT_ROWS[0].rsplit(",", 1)[0] + "\n1," + _EXPORT_ROWS[0] + "\n",
+         "row 2: expected 7 fields, got 6"),
+    ],
+    ids=["8-fields", "6-fields", "crlf", "no-final-newline", "blank-line", "leading-blank",
+         "inf-row", "comma-row", "leading-space", "trailing-space", "blank-only", "tab-for-comma",
+         "6-then-8-fields"],
+)
+def test_kernel_matches_general_reader_on_row_shape(body, error, tmp_path):
+    check_against_general_reader(tmp_path, body, error)
+
+
+def check_against_general_reader(tmp_path, body, error):
+    """ingest_trace of the export header plus `body` equals the general
+    reader's columns bit for bit, and the oracle's parse; or both raise the
+    same located error."""
+    path = tmp_path / "k.csv"
+    path.write_bytes((",".join(TRACE_HEADER) + "\n" + body).encode())
+    if error is not None:
+        with pytest.raises(TraceFormatError) as general:
+            traceio._read_any_form(path)
+        with pytest.raises(TraceFormatError, match=error) as exc:
+            ingest_trace(path)
+        assert str(exc.value) == str(general.value)
+        return
+    assert_ingest_matches_oracle(path)
+    back = ingest_trace(path)
+    for got, want in zip(
+        (back.mode, back.x_a, back.x_b, back.rss_ma, back.rss_mb, back.injected),
+        traceio._read_any_form(path),
+    ):
+        assert got.dtype == want.dtype and got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def refuse_general_reader(*args, **kwargs):
+    raise AssertionError("export's output reached the general reader")
+
+
+def kernel_domain_trace(rng, n):
+    """Columns whose export the kernel reads: modes of up to 8 digits and
+    finite dBm values under 1000 in magnitude."""
+    def pick(*pools):
+        return np.choose(rng.integers(0, len(pools), n), pools)
+
+    values = [pick(rng.normal(-60.0, 15.0, n), rng.uniform(-999.9, 999.9, n),
+                   rng.uniform(-0.00005, 0.00005, n)) for _ in range(4)]
+    modes = pick(rng.integers(0, 360, n), rng.integers(-10**8 + 1, 10**8, n))
+    return trace_from_columns(modes, *values, rng.random(n) < 0.3)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kernel_blocks_cut_inside_rows_and_fields(seed, tmp_path, monkeypatch):
+    rng = np.random.default_rng(seed)
+    trace = kernel_domain_trace(rng, int(rng.integers(1, 300)))
+    path = tmp_path / "t.csv"
+    export_trace_csv(trace, path)
+    whole = ingest_trace(path)
+    monkeypatch.setattr(traceio, "_read_rows", refuse_general_reader)
+    # blocks of a few bytes cut every row and field somewhere
+    for block in (1, 2, 3, 5, 8, 13, int(rng.integers(14, 200))):
+        monkeypatch.setattr(traceio, "_READ_BLOCK", block)
+        back = ingest_trace(path)
+        for name in ("mode", "x_a", "x_b", "rss_ma", "rss_mb", "injected"):
+            assert getattr(back, name).tobytes() == getattr(whole, name).tobytes()
+    monkeypatch.undo()
+    assert_ingest_matches_oracle(path)
+    assert whole.mode.tobytes() == trace.mode.tobytes()
+
+
+def test_export_output_never_reaches_the_general_reader(tmp_path, monkeypatch):
+    cfg = config_from_mapping({
+        "seed": 5, "rounds": 4000, "coherence_block_rounds": 10,
+        "antenna": {"synthesis": {"mode_count": 360}}, "attack": {"enabled": True, "d": 3.0},
+    })
+    _, trace, _ = run_experiment(cfg)
+    assert trace.injected.any()
+    path = tmp_path / "t.csv"
+    export_trace_csv(trace, path)
+    expected = oracle_parse(path)[1]
+    monkeypatch.setattr(traceio, "_read_rows", refuse_general_reader)
+    back = ingest_trace(path)
+    for i, name in enumerate(TRACE_HEADER[1:], start=1):
+        column = getattr(back, name)
+        assert column.flags.c_contiguous
+        assert column.tobytes() == expected[:, i].astype(column.dtype).tobytes()
