@@ -236,7 +236,7 @@ def _read_export_form(fh) -> tuple[np.ndarray, ...] | None:
     parts, carry = [], b""
     for chunk in iter(functools.partial(fh.read, _READ_BLOCK), b""):
         buf = bytes(_WORD) + carry + chunk
-        del chunk
+        del chunk  # one copy of the block at a time keeps the peak down
         end = buf.rfind(b"\n") + 1
         carry = buf[max(end, _WORD):]
         if end:
