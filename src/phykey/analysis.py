@@ -19,8 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
-from scipy.stats import binom
 
 from .errors import ContractError
 from .rician import rician_params
@@ -181,6 +179,10 @@ def guess_count_pmf(n: int, n0: int, p0: float, p1: float) -> np.ndarray:
     The n0 type-0 attacks succeed independently with probability p0 and
     the n-n0 type-1 attacks with p1, so the count is the convolution of
     two binomials.
+
+    `scipy.stats` (for `binom`) is imported here, and `scipy.signal` (for
+    `fftconvolve`) only on the FFT branch, n > _PMF_DIRECT_LIMIT: they take
+    most of the package's import time, and only this function uses them.
     """
     if not (0 <= n0 <= n):
         raise ContractError(f"need 0 <= n0 <= n, got n0={n0}, n={n}")
@@ -188,11 +190,15 @@ def guess_count_pmf(n: int, n0: int, p0: float, p1: float) -> np.ndarray:
         raise ContractError("probabilities must lie in [0, 1]")
     if n == 0:
         return np.ones(1)
+    from scipy.stats import binom
+
     pmf0 = binom.pmf(np.arange(n0 + 1), n0, p0)
     pmf1 = binom.pmf(np.arange(n - n0 + 1), n - n0, p1)
     if n <= _PMF_DIRECT_LIMIT:
         out = np.convolve(pmf0, pmf1)
     else:
+        from scipy.signal import fftconvolve
+
         out = fftconvolve(pmf0, pmf1)
         np.clip(out, 0.0, None, out=out)
     return out

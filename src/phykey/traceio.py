@@ -24,9 +24,10 @@ for the rows export writes (`_export_rows`): blocks of the file are
 checked with whole-block byte counts, and each number is read from the
 8-byte word ending at its field. A file holding anything else (-inf
 erasures, |v| >= 1000 dBm, modes past 8 digits, spaces, CRLF, blank
-lines, exponents) is read whole by `_read_any_form`, which defines the
-accepted grammar, the values and the located errors; the kernel returns
-the same columns bit for bit, or leaves the file to it.
+lines, exponents) is read by `_read_any_form`, which defines the
+accepted grammar, the values and the located errors, from the first
+block the kernel leaves: blocks end on row boundaries, and the kernel's
+rows come out the same bit for bit.
 
 Bitstreams: packed binary, MSB-first within bytes, zero-padded tail,
 plus a `<name>.rounds` sidecar listing each bit's source round (one
@@ -206,16 +207,18 @@ def ingest_trace(
     injected must be 0 or 1. Errors name the file line as `row N`.
 
     A file whose header line is export's, byte for byte, is read by
-    `_read_export_form` when every row is in the narrow form export
-    writes (no -inf, no |value| >= 1000 dBm, modes of up to 8 digits);
-    it returns the same columns `_read_any_form` would, contiguous. Any
+    `_read_export_form` for as many blocks as hold only rows in the
+    narrow form export writes (no -inf, no |value| >= 1000 dBm, modes of
+    up to 8 digits), and by `_read_any_form` from where it stopped. Any
     other file goes whole to `_read_any_form`, which defines the grammar,
-    the values and the errors.
+    the values and the errors; the columns are the ones it would return
+    for the whole file, bit for bit.
     """
     with open(path, "rb") as fh:
-        columns = _read_export_form(fh) if fh.readline() == _EXPORT_HEADER else None
-    if columns is None:
-        columns = _read_any_form(path)
+        parts, rest = _read_export_form(fh) if fh.readline() == _EXPORT_HEADER else ([], 0)
+    if rest is not None:
+        parts.append(_read_any_form(path, rest, sum(part[0].size for part in parts)))
+    columns = parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
     return MeasurementTrace(
         *columns,
         p_x_dbm=p_x_dbm,
@@ -225,30 +228,30 @@ def ingest_trace(
     )
 
 
-def _read_export_form(fh) -> tuple[np.ndarray, ...] | None:
-    """(mode, x_a, x_b, rss_ma, rss_mb, injected) of the rest of `fh`, or
-    None unless it holds rows, each in the form `_export_rows` reads and
-    ended by a newline.
+def _read_export_form(fh) -> tuple[list[tuple[np.ndarray, ...]], int | None]:
+    """(mode, x_a, x_b, rss_ma, rss_mb, injected) of each block of the rest
+    of `fh` that `_export_rows` reads, up to the first it cannot, and the
+    file offset of the first byte left unread: None when it read every
+    byte and at least one row, the last ended by a newline.
 
     `fh` is read in `_READ_BLOCK` blocks, each parsed up to its last
-    newline, so the working set stays small on long traces.
+    newline, so the working set stays small on long traces, and the
+    offset left is always the start of a row.
     """
-    parts, carry = [], b""
+    parts, carry, done = [], b"", fh.tell()
     for chunk in iter(functools.partial(fh.read, _READ_BLOCK), b""):
         buf = bytes(_WORD) + carry + chunk
         del chunk  # one copy of the block at a time keeps the peak down
         end = buf.rfind(b"\n") + 1
-        carry = buf[max(end, _WORD):]
         if end:
             part = _export_rows(buf, end)
             if part is None:
-                return None
-            parts.append(part)
-    if carry or not parts:
-        return None
-    mode = np.concatenate([p[0] for p in parts])
-    values = [np.concatenate([p[1][j] for p in parts]) for j in range(4)]
-    return mode, *values, np.concatenate([p[2] for p in parts])
+                return parts, done
+            mode, values, injected = part
+            parts.append((mode, *values, injected))
+            done += end - _WORD
+        carry = buf[max(end, _WORD):]
+    return parts, done if carry or not parts else None
 
 
 def _export_rows(buf: bytes, end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -329,9 +332,13 @@ def _swar_digits(words: np.ndarray, count: np.ndarray, point: bool) -> np.ndarra
     return ((d & pairs) * u(100 + (w0 << 32)) + ((d >> u(16)) & pairs) * u(1 + (w1 << 32))) >> u(32)
 
 
-def _read_any_form(path) -> tuple[np.ndarray, ...]:
+def _read_any_form(path, start: int = 0, rows_before: int = 0) -> tuple[np.ndarray, ...]:
     """(mode, x_a, x_b, rss_ma, rss_mb, injected) of any trace CSV
-    `ingest_trace` accepts; else the TraceFormatError naming its first bad row."""
+    `ingest_trace` accepts; else the TraceFormatError naming its first bad row.
+
+    With `start`, only the rows from that file offset on are read: it is the
+    start of a line, and `rows_before` data rows, all good and none blank,
+    lie between the header and it."""
     # undecodable bytes become U+FFFD, which no number or column name
     # holds, so they are reported at their line instead of raising
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
@@ -343,14 +350,16 @@ def _read_any_form(path) -> tuple[np.ndarray, ...]:
         if missing:
             raise TraceFormatError(f"{path}: missing column(s) {', '.join(missing)}")
         idx = {c: columns.index(c) for c in columns}
-        body = fh.tell()
-        data = _read_rows(path, fh, len(columns), float, np.float64, "row", first_line=2)
-        if not data.shape[0]:
+        if start:
+            fh.seek(start)
+        body, first_line = fh.tell(), 2 + rows_before
+        data = _read_rows(path, fh, len(columns), float, np.float64, "row", first_line)
+        if not data.shape[0] and not rows_before:
             raise TraceFormatError(f"{path}: no data rows")
 
         def rows():  # (line number, fields) of each data row
             fh.seek(body)
-            return ((lineno, line.split(",")) for lineno, line in _data_lines(fh, first_line=2))
+            return ((lineno, line.split(",")) for lineno, line in _data_lines(fh, first_line))
 
         mode = data[:, idx["mode"]] if "mode" in idx else np.zeros(data.shape[0])
         injected = data[:, idx["injected"]] if "injected" in idx else np.zeros(data.shape[0])
@@ -404,7 +413,7 @@ def _read_rows(path, fh, width: int, parse, dtype, label: str, first_line: int) 
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             data = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=2)
         if data.shape[1] == width or not data.size:
-            return data
+            return data.reshape(-1, width)
     except ValueError:
         pass
     fh.seek(start)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import signal, stats
 
 from phykey.analysis import (
     closed_form_p0_p1,
@@ -160,6 +160,40 @@ def test_pmf_large_n_normalized():
     pmf = guess_count_pmf(50_000, 12_000, 0.53, 0.32)
     assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(pmf >= 0.0)
+
+
+def _pmf_oracle(n, n0, p0, p1):
+    """The two binomial PMFs convolved directly up to n = 4096, by FFT with
+    negative round-off clipped to zero above it."""
+    pmf0 = stats.binom.pmf(np.arange(n0 + 1), n0, p0)
+    pmf1 = stats.binom.pmf(np.arange(n - n0 + 1), n - n0, p1)
+    if n <= 4096:
+        return np.convolve(pmf0, pmf1)
+    return np.clip(signal.fftconvolve(pmf0, pmf1), 0.0, None)
+
+
+@pytest.mark.parametrize(
+    "n, n0, p0, p1",
+    [
+        (0, 0, 0.5, 0.5),
+        (1, 0, 0.0, 1.0),
+        (1, 1, 1.0, 0.0),
+        (12, 5, 0.3, 0.7),
+        (777, 300, 0.0, 0.0),
+        (4096, 0, 0.5, 0.25),
+        (4096, 2000, 1.0, 0.32),
+        (4096, 4096, 0.53, 0.0),
+        (4097, 0, 0.1, 1.0),
+        (4097, 1, 0.53, 0.32),
+        (20_000, 20_000, 0.0, 0.5),
+        (41_000, 12_000, 0.53, 0.32),
+        (60_000, 0, 0.47, 0.29),
+        (60_000, 30_000, 1.0, 1.0),
+        (60_000, 60_000, 0.61, 0.0),
+    ],
+)
+def test_pmf_equals_scipy_convolution_exactly(n, n0, p0, p1):
+    assert np.array_equal(guess_count_pmf(n, n0, p0, p1), _pmf_oracle(n, n0, p0, p1))
 
 
 def test_expected_rates_equal_probabilities():

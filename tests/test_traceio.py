@@ -665,3 +665,95 @@ def test_export_output_never_reaches_the_general_reader(tmp_path, monkeypatch):
         column = getattr(back, name)
         assert column.flags.c_contiguous
         assert column.tobytes() == expected[:, i].astype(column.dtype).tobytes()
+
+
+def export_body_lines(tmp_path, seed, n):
+    """The data lines of the export of a kernel-domain trace, each with its newline."""
+    path = tmp_path / "src.csv"
+    export_trace_csv(kernel_domain_trace(np.random.default_rng(seed), n), path)
+    return path.read_text().splitlines(keepends=True)[1:]
+
+
+def spy_on_general_reader(monkeypatch):
+    """The (start, rows_before) of every `_read_any_form` call ingest makes."""
+    calls, general = [], traceio._read_any_form
+
+    def spy(path, start=0, rows_before=0):
+        calls.append((start, rows_before))
+        return general(path, start, rows_before)
+
+    monkeypatch.setattr(traceio, "_read_any_form", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "late",
+    [
+        lambda line: line.replace(line.split(",")[2], "-inf", 1),
+        lambda line: line.rstrip("\n"),  # an unterminated last row
+        lambda line: line + "\n\n",  # blank lines after the last row
+        lambda line: line.rstrip("\n") + "\r\n",
+        lambda line: line.replace(",", ", ", 1),
+    ],
+    ids=["-inf", "unterminated", "trailing-blank-lines", "crlf", "space"],
+)
+@pytest.mark.parametrize("block", [1, 7, 64, 1 << 18])
+def test_general_reader_reads_only_what_the_kernel_left(late, block, tmp_path, monkeypatch):
+    lines = export_body_lines(tmp_path, 3, 200)
+    lines[-1] = late(lines[-1])
+    path = tmp_path / "t.csv"
+    path.write_text(",".join(TRACE_HEADER) + "\n" + "".join(lines))
+    want = traceio._read_any_form(path)
+    monkeypatch.setattr(traceio, "_READ_BLOCK", block)
+    calls = spy_on_general_reader(monkeypatch)
+    back = ingest_trace(path)
+    for got, ref in zip(
+        (back.mode, back.x_a, back.x_b, back.rss_ma, back.rss_mb, back.injected), want
+    ):
+        assert got.dtype == ref.dtype and got.tobytes() == np.ascontiguousarray(ref).tobytes()
+    [(start, rows_before)] = calls
+    file_lines = path.read_bytes().splitlines(keepends=True)
+    assert start == len(b"".join(file_lines[: 1 + rows_before]))
+    if block < 1 << 18:  # small blocks leave the general reader a row or two
+        assert rows_before >= 190
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (lambda line: line.rstrip("\n") + ",0\n", "expected 7 fields, got 8"),
+        (lambda line: line.replace(line.split(",")[3], "nan", 1), "non-finite value"),
+        (lambda line: line.replace(line.split(",")[2], "inf", 1), "non-finite value"),
+        (lambda line: line.replace(line.split(",")[2], "x", 1), "could not convert"),
+        (lambda line: line.rstrip("01\n") + "2\n", "injected is not 0 or 1"),
+        (lambda line: line.replace(line.split(",")[1], "1.5", 1), "mode is not an integer"),
+    ],
+    ids=["8-fields", "nan", "inf", "text", "injected-2", "mode-1.5"],
+)
+@pytest.mark.parametrize("block", [5, 300])
+def test_bad_row_after_kernel_blocks_keeps_its_error(bad, error, block, tmp_path, monkeypatch):
+    lines = export_body_lines(tmp_path, 4, 120)
+    lines[100] = bad(lines[100])
+    lines[110] = lines[110].replace(lines[110].split(",")[2], "-inf", 1)
+    path = tmp_path / "t.csv"
+    path.write_text(",".join(TRACE_HEADER) + "\n" + "".join(lines))
+    with pytest.raises(TraceFormatError) as general:
+        traceio._read_any_form(path)
+    monkeypatch.setattr(traceio, "_READ_BLOCK", block)
+    calls = spy_on_general_reader(monkeypatch)
+    with pytest.raises(TraceFormatError, match=f"row 102: {error}") as exc:
+        ingest_trace(path)
+    assert str(exc.value) == str(general.value)
+    assert calls[0][1] > 0  # the kernel read some rows first
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n\n\n"], ids=["header-only", "one-blank", "blanks"])
+@pytest.mark.parametrize("block", [1, 1 << 18])
+def test_export_header_without_rows_reports_no_rows(body, block, tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_text(",".join(TRACE_HEADER) + "\n" + body)
+    monkeypatch.setattr(traceio, "_READ_BLOCK", block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TraceFormatError, match="no data rows"):
+            ingest_trace(path)
