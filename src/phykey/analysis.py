@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 _PMF_DIRECT_LIMIT = 4096  # above this, binomial convolution switches to FFT
+_PMF_REPORT_LIMIT = 20_000  # to_dict lists the PMF only up to this many attacked bits
 _LOG_ZERO = -746.0  # exp is exactly +0.0 below this: it rounds anything under e^-745.13 to 0
 
 
@@ -182,7 +184,8 @@ def guess_count_pmf(n: int, n0: int, p0: float, p1: float) -> np.ndarray:
 
     `scipy.stats` (for `binom`) is imported here, and `scipy.signal` (for
     `fftconvolve`) only on the FFT branch, n > _PMF_DIRECT_LIMIT: they take
-    most of the package's import time, and only this function uses them.
+    most of the package's import time and about 46 MiB, and only this
+    function uses them. `AnalysisResult.pmf` calls it on first read.
     """
     if not (0 <= n0 <= n):
         raise ContractError(f"need 0 <= n0 <= n, got n0={n0}, n={n}")
@@ -287,18 +290,31 @@ def key_guess_probability(
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    """Bundle of closed-form quantities emitted by the analyze command."""
+    """Bundle of closed-form quantities emitted by the analyze command.
+
+    `pmf` is the guess-count PMF for the counts' (n, n0) and this result's
+    p0/p1, computed by `guess_count_pmf` on first read and kept; it is None
+    when no counts were given. `summary()` never reads it, and `to_dict()`
+    adds it only for n <= _PMF_REPORT_LIMIT, so `scipy.stats` loads only when
+    a caller asks for the PMF.
+    """
 
     p0: float
     p1: float
     e_kre: float | None
     e_krr: float | None
     key_guess: KeyGuessReport | None
-    pmf: np.ndarray | None = None
     excluded_modes: int = 0
     counts: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
+    @cached_property
+    def pmf(self) -> np.ndarray | None:
+        if "n" not in self.counts:
+            return None
+        return guess_count_pmf(self.counts["n"], self.counts["n0"], self.p0, self.p1)
+
+    def summary(self) -> dict:
+        """Every field but the PMF, as JSON-ready values."""
         out = {
             "p0": self.p0,
             "p1": self.p1,
@@ -317,6 +333,11 @@ class AnalysisResult:
                 "ratio": kg.ratio,
                 "ratio_bound": kg.ratio_bound,
             }
-        if self.pmf is not None:
+        return out
+
+    def to_dict(self) -> dict:
+        """summary() plus the PMF when counts give n <= _PMF_REPORT_LIMIT."""
+        out = self.summary()
+        if self.counts.get("n", math.inf) <= _PMF_REPORT_LIMIT:
             out["pmf"] = [float(v) for v in self.pmf]
         return out

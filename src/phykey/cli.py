@@ -123,9 +123,7 @@ def analyze(config_path, seed, report_path, fmt):
             q_minus, q_plus = rep["thresholds_alice"]
         counts = (rep["ell"], rep["n"], rep["n0"])
     result = pipeline.analyze_config(cfg, q_minus=q_minus, q_plus=q_plus, counts=counts)
-    out = result.to_dict()
-    out.pop("pmf", None)  # too bulky for the report; use the API for the full PMF
-    _emit(out, fmt)
+    _emit(result.summary(), fmt)  # no PMF: too bulky for the report; the API's `.pmf` has it
 
 
 @cli.command()

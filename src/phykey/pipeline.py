@@ -16,14 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import adversary, fuzzy, metrics
-from .analysis import AnalysisResult, closed_form_p0_p1, expected_rates, guess_count_pmf, key_guess_probability
+from .analysis import AnalysisResult, closed_form_p0_p1, expected_rates, key_guess_probability
 from .config import ExperimentConfig
 from .errors import ContractError
 from .quantize import Bitstream, confirm_excursions, find_excursions, quantize, thresholds
 from .session import MeasurementTrace, simulate_session
 from .traceio import export_trace_csv, write_bitstream, write_commitments
 
-_PMF_REPORT_LIMIT = 20_000
 # analyze_config's own thresholds come from a clean session of at most this many rounds
 _CALIBRATION_ROUNDS = 200_000
 # reports list per-attack records only up to this many attacked rounds
@@ -275,12 +274,12 @@ def analyze_config(
     q_plus: float | None = None,
     counts: tuple[int, int, int] | None = None,
 ) -> AnalysisResult:
-    """Closed-form p0/p1 for the config, plus rate/PMF/p_key when counts given.
+    """Closed-form p0/p1 for the config, plus rates/p_key when counts given.
 
     Thresholds default to a clean calibration session at the config's
     seed and at most _CALIBRATION_ROUNDS rounds (Eq.-style mean/std of
     Alice's series); counts are (ell, n, n0) from a measured or simulated
-    run.
+    run. The result computes its guess-count PMF only when `.pmf` is read.
     """
     scenario = cfg.build_scenario()
     if q_minus is None or q_plus is None:
@@ -298,14 +297,11 @@ def analyze_config(
     )
     e_kre = e_krr = None
     key_guess = None
-    pmf = None
     counts_dict: dict = {"q_minus": q_minus, "q_plus": q_plus, "p_x_dbm": p_x}
     if counts is not None:
         ell, n, n0 = counts
         e_kre, e_krr = expected_rates(n, n0, p0, p1, ell)
         key_guess = key_guess_probability(ell, n, n0, p0, p1)
-        if n <= _PMF_REPORT_LIMIT:
-            pmf = guess_count_pmf(n, n0, p0, p1)
         counts_dict.update({"ell": ell, "n": n, "n0": n0})
     return AnalysisResult(
         p0=p0,
@@ -313,7 +309,6 @@ def analyze_config(
         e_kre=e_kre,
         e_krr=e_krr,
         key_guess=key_guess,
-        pmf=pmf,
         excluded_modes=excluded_modes,
         counts=counts_dict,
     )

@@ -198,8 +198,9 @@ def simulate_session(
 
     Round i sits at (i // block_len, i % block_len) of the mode grid,
     where block_len is the coherence length capped at n_rounds; the
-    last block is padded with mode 0 and the padding is cut off again
-    before the RSS leaves this function. The results are bit-identical
+    last block is padded with mode 0 (only when n_rounds is not a whole
+    number of blocks) and the padding is cut off again before the RSS
+    leaves this function. The results are bit-identical
     to summing g[mode] * a[block] over the paths of each round.
     """
     if n_rounds < 1:
@@ -217,7 +218,8 @@ def simulate_session(
     mode_idx = rng.integers(0, scenario.profile.mode_count, size=n_rounds)
     # one block never spans more rounds than the session has
     block_len = min(coherence_block_rounds, n_rounds)
-    grid = np.pad(mode_idx, (0, n_blocks * block_len - n_rounds)).reshape(n_blocks, block_len)
+    pad = n_blocks * block_len - n_rounds
+    grid = (np.pad(mode_idx, (0, pad)) if pad else mode_idx).reshape(n_blocks, block_len)
 
     clean_ab = _rss(_block_channel(scenario.g_ab, a_ab, grid), p_x).reshape(-1)[:n_rounds]
     rss_ma = _rss(_block_channel(scenario.g_am, a_am, grid), p_x).reshape(-1)[:n_rounds]

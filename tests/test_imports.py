@@ -1,5 +1,6 @@
-"""Start-up cost: importing phykey and running a session loads neither
-`scipy.stats` nor `scipy.signal`; only the guess-count PMF needs them."""
+"""Start-up cost: importing phykey, running a session and analyzing it (also
+through `phykey analyze --report`) loads neither `scipy.stats` nor
+`scipy.signal`; only reading the guess-count PMF needs them."""
 import os
 import subprocess
 import sys
@@ -8,7 +9,12 @@ from pathlib import Path
 import phykey
 
 CHILD = """
+import contextlib
+import io
+import json
 import sys
+import tempfile
+from pathlib import Path
 
 import phykey, phykey.cli, phykey.pipeline
 from phykey.analysis import guess_count_pmf
@@ -25,6 +31,23 @@ report, _, _ = phykey.pipeline.run_experiment(cfg)
 assert report.n > 0, "the attack ran"
 phykey.pipeline.analyze_config(cfg)
 assert loaded() == [], ("after a session and the closed form", loaded())
+q_minus, q_plus = report.thresholds_alice
+counts = (report.ell, report.n, report.n0)
+assert report.n <= 20_000
+result = phykey.pipeline.analyze_config(cfg, q_minus=q_minus, q_plus=q_plus, counts=counts)
+assert loaded() == [], ("after analyze_config with counts", loaded())
+with tempfile.TemporaryDirectory() as tmp:
+    cfg_path = Path(tmp, "c.yaml")
+    cfg_path.write_text(json.dumps({"seed": 3, "rounds": 5000, "attack": {"enabled": True}}))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert phykey.cli.main(["simulate", "--config", str(cfg_path), "--out-dir", tmp]) == 0
+        assert phykey.cli.main(["analyze", "--config", str(cfg_path),
+                                "--report", str(Path(tmp, "report.json"))]) == 0
+assert loaded() == [], ("after the analyze CLI", loaded())
+assert '"pmf"' not in stdout.getvalue() and '"n0"' in stdout.getvalue()
+assert result.pmf is not None
+assert loaded() == ["scipy.stats"], ("after reading .pmf", loaded())
 guess_count_pmf(4096, 1000, 0.5, 0.3)
 assert loaded() == ["scipy.stats"], ("after a direct PMF", loaded())
 guess_count_pmf(4097, 1000, 0.5, 0.3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phykey import fuzzy, pipeline
+from phykey.analysis import guess_count_pmf
 from phykey.antenna import AntennaProfile, save_antenna_profile
 from phykey.config import config_from_mapping
 from phykey.traceio import export_trace_csv, ingest_trace, read_commitments
@@ -229,6 +230,46 @@ def test_analyze_config_self_calibrates_thresholds():
     res = pipeline.analyze_config(cfg)
     assert 0.0 <= res.p0 <= 1.0 and 0.0 <= res.p1 <= 1.0
     assert "q_plus" in res.counts and res.counts["q_plus"] > res.counts["q_minus"]
+
+
+@pytest.fixture(scope="module")
+def attacked_5k():
+    """A 5k-round attacked session's config, thresholds and (ell, n, n0)."""
+    cfg = config_from_mapping({"seed": 3, "rounds": 5000, "attack": {"enabled": True, "d": 3.0}})
+    report, _, _ = pipeline.run_experiment(cfg)
+    q_minus, q_plus = report.thresholds_alice
+    return cfg, q_minus, q_plus, (report.ell, report.n, report.n0)
+
+
+@pytest.mark.parametrize("large", [False, True])
+def test_analysis_pmf_is_computed_on_read(attacked_5k, large):
+    cfg, q_minus, q_plus, counts = attacked_5k
+    assert counts[1] > 0
+    if large:  # past to_dict's 20k limit and on guess_count_pmf's FFT branch
+        counts = (60_000, 25_000, 9_000)
+    res = pipeline.analyze_config(cfg, q_minus=q_minus, q_plus=q_plus, counts=counts)
+    _, n, n0 = counts
+    pmf = res.pmf
+    assert np.array_equal(pmf, guess_count_pmf(n, n0, res.p0, res.p1))
+    assert res.pmf is pmf
+
+
+def test_analysis_pmf_is_none_without_counts():
+    res = pipeline.analyze_config(small_cfg(rounds=2000))
+    assert res.pmf is None
+    assert "pmf" not in res.to_dict()
+
+
+@pytest.mark.parametrize("n", [0, 810, 20_000, 20_001])
+def test_analysis_to_dict_lists_pmf_up_to_20k(attacked_5k, n):
+    cfg, q_minus, q_plus, _ = attacked_5k
+    res = pipeline.analyze_config(cfg, q_minus=q_minus, q_plus=q_plus,
+                                  counts=(30_000, n, n // 3))
+    out = res.to_dict()
+    assert ("pmf" in out) == (n <= 20_000)
+    assert {k: v for k, v in out.items() if k != "pmf"} == res.summary()
+    if "pmf" in out:
+        assert out["pmf"] == res.pmf.tolist()
 
 
 def test_report_json_serializable(tmp_path):
