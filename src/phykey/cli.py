@@ -70,6 +70,27 @@ def _summary(report: metrics.SessionReport) -> dict:
     return d
 
 
+def _report_inputs(path) -> dict:
+    """analyze_config's thresholds and counts from one session's report.json;
+    a ConfigError naming the path and the problem otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rep = json.load(fh)
+    except ValueError as exc:  # invalid JSON or undecodable bytes
+        raise ConfigError(f"{path}: not a JSON report: {exc}") from None
+    if isinstance(rep, list):
+        raise ConfigError(f"{path}: holds {len(rep)} sessions; analyze needs one session's report")
+    rep = rep if isinstance(rep, dict) else {}
+    counts = tuple(rep.get(k) for k in ("ell", "n", "n0"))
+    if not all(type(v) is int for v in counts):
+        raise ConfigError(f"{path}: not a session report: ell, n and n0 must be integers")
+    q = rep.get("thresholds_alice")
+    if q is not None and not (type(q) is list and len(q) == 2
+                              and all(type(v) in (int, float) for v in q)):
+        raise ConfigError(f"{path}: thresholds_alice must be a pair of numbers")
+    return {"q_minus": q and q[0], "q_plus": q and q[1], "counts": counts}
+
+
 @click.group()
 def cli():
     """Physical-layer key generation simulator and analysis toolkit."""
@@ -114,15 +135,8 @@ def simulate(config_path, seed, trials, out_dir, strict, fmt):
 def analyze(config_path, seed, report_path, fmt):
     """Closed-form p0/p1 and, when counts are available, rates and p_key."""
     cfg = _load_config(config_path, seed)
-    q_minus = q_plus = None
-    counts = None
-    if report_path is not None:
-        with open(report_path, "r", encoding="utf-8") as fh:
-            rep = json.load(fh)
-        if rep.get("thresholds_alice"):
-            q_minus, q_plus = rep["thresholds_alice"]
-        counts = (rep["ell"], rep["n"], rep["n0"])
-    result = pipeline.analyze_config(cfg, q_minus=q_minus, q_plus=q_plus, counts=counts)
+    inputs = {} if report_path is None else _report_inputs(report_path)
+    result = pipeline.analyze_config(cfg, **inputs)
     _emit(result.summary(), fmt)  # no PMF: too bulky for the report; the API's `.pmf` has it
 
 
@@ -139,13 +153,7 @@ def replay(trace_csv, config_path, seed, out_dir, strict, fmt):
     With --out-dir, writes the same session files as simulate, less the
     commitment blob."""
     cfg = _load_config(config_path, seed)
-    trace = traceio.ingest_trace(
-        trace_csv,
-        injection_power_dbm=cfg.attack.injection_power_dbm,
-        coherence_block_rounds=cfg.coherence_block_rounds,
-        scheme=cfg.scheme,
-    )
-    report, trace, protocol = pipeline.replay_trace(trace, cfg)
+    report, trace, protocol = pipeline.replay_trace(traceio.ingest_trace(trace_csv), cfg)
     if out_dir is not None:
         pipeline.write_session_files(out_dir, report, trace, protocol)
     _emit(_summary(report), fmt)

@@ -66,6 +66,14 @@ def run_protocol(trace: MeasurementTrace, beta: float, excursion_len: int) -> Pr
     )
 
 
+def _injection_offset_db(cfg: ExperimentConfig) -> float:
+    """Mallory's injection power over the calibrated transmit power: 0 when
+    the config leaves `attack.injection_power_dbm` null, so she injects at
+    the scenario's `p_x_dbm`."""
+    power = cfg.attack.injection_power_dbm
+    return 0.0 if power is None else power - cfg.build_scenario().p_x_dbm
+
+
 def _simulate_from_config(
     cfg: ExperimentConfig, rng: np.random.Generator, **overrides
 ) -> MeasurementTrace:
@@ -78,7 +86,7 @@ def _simulate_from_config(
         rng=rng,
         attack_enabled=cfg.attack.enabled,
         attack_d=cfg.attack.d,
-        injection_power_dbm=cfg.attack.injection_power_dbm,
+        power_offset_db=_injection_offset_db(cfg),
         repeat_injection=cfg.attack.repeat_injection,
     )
     return simulate_session(cfg.build_scenario(), **{**args, **overrides})
@@ -94,11 +102,13 @@ def build_report(
 ) -> tuple[metrics.SessionReport, list[fuzzy.Commitment]]:
     """Reconcile, verify, and assemble the session report.
 
-    The report lists one record per attacked round when
-    include_attack_rounds is set and there are at most
-    _ATTACK_ROUNDS_REPORT_LIMIT of them. Also returns the commitments the
-    reconciliation opened (none when Alice's stream is shorter than one
-    block).
+    The run-level fields (scheme, `p_x_dbm`, `tx_power_gap_vs_oa_db` and
+    the links' `fading_k_factor`) come from cfg's Scenario, so a simulated
+    and a replayed session of one config report them alike. The report
+    lists one record per attacked round when include_attack_rounds is set
+    and there are at most _ATTACK_ROUNDS_REPORT_LIMIT of them. Also
+    returns the commitments the reconciliation opened (none when Alice's
+    stream is shorter than one block).
     """
     ell = len(protocol.s_a)
     attack = protocol.attack
@@ -138,8 +148,10 @@ def build_report(
     else:  # the battery does not run ApEn below MIN_BITS; its formula needs 8
         apen = metrics.approximate_entropy(protocol.s_a.bits) if ell >= 8 else None
     mismatch = metrics.bit_mismatch_rate(protocol.s_a.bits, protocol.s_b.bits)
-    report = metrics.SessionReport(
-        scheme=trace.scheme,
+    scenario = cfg.build_scenario()
+    links, paths = scenario.links, scenario.links.ab.path_count
+    return metrics.SessionReport(
+        scheme=scenario.scheme,
         seed=cfg.seed,
         n_rounds=trace.n_rounds,
         ell=ell,
@@ -155,12 +167,17 @@ def build_report(
         randomness=randomness,
         reconciliation_ok=reconciliation_ok,
         verification_ok=verification_ok,
-        p_x_dbm=trace.p_x_dbm,
+        p_x_dbm=scenario.p_x_dbm,
+        tx_power_gap_vs_oa_db=scenario.tx_power_gap_vs_oa_db,
         thresholds_alice=protocol.thresholds_alice,
         thresholds_bob=protocol.thresholds_bob,
         attack_rounds=attack.to_records() if listed else [],
-    )
-    return report, commitments
+        extra={"fading_k_factor": {
+            "ab": links.fading_ab.k_factor(paths),
+            "ma": links.fading_am.k_factor(paths),
+            "mb": links.fading_mb.k_factor(paths),
+        }},
+    ), commitments
 
 
 def write_session_files(
@@ -203,19 +220,11 @@ def run_experiment(
     report (see `build_report`).
     """
     rng = np.random.default_rng(cfg.seed)
-    scenario = cfg.build_scenario()
     trace = _simulate_from_config(cfg, rng)
     protocol = run_protocol(trace, cfg.beta, cfg.excursion_len)
     report, commitments = build_report(
         cfg, trace, protocol, rng=rng, include_attack_rounds=include_attack_rounds
     )
-    report.tx_power_gap_vs_oa_db = scenario.tx_power_gap_vs_oa_db
-    links, paths = scenario.links, scenario.links.ab.path_count
-    report.extra["fading_k_factor"] = {
-        "ab": links.fading_ab.k_factor(paths),
-        "ma": links.fading_am.k_factor(paths),
-        "mb": links.fading_mb.k_factor(paths),
-    }
     if out_dir is not None:
         out = write_session_files(out_dir, report, trace, protocol)
         if commitments:
@@ -230,15 +239,12 @@ def replay_trace(
 
     A clean trace (no injected flags) gets the attack applied offline
     when the config enables it: injected rounds take their values from
-    the recorded reciprocal M-A / M-B observations, which is exactly
-    how the simulator injects.
+    the recorded reciprocal M-A / M-B observations, shifted by
+    `_injection_offset_db(cfg)`, which is exactly how the simulator
+    injects. The config's Scenario supplies the calibrated power and the
+    report's other run-level fields.
     """
     if cfg.attack.enabled and not np.any(trace.injected):
-        offset = (
-            0.0
-            if cfg.attack.injection_power_dbm is None
-            else cfg.attack.injection_power_dbm - trace.p_x_dbm
-        )
         x_a, x_b, injected = adversary.apply_attack(
             trace.x_a,
             trace.x_b,
@@ -246,7 +252,7 @@ def replay_trace(
             trace.rss_mb,
             cfg.beta,
             cfg.attack.d,
-            power_offset_db=offset,
+            power_offset_db=_injection_offset_db(cfg),
             repeat_injection=cfg.attack.repeat_injection,
         )
         trace = dataclasses.replace(trace, x_a=x_a, x_b=x_b, injected=injected)

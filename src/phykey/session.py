@@ -49,7 +49,10 @@ class LinkSet:
 
 @dataclass
 class MeasurementTrace:
-    """One session's per-round series plus the bookkeeping to replay it."""
+    """One session's per-round columns, exactly those of the trace CSV.
+
+    Run-level facts (scheme, calibrated power, block length, injection
+    power) are not kept here: the run's config and its Scenario fix them."""
 
     mode: np.ndarray
     x_a: np.ndarray
@@ -57,10 +60,6 @@ class MeasurementTrace:
     rss_ma: np.ndarray
     rss_mb: np.ndarray
     injected: np.ndarray
-    p_x_dbm: float
-    injection_power_dbm: float
-    coherence_block_rounds: int
-    scheme: str = RAKG
 
     def __post_init__(self):
         n = self.x_a.size
@@ -186,7 +185,7 @@ def simulate_session(
     rng: np.random.Generator,
     attack_enabled: bool = True,
     attack_d: float = 3.0,
-    injection_power_dbm: float | None = None,
+    power_offset_db: float = 0.0,
     repeat_injection: bool = False,
 ) -> MeasurementTrace:
     """Simulate N probing rounds and (optionally) the MitM injections.
@@ -194,7 +193,8 @@ def simulate_session(
     The antenna profile drives both the A-B and the M-A channels
     through Alice's per-round mode; Bob and Mallory are omnidirectional
     so the M-B channel only changes across coherence blocks. Every
-    probe goes out at the scenario's calibrated power.
+    probe goes out at the scenario's calibrated power; Mallory injects
+    power_offset_db above it (`adversary.apply_attack`).
 
     Round i sits at (i // block_len, i % block_len) of the mode grid,
     where block_len is the coherence length capped at n_rounds; the
@@ -208,7 +208,6 @@ def simulate_session(
     if coherence_block_rounds < 1:
         raise ContractError("coherence_block_rounds must be >= 1")
     links, p_x = scenario.links, scenario.p_x_dbm
-    p_m = p_x if injection_power_dbm is None else float(injection_power_dbm)
 
     n_blocks = -(-n_rounds // coherence_block_rounds)
     a_ab = sample_fading_blocks(rng, links.fading_ab, links.ab.path_count, n_blocks)
@@ -241,22 +240,11 @@ def simulate_session(
             rss_mb,
             beta,
             attack_d,
-            power_offset_db=p_m - p_x,
+            power_offset_db=power_offset_db,
             repeat_injection=repeat_injection,
         )
     else:
         injected = np.zeros(n_rounds, dtype=bool)
 
     modes = np.asarray(scenario.profile.modes, dtype=np.int64)[mode_idx]
-    return MeasurementTrace(
-        mode=modes,
-        x_a=x_a,
-        x_b=x_b,
-        rss_ma=rss_ma,
-        rss_mb=rss_mb,
-        injected=injected,
-        p_x_dbm=p_x,
-        injection_power_dbm=p_m,
-        coherence_block_rounds=coherence_block_rounds,
-        scheme=scenario.scheme,
-    )
+    return MeasurementTrace(modes, x_a, x_b, rss_ma, rss_mb, injected)

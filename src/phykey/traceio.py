@@ -3,6 +3,9 @@
 Trace CSV: header `round,mode,x_a,x_b,rss_ma,rss_mb,injected`, one row
 per probing round. The same format is the replay-ingestion input;
 replayed experiment captures may omit the mode and injected columns.
+The file holds exactly a MeasurementTrace's columns: the scheme, the
+calibrated transmit power and the injection power are not in it, and a
+replay takes them from its config.
 
 Precision contract: dBm values are written as `%.4f`, 4 decimals
 rounded half-to-even from the exact binary value (0.03125 -> 0.0312,
@@ -188,14 +191,12 @@ def _strings(cells: np.ndarray, end: bytes = b"") -> np.ndarray:
     return block.view(f"S{block.shape[1]}")[:, 0]
 
 
-def ingest_trace(
-    path,
-    p_x_dbm: float = 0.0,
-    injection_power_dbm: float | None = None,
-    coherence_block_rounds: int = 1,
-    scheme: str = "RAKG",
-) -> MeasurementTrace:
+def ingest_trace(path) -> MeasurementTrace:
     """Parse a trace CSV back into a replay-ready MeasurementTrace.
+
+    The trace holds the file's per-round columns only; a replay takes the
+    run-level facts (scheme, calibrated power, injection power) from its
+    config.
 
     Requires the round,x_a,x_b,rss_ma,rss_mb columns; mode and injected
     are optional (zero when absent, as in raw experiment captures).
@@ -219,13 +220,7 @@ def ingest_trace(
     if rest is not None:
         parts.append(_read_any_form(path, rest, sum(part[0].size for part in parts)))
     columns = parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
-    return MeasurementTrace(
-        *columns,
-        p_x_dbm=p_x_dbm,
-        injection_power_dbm=p_x_dbm if injection_power_dbm is None else injection_power_dbm,
-        coherence_block_rounds=coherence_block_rounds,
-        scheme=scheme,
-    )
+    return MeasurementTrace(*columns)
 
 
 def _read_export_form(fh) -> tuple[list[tuple[np.ndarray, ...]], int | None]:

@@ -56,7 +56,7 @@ def test_criterion_01_closed_form_matches_monte_carlo():
 
     trace = _simulate(cfg)
     q_minus, q_plus = thresholds(trace.x_a, cfg.beta)
-    p_x = trace.p_x_dbm
+    p_x = scenario.p_x_dbm
     g_am = profile.gain_matrix(links.am.angles_deg)
     p0_cf, p1_cf, _ = closed_form_p0_p1(
         profile, g_am, abs(links.fading_am.los_mean), links.fading_am.sigma0,

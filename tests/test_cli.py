@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from phykey.cli import main
 
@@ -104,6 +105,27 @@ def test_analyze_with_report_counts(tmp_path, capsys):
     assert "log10_p_key" in res["key_guess"]
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("trials", "holds 2 sessions; analyze needs one"),
+    ("not_json", "not a JSON report"),
+    ("no_counts", "ell, n and n0 must be integers"),
+])
+def test_analyze_rejects_unusable_report_exit_2(tmp_path, capsys, kind, message):
+    # each is a file phykey writes or a damaged one: a validation error
+    # naming the path, never a traceback
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("6000", "2000"))
+    report = tmp_path / "out" / "report.json"
+    if kind == "trials":
+        assert main(["simulate", "--config", cfg, "--trials", "2", "--out-dir",
+                     str(report.parent)]) == 0
+    else:
+        report.parent.mkdir()
+        report.write_text('{"ell": 5' if kind == "not_json" else '{"ell": 5}')
+    code, _, err = run_cli(capsys, "analyze", "--config", cfg, "--report", str(report))
+    assert code == 2
+    assert str(report) in err and message in err
+
+
 def test_replay_roundtrip_metrics(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE_CFG)
     out_dir = tmp_path / "out"
@@ -118,6 +140,31 @@ def test_replay_roundtrip_metrics(tmp_path, capsys):
     replayed = json.loads(replay_out)
     for key in ("ell", "n", "n0", "m", "krr", "bit_mismatch_rate"):
         assert replayed[key] == direct[key]
+
+
+def test_offline_injection_at_set_power_matches_simulate(tmp_path, capsys):
+    # Mallory injects at 10 dBm, about 15 dB under the calibrated 24.99 dBm:
+    # replaying the clean capture must shift her injections by the same
+    # offset the simulator uses, so the attack counts and KRE agree. The
+    # thresholds are left out: the trace's 4 decimals move them.
+    attack = '{"seed": 7, "rounds": 50000, "attack": {"injection_power_dbm": 10}}'
+    clean = attack.replace('"attack": {', '"attack": {"enabled": false, ')
+    attack_cfg = write_cfg(tmp_path, attack)
+    clean_cfg = str(tmp_path / "clean.yaml")
+    (tmp_path / "clean.yaml").write_text(clean)
+    assert main(["simulate", "--config", clean_cfg, "--out-dir", str(tmp_path / "clean")]) == 0
+    assert main(["simulate", "--config", attack_cfg, "--out-dir", str(tmp_path / "sim")]) == 0
+    code = main(["replay", str(tmp_path / "clean" / "trace.csv"), "--config", attack_cfg,
+                 "--out-dir", str(tmp_path / "replay")])
+    assert code == 0
+    capsys.readouterr()
+    simulated, replayed = (json.loads((tmp_path / d / "report.json").read_text())
+                           for d in ("sim", "replay"))
+    keys = ("p_x_dbm", "tx_power_gap_vs_oa_db", "attacked_total", "n", "m", "kre")
+    assert {k: replayed[k] for k in keys} == {k: simulated[k] for k in keys}
+    assert simulated["p_x_dbm"] == pytest.approx(24.9885, abs=1e-4)
+    assert (simulated["attacked_total"], simulated["n"], simulated["m"]) == (10_079, 8_108, 0)
+    assert simulated["kre"] == 0.0
 
 
 def test_commit_open_cycle(tmp_path, capsys, rng):

@@ -83,8 +83,13 @@ def test_channel_gain_across_modes_matches_brute_force(rng):
 # RSS = 20*log10|h| + P_x, as the session maps each round's channel
 
 
+# the sessions' coherence block length, which the brute-force replay needs
+BLOCK_ROUNDS = 10
+
+
 def _session(overrides=None, profile=None, noise_sigma_db=0.0, rounds=400, seed=3):
-    cfg = config_from_mapping({"seed": seed, "rounds": rounds, **(overrides or {})})
+    cfg = config_from_mapping({"seed": seed, "rounds": rounds,
+                               "coherence_block_rounds": BLOCK_ROUNDS, **(overrides or {})})
     scenario = build_scenario(
         cfg.build_topology(),
         cfg.build_profile() if profile is None else profile,
@@ -101,14 +106,14 @@ def _session(overrides=None, profile=None, noise_sigma_db=0.0, rounds=400, seed=
         rng=np.random.default_rng(seed),
         attack_enabled=False,
     )
-    return trace, scenario.links
+    return trace, scenario
 
 
-def _brute_force_rss_ab(trace, links, profile, seed):
+def _brute_force_rss_ab(trace, links, profile, seed, block_rounds, p_x):
     """Replay the session's draws in its order (A-B, A-M, M-B blocks, then
-    modes) and map each round's mode-weighted A-B sum to RSS."""
+    modes) and map each round's mode-weighted A-B sum to RSS at power p_x."""
     rng = np.random.default_rng(seed)
-    n_blocks = -(-trace.n_rounds // trace.coherence_block_rounds)
+    n_blocks = -(-trace.n_rounds // block_rounds)
     a_ab = sample_fading_blocks(rng, links.fading_ab, links.ab.path_count, n_blocks)
     sample_fading_blocks(rng, links.fading_am, links.am.path_count, n_blocks)
     sample_fading_blocks(rng, links.fading_mb, links.mb_path_count, n_blocks)
@@ -116,8 +121,8 @@ def _brute_force_rss_ab(trace, links, profile, seed):
     g = profile.gain_matrix(links.ab.angles_deg)
     rss = np.empty(trace.n_rounds)
     for i, mode in enumerate(modes):
-        h = sum(gl * al for gl, al in zip(g[mode], a_ab[i // trace.coherence_block_rounds]))
-        rss[i] = 20.0 * math.log10(abs(h)) + trace.p_x_dbm if h != 0 else -math.inf
+        h = sum(gl * al for gl, al in zip(g[mode], a_ab[i // block_rounds]))
+        rss[i] = 20.0 * math.log10(abs(h)) + p_x if h != 0 else -math.inf
     return rss
 
 
@@ -125,8 +130,8 @@ def test_rss_unit_channel():
     # a LoS-only unit channel calibrated to a 10 dBm threshold reads 10 dBm
     overrides = {"scheme": "OAKG", "detection_threshold_dbm": 10.0,
                  "fading": {"k_factor": 1e14, "ab": {"los_amplitude": 1.0}}}
-    trace, _ = _session(overrides)
-    assert trace.p_x_dbm == pytest.approx(10.0, abs=1e-6)
+    trace, scenario = _session(overrides)
+    assert scenario.p_x_dbm == pytest.approx(10.0, abs=1e-6)
     np.testing.assert_allclose(trace.x_a, 10.0, atol=1e-5)
 
 
@@ -144,14 +149,15 @@ def test_rss_inverts_calibration_example():
     # the channel then reads back the threshold
     overrides = {"scheme": "OAKG",
                  "fading": {"k_factor": 1e14, "ab": {"los_amplitude": 1e-4}}}
-    trace, _ = _session(overrides)
-    assert trace.p_x_dbm == pytest.approx(5.0, abs=1e-6)
+    trace, scenario = _session(overrides)
+    assert scenario.p_x_dbm == pytest.approx(5.0, abs=1e-6)
     np.testing.assert_allclose(trace.x_a, -75.0, atol=1e-5)
 
 
 def test_rss_is_mode_weighted_sum_in_db(beam_profile):
-    trace, links = _session(profile=beam_profile)
-    expected = _brute_force_rss_ab(trace, links, beam_profile, seed=3)
+    trace, scenario = _session(profile=beam_profile)
+    expected = _brute_force_rss_ab(trace, scenario.links, beam_profile, 3, BLOCK_ROUNDS,
+                                   scenario.p_x_dbm)
     np.testing.assert_allclose(trace.x_a, expected, rtol=0, atol=1e-9)
 
 
@@ -167,7 +173,8 @@ def test_rss_zero_gain_is_erasure():
 
 
 def test_rss_noise_statistics(beam_profile):
-    trace, links = _session(profile=beam_profile, noise_sigma_db=2.0, rounds=20_000)
-    noise = trace.x_a - _brute_force_rss_ab(trace, links, beam_profile, seed=3)
+    trace, scenario = _session(profile=beam_profile, noise_sigma_db=2.0, rounds=20_000)
+    noise = trace.x_a - _brute_force_rss_ab(trace, scenario.links, beam_profile, 3,
+                                            BLOCK_ROUNDS, scenario.p_x_dbm)
     assert np.mean(noise) == pytest.approx(0.0, abs=0.1)
     assert np.std(noise) == pytest.approx(2.0, rel=0.05)

@@ -74,7 +74,7 @@ REPLAY_ARTIFACTS = ("report.json", "trace.csv", "alice.bits", "alice.bits.rounds
                     "bob.bits", "bob.bits.rounds")
 
 REPLAY_GOLDEN = {
-    "report.json": "7ad0dbd4d0021eae1f0dbb6d740a207f4228fc488c5903516ab23ad092a60372",
+    "report.json": "7a9e703e521b03f0df22b2828606fceef863fd2e6fe3eef5ea3ed531aa949dec",
     "trace.csv": "ece5b520537f62b2a9efa390ed58b4f42b6781a4e01bf964d6166dadb3907987",
     "alice.bits": "1a908e6d6dca10f3270041e060d5a7b7d19d62b45a85862d046406175555a814",
     "alice.bits.rounds": "72e6b50100927ecf2c0081ed957da198ee393e8ec64a9dbcf314639c09879947",

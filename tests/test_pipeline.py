@@ -93,13 +93,22 @@ def test_export_ingest_replay_identity(tmp_path):
     report, trace, proto = pipeline.run_experiment(cfg)
     path = tmp_path / "trace.csv"
     export_trace_csv(trace, path)
-    back = ingest_trace(path, p_x_dbm=trace.p_x_dbm,
-                        coherence_block_rounds=cfg.coherence_block_rounds)
+    back = ingest_trace(path)
     replay_report, _, _ = pipeline.replay_trace(back, cfg)
     for fieldname in ("ell", "n", "n0", "m", "attacked_total"):
         assert getattr(replay_report, fieldname) == getattr(report, fieldname)
     assert replay_report.bit_mismatch_rate == report.bit_mismatch_rate
     assert replay_report.krr == report.krr
+
+
+@pytest.mark.parametrize("attack", [True, False])
+def test_in_memory_replay_equals_simulate(attack):
+    # the run-level fields come from the config's scenario on both paths,
+    # so replaying the simulated trace itself gives the simulated report
+    cfg = small_cfg(attack={"enabled": attack})
+    report, trace, _ = pipeline.run_experiment(cfg)
+    assert (report.attacked_total > 0) == attack
+    assert pipeline.replay_trace(trace, cfg)[0].to_dict() == report.to_dict()
 
 
 def test_erased_rounds_survive_export_ingest_replay(tmp_path):
@@ -113,8 +122,7 @@ def test_erased_rounds_survive_export_ingest_replay(tmp_path):
         report, trace, _ = pipeline.run_experiment(cfg, tmp_path / "run")
     erased = np.isneginf(trace.x_a)
     assert erased.sum() > 500 and np.array_equal(erased, trace.mode == 1)
-    back = ingest_trace(tmp_path / "run" / "trace.csv", p_x_dbm=trace.p_x_dbm,
-                        coherence_block_rounds=cfg.coherence_block_rounds)
+    back = ingest_trace(tmp_path / "run" / "trace.csv")
     np.testing.assert_array_equal(np.isneginf(back.x_a), erased)
     replay_report, _, _ = pipeline.replay_trace(back, cfg)
     for fieldname in ("ell", "n", "n0", "m", "attacked_total", "krr", "bit_mismatch_rate",

@@ -122,7 +122,7 @@ def test_same_block_same_mode_reproduces_identical_rss():
          "attack": {"enabled": False}}
     )
     trace = _run(cfg)
-    block = np.arange(trace.n_rounds) // trace.coherence_block_rounds
+    block = np.arange(trace.n_rounds) // cfg.coherence_block_rounds
     seen = {}
     hits = 0
     for i in range(trace.n_rounds):

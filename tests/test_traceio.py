@@ -117,9 +117,6 @@ def trace_from_columns(mode, x_a, x_b, rss_ma, rss_mb, injected):
         rss_ma=np.asarray(rss_ma, dtype=float),
         rss_mb=np.asarray(rss_mb, dtype=float),
         injected=np.asarray(injected, dtype=bool),
-        p_x_dbm=0.0,
-        injection_power_dbm=0.0,
-        coherence_block_rounds=1,
     )
 
 
@@ -144,10 +141,6 @@ def toy_trace(n=5):
         rss_ma=rng.normal(-55, 3, n),
         rss_mb=rng.normal(-55, 3, n),
         injected=np.array([False, True, False, False, True][:n]),
-        p_x_dbm=5.0,
-        injection_power_dbm=5.0,
-        coherence_block_rounds=2,
-        scheme="RAKG",
     )
 
 
@@ -166,7 +159,7 @@ def test_export_ingest_roundtrip_values(tmp_path):
     path = tmp_path / "t.csv"
     trace = toy_trace()
     export_trace_csv(trace, path)
-    back = ingest_trace(path, p_x_dbm=trace.p_x_dbm)
+    back = ingest_trace(path)
     np.testing.assert_allclose(back.x_a, np.round(trace.x_a, 4))
     np.testing.assert_array_equal(back.injected, trace.injected)
     np.testing.assert_array_equal(back.mode, trace.mode)
