@@ -142,22 +142,22 @@ def test_replay_roundtrip_metrics(tmp_path, capsys):
         assert replayed[key] == direct[key]
 
 
-def test_offline_injection_at_set_power_matches_simulate(tmp_path, capsys):
+def test_offline_injection_at_set_power_matches_simulate(tmp_path):
     # Mallory injects at 10 dBm, about 15 dB under the calibrated 24.99 dBm:
     # replaying the clean capture must shift her injections by the same
     # offset the simulator uses, so the attack counts and KRE agree. The
     # thresholds are left out: the trace's 4 decimals move them.
-    attack = '{"seed": 7, "rounds": 50000, "attack": {"injection_power_dbm": 10}}'
-    clean = attack.replace('"attack": {', '"attack": {"enabled": false, ')
-    attack_cfg = write_cfg(tmp_path, attack)
-    clean_cfg = str(tmp_path / "clean.yaml")
-    (tmp_path / "clean.yaml").write_text(clean)
-    assert main(["simulate", "--config", clean_cfg, "--out-dir", str(tmp_path / "clean")]) == 0
-    assert main(["simulate", "--config", attack_cfg, "--out-dir", str(tmp_path / "sim")]) == 0
-    code = main(["replay", str(tmp_path / "clean" / "trace.csv"), "--config", attack_cfg,
-                 "--out-dir", str(tmp_path / "replay")])
-    assert code == 0
-    capsys.readouterr()
+    cfgs = {}
+    for name, enabled in (("attack", True), ("clean", False)):
+        cfgs[name] = tmp_path / f"{name}.yaml"  # JSON is valid YAML
+        cfgs[name].write_text(json.dumps({"seed": 7, "rounds": 50_000, "attack": {
+            "enabled": enabled, "injection_power_dbm": 10}}))
+    assert main(["simulate", "--config", str(cfgs["clean"]), "--out-dir",
+                 str(tmp_path / "clean")]) == 0
+    assert main(["simulate", "--config", str(cfgs["attack"]), "--out-dir",
+                 str(tmp_path / "sim")]) == 0
+    assert main(["replay", str(tmp_path / "clean" / "trace.csv"), "--config",
+                 str(cfgs["attack"]), "--out-dir", str(tmp_path / "replay")]) == 0
     simulated, replayed = (json.loads((tmp_path / d / "report.json").read_text())
                            for d in ("sim", "replay"))
     keys = ("p_x_dbm", "tx_power_gap_vs_oa_db", "attacked_total", "n", "m", "kre")
