@@ -111,8 +111,8 @@ def synthesize_rotated_beam(
     """
     if mode_count < 1:
         raise ProfileError("mode_count must be >= 1")
-    if front_to_back_db < 0:
-        raise ProfileError("front_to_back_db must be >= 0")
+    if not (np.isfinite(front_to_back_db) and front_to_back_db >= 0):
+        raise ProfileError("front_to_back_db must be finite and >= 0")
     if beam_exponent <= 0:
         raise ProfileError("beam_exponent must be > 0")
     if not np.isfinite(angle_step_deg):

@@ -42,6 +42,9 @@ _VALIDATION_ERRORS = (
 )
 
 
+_SEED = click.IntRange(min=0)  # the config's `seed` rule, which --seed would bypass
+
+
 class RuntimeFailure(PhykeyError):
     """Raised for --strict failures and other runtime problems."""
 
@@ -88,6 +91,11 @@ def _report_inputs(path) -> dict:
     if q is not None and not (type(q) is list and len(q) == 2
                               and all(type(v) in (int, float) for v in q)):
         raise ConfigError(f"{path}: thresholds_alice must be a pair of numbers")
+    if q is not None:
+        try:
+            pipeline.check_thresholds(*q)
+        except ContractError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     return {"q_minus": q and q[0], "q_plus": q and q[1], "counts": counts}
 
 
@@ -98,7 +106,7 @@ def cli():
 
 @cli.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
+@click.option("--seed", type=_SEED, default=None, help="Override the config seed.")
 @click.option("--trials", type=int, default=1, show_default=True)
 @click.option("--out-dir", type=click.Path(), default=None)
 @click.option("--strict", is_flag=True, default=False)
@@ -128,7 +136,7 @@ def simulate(config_path, seed, trials, out_dir, strict, fmt):
 
 @cli.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=_SEED, default=None)
 @click.option("--report", "report_path", type=click.Path(exists=True), default=None,
               help="Pull thresholds and counts from a simulate report.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
@@ -143,7 +151,7 @@ def analyze(config_path, seed, report_path, fmt):
 @cli.command()
 @click.argument("trace_csv", type=click.Path(exists=True))
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=_SEED, default=None)
 @click.option("--out-dir", type=click.Path(), default=None)
 @click.option("--strict", is_flag=True, default=False)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
@@ -164,7 +172,7 @@ def replay(trace_csv, config_path, seed, out_dir, strict, fmt):
 @cli.command()
 @click.argument("bitstream", type=click.Path(exists=True))
 @click.option("--out", required=True, type=click.Path())
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=_SEED, required=True)
 @click.option("--symbol-bits", type=int, default=4, show_default=True)
 @click.option("--n", type=int, default=15, show_default=True)
 @click.option("--k", type=int, default=11, show_default=True)

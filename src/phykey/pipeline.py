@@ -273,6 +273,13 @@ def run_trials(cfg: ExperimentConfig, trials: int):
     ]
 
 
+def check_thresholds(q_minus: float, q_plus: float) -> None:
+    """ContractError unless the thresholds are finite with q_minus <= q_plus
+    (`thresholds` gives equal ones for a constant series)."""
+    if not (np.isfinite([q_minus, q_plus]).all() and q_minus <= q_plus):
+        raise ContractError(f"thresholds must be finite with q_minus <= q_plus, got {q_minus}, {q_plus}")
+
+
 def analyze_config(
     cfg: ExperimentConfig,
     *,
@@ -296,6 +303,7 @@ def analyze_config(
             attack_enabled=False,
         )
         q_minus, q_plus = thresholds(cal_trace.x_a, cfg.beta)
+    check_thresholds(q_minus, q_plus)
     fading, p_x = scenario.links.fading_am, scenario.p_x_dbm
     p0, p1, excluded_modes = closed_form_p0_p1(
         scenario.profile, scenario.g_am, abs(fading.los_mean), fading.sigma0,

@@ -1,9 +1,13 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from phykey import pipeline
 from phykey.cli import main
+from phykey.config import config_from_mapping
+from phykey.errors import ContractError
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +80,25 @@ def test_seed_override(tmp_path, capsys):
     assert json.loads(out1)[0]["seed"] == 99
 
 
+@pytest.mark.parametrize("command", ["simulate", "simulate_trials", "analyze", "replay", "commit"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    # the config's own `seed` must be >= 0; --seed keeps the same rule
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("6000", "2000"))
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out_dir)]) == 0
+    argv = {
+        "simulate": ["simulate", "--config", cfg, "--seed", "-2"],
+        "simulate_trials": ["simulate", "--config", cfg, "--trials", "2", "--seed", "-2"],
+        "analyze": ["analyze", "--config", cfg, "--seed", "-2"],
+        "replay": ["replay", str(out_dir / "trace.csv"), "--config", cfg, "--seed", "-2"],
+        "commit": ["commit", str(out_dir / "alice.bits"), "--out", str(tmp_path / "c.bin"),
+                   "--seed", "-1"],
+    }[command]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "usage error" in err and "--seed" in err
+
+
 def test_csv_format_output(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE_CFG)
     code, out, _ = run_cli(capsys, "simulate", "--config", cfg, "--format", "csv")
@@ -124,6 +147,21 @@ def test_analyze_rejects_unusable_report_exit_2(tmp_path, capsys, kind, message)
     code, _, err = run_cli(capsys, "analyze", "--config", cfg, "--report", str(report))
     assert code == 2
     assert str(report) in err and message in err
+
+
+@pytest.mark.parametrize("pair", ["[-62.08, -67.80]", "[NaN, NaN]", "[-Infinity, Infinity]"])
+def test_analyze_rejects_impossible_thresholds_exit_2(tmp_path, capsys, pair):
+    # swapped thresholds leave an empty quantizer band; no session writes them
+    cfg = write_cfg(tmp_path, BASE_CFG)
+    report = tmp_path / "report.json"
+    report.write_text(f'{{"ell": 500, "n": 40, "n0": 20, "thresholds_alice": {pair}}}')
+    code, out, err = run_cli(capsys, "analyze", "--config", cfg, "--report", str(report))
+    assert code == 2 and out == ""
+    assert str(report) in err and "thresholds must be finite with q_minus <= q_plus" in err
+    q_minus, q_plus = json.loads(pair)
+    with pytest.raises(ContractError, match="thresholds must be finite"):
+        pipeline.analyze_config(config_from_mapping({"seed": 7, "rounds": 2000}),
+                                q_minus=q_minus, q_plus=q_plus, counts=(500, 40, 20))
 
 
 def test_replay_roundtrip_metrics(tmp_path, capsys):
@@ -273,6 +311,20 @@ def test_gen_profile_emits_loadable_csv(tmp_path, capsys):
 
     profile = load_antenna_profile(out_path)
     assert profile.mode_count == 24
+
+
+@pytest.mark.parametrize("route", ["gen-profile", "config"])
+def test_infinite_front_to_back_is_rejected_without_a_warning(tmp_path, capsys, route):
+    if route == "gen-profile":
+        argv = ["gen-profile", "--out", str(tmp_path / "p.csv"), "--front-to-back-db", "inf"]
+    else:
+        cfg = write_cfg(tmp_path, BASE_CFG + "antenna: {synthesis: {front_to_back_db: 1e400}}\n")
+        argv = ["simulate", "--config", cfg]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "front_to_back_db must be finite and >= 0" in err
 
 
 def test_replay_header_mismatch_exit_2(tmp_path, capsys):

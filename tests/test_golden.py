@@ -28,7 +28,7 @@ CONFIGS = {
 
 GOLDEN = {
     "oakg_attacked": {
-        "report.json": "397eb6ce5db2343855fd79a9bb409bf0a18d07bc083cd9eb8f51b920c92523d7",
+        "report.json": "e0faa62e384570fc53d2598dd21d2bdbc69e30a63462a2d7873a83c9bf60bb1f",
         "trace.csv": "9798dc02cc4a160b03f893716fac8c7b887a4e108e2f40f3fbc7971d3dc1e63b",
         "alice.bits": "48554ce7b5b2e6e044ef679ad3823777df562d908b341350a5a2a4b3c9cccd09",
         "alice.bits.rounds": "1e2e67927a27566a1d96b84ff9cc584c22fa1ec7251434f0c7404ccf3773cff3",
@@ -36,7 +36,7 @@ GOLDEN = {
         "commitments.bin": "fe646df9c9d4b885f373e4310d8b9e778ef10df612d53bcf4970d64d58a0f67b"
     },
     "rakg_attacked": {
-        "report.json": "8e55883187e6353e64c886aab9ebddcb7c40923bfc62951ec4ae80f812e6fa8f",
+        "report.json": "8563e11a09c7d436a404fa2711a83eb8d8f5ae43f9c450daede98190f496eb81",
         "trace.csv": "387317bd82af50a1fbe46a4597264bc7412c6797950c9d2354f30913c9c9f0a4",
         "alice.bits": "95b29eea53dee0da61ea1fe88b1042a3612c0a9b770346316a20abbab09a350c",
         "alice.bits.rounds": "9e7739c16323301eb9509595175209230a8837cec36e34a2b807a8d833fc2aae",
@@ -44,7 +44,7 @@ GOLDEN = {
         "commitments.bin": "cbe8b0c84ed460028b763372b2bc94c5bdfe5d3a807d28879f1e7a8e0552269a"
     },
     "rakg_clean": {
-        "report.json": "730d7898738089cf6b851ff7a0bb8d4ba36c61799c9d5c7515a860b2220cb4d5",
+        "report.json": "0b10357bb9a90f30e273ce7b69f217844df64301d0fc92267292fbb37f0c8f45",
         "trace.csv": "1fda46ebb6c170abbf6a90f743168ec76ce25bbb0846606b6efbb85db0065a13",
         "alice.bits": "7a2f87814de7c94a97f8573be0b459deaa3685de440b4f569eff16be69768712",
         "alice.bits.rounds": "1b12e8bc5d7616ef4eb0db9819da1eeae3e05480c1fc7abd32096e7d17f2bbed",
@@ -52,7 +52,7 @@ GOLDEN = {
         "commitments.bin": "bb4e131dbd72f8b78e667b7384a5abfde66d2edb96a48e3cca566fa775fc5cc3"
     },
     "rakg_noisy": {
-        "report.json": "51da9de5569c516a64acfc444650de4e170000016c30fcb255a27dc64828a6b2",
+        "report.json": "72803b41054a389c6b68475a811842c3f90b58aabf9b726518c8edaad49f44e4",
         "trace.csv": "997cd7eb9a4be435bd89325841d95cdeaeba7bbcf6134d06f86a9cc180192634",
         "alice.bits": "e5a61d8f339d07f67619536ef3c4776189e6ebaea84c0d24aa207070ba8baf42",
         "alice.bits.rounds": "f3bceb1b9d82e6570f8ab80c0b07cb5aa9bce3c57934cdbc5038eccf7e794a19",
@@ -60,7 +60,7 @@ GOLDEN = {
         "commitments.bin": "f051678395d63a091aaa8acd197480b542bfe07348d28ef2d6229124557fb807"
     },
     "rakg_repeat": {
-        "report.json": "579fd31b29287b35be8e2478a34d7f2148168ecffb3737288a2ffffd569ae232",
+        "report.json": "db974d1fe3aadca3e0ef0f907daecc9b6d65037c65877089a831f5a4f072693e",
         "trace.csv": "c86d375406388ae45adb795c949b9ccb07271be7c9961d9baa3fe473e3a6c5fe",
         "alice.bits": "9f88297e3c97458c96b36cd0a5a7f84e725b19834725d6009e7d33eeac585a4f",
         "alice.bits.rounds": "95887253fc93975c362ab9b7f77c717bf1538b1989785e83f8e019d06d504950",
@@ -74,7 +74,7 @@ REPLAY_ARTIFACTS = ("report.json", "trace.csv", "alice.bits", "alice.bits.rounds
                     "bob.bits", "bob.bits.rounds")
 
 REPLAY_GOLDEN = {
-    "report.json": "7a9e703e521b03f0df22b2828606fceef863fd2e6fe3eef5ea3ed531aa949dec",
+    "report.json": "ca682e8bd516357baf06a18fbaf646923996c9604fd603407478075e12a70b65",
     "trace.csv": "ece5b520537f62b2a9efa390ed58b4f42b6781a4e01bf964d6166dadb3907987",
     "alice.bits": "1a908e6d6dca10f3270041e060d5a7b7d19d62b45a85862d046406175555a814",
     "alice.bits.rounds": "72e6b50100927ecf2c0081ed957da198ee393e8ec64a9dbcf314639c09879947",

@@ -1,6 +1,7 @@
-"""Start-up cost: importing phykey, running a session and analyzing it (also
-through `phykey analyze --report`) loads neither `scipy.stats` nor
-`scipy.signal`; only reading the guess-count PMF needs them."""
+"""Start-up cost: importing phykey, running a session, analyzing it, and the
+`simulate`, `analyze --report`, `replay` and `randomness` commands load no
+`scipy` module at all; only reading the guess-count PMF loads `scipy.stats`
+and `scipy.signal`."""
 import os
 import subprocess
 import sys
@@ -25,17 +26,21 @@ def loaded():
     return [m for m in ("scipy.stats", "scipy.signal") if m in sys.modules]
 
 
-assert loaded() == [], ("on import", loaded())
+def any_scipy():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+assert any_scipy() == [], ("on import", any_scipy())
 cfg = config_from_mapping({"seed": 3, "rounds": 5000, "attack": {"enabled": True, "d": 3.0}})
 report, _, _ = phykey.pipeline.run_experiment(cfg)
 assert report.n > 0, "the attack ran"
 phykey.pipeline.analyze_config(cfg)
-assert loaded() == [], ("after a session and the closed form", loaded())
+assert any_scipy() == [], ("after a session and the closed form", any_scipy())
 q_minus, q_plus = report.thresholds_alice
 counts = (report.ell, report.n, report.n0)
 assert report.n <= 20_000
 result = phykey.pipeline.analyze_config(cfg, q_minus=q_minus, q_plus=q_plus, counts=counts)
-assert loaded() == [], ("after analyze_config with counts", loaded())
+assert any_scipy() == [], ("after analyze_config with counts", any_scipy())
 with tempfile.TemporaryDirectory() as tmp:
     cfg_path = Path(tmp, "c.yaml")
     cfg_path.write_text(json.dumps({"seed": 3, "rounds": 5000, "attack": {"enabled": True}}))
@@ -44,8 +49,12 @@ with tempfile.TemporaryDirectory() as tmp:
         assert phykey.cli.main(["simulate", "--config", str(cfg_path), "--out-dir", tmp]) == 0
         assert phykey.cli.main(["analyze", "--config", str(cfg_path),
                                 "--report", str(Path(tmp, "report.json"))]) == 0
-assert loaded() == [], ("after the analyze CLI", loaded())
-assert '"pmf"' not in stdout.getvalue() and '"n0"' in stdout.getvalue()
+    assert '"pmf"' not in stdout.getvalue() and '"n0"' in stdout.getvalue()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert phykey.cli.main(["replay", str(Path(tmp, "trace.csv")), "--config", str(cfg_path),
+                                "--out-dir", str(Path(tmp, "replay"))]) == 0
+        assert phykey.cli.main(["randomness", str(Path(tmp, "alice.bits"))]) == 0
+assert any_scipy() == [], ("after the simulate, analyze, replay and randomness CLI", any_scipy())
 assert result.pmf is not None
 assert loaded() == ["scipy.stats"], ("after reading .pmf", loaded())
 guess_count_pmf(4096, 1000, 0.5, 0.3)

@@ -1,10 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
 from phykey.errors import ContractError
 from phykey.metrics import (
+    _igamc,
     approximate_entropy,
     attack_metrics,
     bit_mismatch_rate,
@@ -120,3 +123,23 @@ def test_secret_bit_rate_fully_guessed_key_is_zero():
 def test_secret_bit_rate_subtracts_parity_and_floors():
     assert secret_bit_rate(100, 10, 40, n_rounds=100) == pytest.approx(0.5)
     assert secret_bit_rate(100, 80, 40, n_rounds=100) == 0.0
+
+
+def test_igamc_matches_mpmath_and_scipy():
+    # every a the battery can pass is a half-integer; 740 is the
+    # block-frequency a of a 250k-round session
+    for a in (0.5, 1.0, 1.5, 2.0, 145.0, 740.0, 4400.0, 6000.0):
+        tails = (max(a - 6.0 * math.sqrt(a), 1e-3), a + 8.0 * math.sqrt(a))
+        for x in (0.0, 1e-300, 1e-6, 0.5 * a, a, 1.5 * a, 3.0 * a, *tails):
+            q = _igamc(a, x)
+            exact = float(mpmath.gammainc(a, x, mpmath.inf, regularized=True))
+            assert q == pytest.approx(exact, rel=2e-11, abs=1e-300), (a, x)
+            scipy_q = float(scipy.special.gammaincc(a, x))
+            assert q == pytest.approx(scipy_q, rel=5e-11, abs=1e-300), (a, x)
+
+
+@pytest.mark.parametrize("a, x", [(0.0, 1.0), (0.75, 1.0), (2.2, 1.0), (-1.5, 1.0),
+                                  (2.0, -0.5), (2.0, float("nan")), (2.0, float("inf"))])
+def test_igamc_rejects_arguments_off_its_domain(a, x):
+    with pytest.raises(ContractError, match="igamc needs"):
+        _igamc(a, x)
