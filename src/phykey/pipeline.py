@@ -1,10 +1,11 @@
-"""End-to-end orchestration: simulate, quantize, attack-account, reconcile.
+"""End-to-end orchestration: simulate, attack, quantize, attack-account,
+reconcile.
 
 The quantization-plus-accounting stage is a pure function of trace
 columns, so a session that was exported to CSV and re-ingested yields
-byte-identical downstream results (the replay path), and raw
-experiment captures can have the attack applied offline the same way
-the simulator does it.
+byte-identical downstream results (the replay path). The attack is one
+step on a clean trace (`_attack`), so a raw experiment capture gets it
+offline through the same call as a simulated session.
 """
 from __future__ import annotations
 
@@ -74,22 +75,34 @@ def _injection_offset_db(cfg: ExperimentConfig) -> float:
     return 0.0 if power is None else power - cfg.build_scenario().p_x_dbm
 
 
-def _simulate_from_config(
-    cfg: ExperimentConfig, rng: np.random.Generator, **overrides
-) -> MeasurementTrace:
-    """A session of the config's scenario and run parameters, less any overrides."""
-    args = dict(
-        n_rounds=cfg.rounds,
+def _simulate(cfg: ExperimentConfig, rng: np.random.Generator, n_rounds: int) -> MeasurementTrace:
+    """A clean session of n_rounds on the config's scenario and channel parameters."""
+    return simulate_session(
+        cfg.build_scenario(),
+        n_rounds=n_rounds,
         coherence_block_rounds=cfg.coherence_block_rounds,
-        beta=cfg.beta,
         noise_sigma_db=cfg.noise_sigma_db,
         rng=rng,
-        attack_enabled=cfg.attack.enabled,
-        attack_d=cfg.attack.d,
+    )
+
+
+def _attack(trace: MeasurementTrace, cfg: ExperimentConfig) -> MeasurementTrace:
+    """Mallory's injection on a clean trace, as the config sets it; the trace
+    itself when the attack is off. Injected rounds take the round's M-A / M-B
+    observations shifted by `_injection_offset_db(cfg)`."""
+    if not cfg.attack.enabled:
+        return trace
+    x_a, x_b, injected = adversary.apply_attack(
+        trace.x_a,
+        trace.x_b,
+        trace.rss_ma,
+        trace.rss_mb,
+        cfg.beta,
+        cfg.attack.d,
         power_offset_db=_injection_offset_db(cfg),
         repeat_injection=cfg.attack.repeat_injection,
     )
-    return simulate_session(cfg.build_scenario(), **{**args, **overrides})
+    return dataclasses.replace(trace, x_a=x_a, x_b=x_b, injected=injected)
 
 
 def build_report(
@@ -212,7 +225,7 @@ def run_experiment(
     *,
     include_attack_rounds: bool = True,
 ) -> tuple[metrics.SessionReport, MeasurementTrace, ProtocolResult]:
-    """simulate -> quantize -> attack accounting -> reconcile -> report.
+    """simulate -> attack -> quantize -> attack accounting -> reconcile -> report.
 
     With out_dir set, writes the session files (`write_session_files`)
     and the commitment blob (the set the report verified) into it.
@@ -220,7 +233,7 @@ def run_experiment(
     report (see `build_report`).
     """
     rng = np.random.default_rng(cfg.seed)
-    trace = _simulate_from_config(cfg, rng)
+    trace = _attack(_simulate(cfg, rng, cfg.rounds), cfg)
     protocol = run_protocol(trace, cfg.beta, cfg.excursion_len)
     report, commitments = build_report(
         cfg, trace, protocol, rng=rng, include_attack_rounds=include_attack_rounds
@@ -237,25 +250,13 @@ def replay_trace(
 ) -> tuple[metrics.SessionReport, MeasurementTrace, ProtocolResult]:
     """Run the offline pipeline on an ingested trace.
 
-    A clean trace (no injected flags) gets the attack applied offline
-    when the config enables it: injected rounds take their values from
-    the recorded reciprocal M-A / M-B observations, shifted by
-    `_injection_offset_db(cfg)`, which is exactly how the simulator
-    injects. The config's Scenario supplies the calibrated power and the
-    report's other run-level fields.
+    A clean trace (no injected flags) gets the config's attack applied
+    offline by `_attack`, the call `run_experiment` makes on a simulated
+    session, so both inject alike. The config's Scenario supplies the
+    calibrated power and the report's other run-level fields.
     """
-    if cfg.attack.enabled and not np.any(trace.injected):
-        x_a, x_b, injected = adversary.apply_attack(
-            trace.x_a,
-            trace.x_b,
-            trace.rss_ma,
-            trace.rss_mb,
-            cfg.beta,
-            cfg.attack.d,
-            power_offset_db=_injection_offset_db(cfg),
-            repeat_injection=cfg.attack.repeat_injection,
-        )
-        trace = dataclasses.replace(trace, x_a=x_a, x_b=x_b, injected=injected)
+    if not np.any(trace.injected):
+        trace = _attack(trace, cfg)
     protocol = run_protocol(trace, cfg.beta, cfg.excursion_len)
     report, _ = build_report(cfg, trace, protocol, rng=np.random.default_rng(cfg.seed))
     return report, trace, protocol
@@ -296,11 +297,8 @@ def analyze_config(
     """
     scenario = cfg.build_scenario()
     if q_minus is None or q_plus is None:
-        cal_trace = _simulate_from_config(
-            cfg,
-            np.random.default_rng(cfg.seed),
-            n_rounds=min(cfg.rounds, _CALIBRATION_ROUNDS),
-            attack_enabled=False,
+        cal_trace = _simulate(
+            cfg, np.random.default_rng(cfg.seed), min(cfg.rounds, _CALIBRATION_ROUNDS)
         )
         q_minus, q_plus = thresholds(cal_trace.x_a, cfg.beta)
     check_thresholds(q_minus, q_plus)

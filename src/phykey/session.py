@@ -5,8 +5,11 @@ the same path coefficients. Alice redraws her antenna mode uniformly at
 random every round; under OAKG the profile is the single omni mode, so
 the draw always lands on it. Within one round both probe directions see
 the identical channel, so with zero measurement noise x_a(i) == x_b(i)
-exactly on clean rounds. Mallory's per-round observations of Alice's
-and Bob's probes ride on the same frozen fading.
+exactly. Mallory's per-round observations of Alice's and Bob's probes
+ride on the same frozen fading. The session is the channel only:
+Mallory's injection is applied to its trace afterwards
+(`pipeline._attack`), the same way for a simulated and a recorded
+trace.
 
 The channel is computed on a (block, round-in-block) grid: the per-round
 mode draws are padded to whole blocks and reshaped to (n_blocks,
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import adversary
 from .antenna import OA_KIND, AntennaProfile, calibrate_tx_power, omni_profile
 from .errors import ContractError
 from .fading import FadingParams, sample_fading_blocks
@@ -180,21 +182,15 @@ def simulate_session(
     *,
     n_rounds: int,
     coherence_block_rounds: int,
-    beta: float,
     noise_sigma_db: float,
     rng: np.random.Generator,
-    attack_enabled: bool = True,
-    attack_d: float = 3.0,
-    power_offset_db: float = 0.0,
-    repeat_injection: bool = False,
 ) -> MeasurementTrace:
-    """Simulate N probing rounds and (optionally) the MitM injections.
+    """Simulate N clean probing rounds; no round is injected.
 
     The antenna profile drives both the A-B and the M-A channels
     through Alice's per-round mode; Bob and Mallory are omnidirectional
     so the M-B channel only changes across coherence blocks. Every
-    probe goes out at the scenario's calibrated power; Mallory injects
-    power_offset_db above it (`adversary.apply_attack`).
+    probe goes out at the scenario's calibrated power.
 
     Round i sits at (i // block_len, i % block_len) of the mode grid,
     where block_len is the coherence length capped at n_rounds; the
@@ -232,19 +228,5 @@ def simulate_session(
         x_a = clean_ab.copy()
         x_b = clean_ab.copy()
 
-    if attack_enabled:
-        x_a, x_b, injected = adversary.apply_attack(
-            x_a,
-            x_b,
-            rss_ma,
-            rss_mb,
-            beta,
-            attack_d,
-            power_offset_db=power_offset_db,
-            repeat_injection=repeat_injection,
-        )
-    else:
-        injected = np.zeros(n_rounds, dtype=bool)
-
     modes = np.asarray(scenario.profile.modes, dtype=np.int64)[mode_idx]
-    return MeasurementTrace(modes, x_a, x_b, rss_ma, rss_mb, injected)
+    return MeasurementTrace(modes, x_a, x_b, rss_ma, rss_mb, np.zeros(n_rounds, dtype=bool))

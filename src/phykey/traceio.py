@@ -463,8 +463,10 @@ def write_bitstream(path, stream: Bitstream, same_rounds_as=None) -> None:
 def read_bitstream(path) -> Bitstream:
     """Read a packed bitstream; the sidecar fixes length and source rounds.
 
-    Without a sidecar the whole padded byte payload is taken as bits and
-    source rounds default to 0..n-1. Sidecar errors name the file line.
+    With a sidecar listing n rounds, the payload must be exactly the
+    ceil(n / 8) bytes `write_bitstream` writes. Without one the whole
+    padded byte payload is taken as bits and source rounds default to
+    0..n-1. Sidecar errors name the file line.
     """
     path = Path(path)
     blob = path.read_bytes()
@@ -472,9 +474,11 @@ def read_bitstream(path) -> Bitstream:
     if sidecar.exists():
         with open(sidecar, "r", encoding="utf-8", errors="replace") as fh:
             rounds = _read_rows(sidecar, fh, 1, _int64, np.int64, "line", first_line=1)[:, 0]
-        if 8 * len(blob) < rounds.size:
+        need = -(-rounds.size // 8)
+        if len(blob) != need:
             raise TraceFormatError(
-                f"{path}: holds {8 * len(blob)} bits, but {sidecar.name} lists {rounds.size}"
+                f"{path}: holds {8 * len(blob)} bits, but {sidecar.name} lists {rounds.size}, "
+                f"which pack into {need} byte(s)"
             )
         return Bitstream(bits=unpack_bits(blob, rounds.size), source_rounds=rounds)
     bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8))
@@ -482,15 +486,12 @@ def read_bitstream(path) -> Bitstream:
 
 
 def write_commitments(path, commitments: list[Commitment], params: RsParams) -> None:
-    blob_len = (params.block_bits + 7) // 8
     with open(path, "wb") as fh:
         fh.write(_COMMIT_MAGIC)
         fh.write(_COMMIT_HEADER.pack(params.m, params.n, params.k, len(commitments)))
         for cm in commitments:
             fh.write(cm.verifier_digest)
-            packed = pack_bits(cm.delta)
-            assert len(packed) == blob_len
-            fh.write(packed)
+            fh.write(pack_bits(cm.delta))
 
 
 def read_commitments(path) -> tuple[list[Commitment], RsParams]:
@@ -517,4 +518,7 @@ def read_commitments(path) -> tuple[list[Commitment], RsParams]:
             commitments.append(
                 Commitment(delta=delta, verifier_digest=digest, params=params)
             )
+        trailing = len(fh.read())
+        if trailing:
+            raise TraceFormatError(f"{path}: {trailing} trailing byte(s) after the last block")
     return commitments, params

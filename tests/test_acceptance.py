@@ -31,16 +31,14 @@ def _report(num: int, desc: str, ok: bool) -> bool:
 
 
 def _simulate(cfg):
-    return simulate_session(
+    trace = simulate_session(
         cfg.build_scenario(),
         n_rounds=cfg.rounds,
         coherence_block_rounds=cfg.coherence_block_rounds,
-        beta=cfg.beta,
         noise_sigma_db=cfg.noise_sigma_db,
         rng=np.random.default_rng(cfg.seed),
-        attack_enabled=cfg.attack.enabled,
-        attack_d=cfg.attack.d,
     )
+    return pipeline._attack(trace, cfg)
 
 
 # ---------------------------------------------------------------- criterion 1

@@ -101,10 +101,8 @@ def _session(overrides=None, profile=None, noise_sigma_db=0.0, rounds=400, seed=
         scenario,
         n_rounds=cfg.rounds,
         coherence_block_rounds=cfg.coherence_block_rounds,
-        beta=cfg.beta,
         noise_sigma_db=noise_sigma_db,
         rng=np.random.default_rng(seed),
-        attack_enabled=False,
     )
     return trace, scenario
 

@@ -132,13 +132,24 @@ def test_erased_rounds_survive_export_ingest_replay(tmp_path):
 
 
 def test_clean_export_then_offline_attack_matches_direct():
-    cfg = small_cfg()
-    clean_cfg = small_cfg(attack={"enabled": False})
-    direct, _, _ = pipeline.run_experiment(cfg)
-    _, clean_trace, _ = pipeline.run_experiment(clean_cfg)
-    offline, _, _ = pipeline.replay_trace(clean_trace, cfg)
-    for fieldname in ("ell", "n", "n0", "m", "attacked_total", "krr"):
-        assert getattr(offline, fieldname) == getattr(direct, fieldname)
+    # offline injection on a clean session gives the simulator's whole report,
+    # over seeds, both schemes, one- and two-round injection and an off-power Mallory
+    for scheme in ("RAKG", "OAKG"):
+        clean_cfg = small_cfg(scheme=scheme, rounds=4000, attack={"enabled": False})
+        attacks = [
+            small_cfg(scheme=scheme, rounds=4000,
+                      attack={"repeat_injection": repeat, "injection_power_dbm": power})
+            for repeat in (False, True) for power in (None, 10.0)
+        ]
+        for seed in range(8):
+            clean_trace = pipeline.run_experiment(clean_cfg.model_copy(update={"seed": seed}))[1]
+            assert not clean_trace.injected.any()
+            for cfg in attacks:
+                cfg = cfg.model_copy(update={"seed": seed})
+                direct = pipeline.run_experiment(cfg)[0]
+                assert direct.attacked_total > 0
+                offline = pipeline.replay_trace(clean_trace, cfg)[0]
+                assert offline.to_dict() == direct.to_dict(), (cfg.attack, seed)
 
 
 def test_oakg_static_zero_noise_reports_full_kre():

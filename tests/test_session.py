@@ -1,5 +1,4 @@
 import functools
-import re
 import tracemalloc
 import warnings
 
@@ -8,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phykey import adversary
 from phykey.antenna import AntennaProfile, synthesize_rotated_beam
 from phykey.config import config_from_mapping
 from phykey.errors import ContractError
 from phykey.fading import sample_fading_blocks
-from phykey.pipeline import run_protocol
+from phykey.pipeline import _attack, run_protocol
 from phykey.session import build_scenario, simulate_session
 
 
@@ -21,16 +19,14 @@ def _run(cfg, profile=None):
     scenario = cfg.build_scenario() if profile is None else build_scenario(
         cfg.build_topology(), profile, cfg.fading, cfg.scheme, cfg.detection_threshold_dbm
     )
-    return simulate_session(
+    trace = simulate_session(
         scenario,
         n_rounds=cfg.rounds,
         coherence_block_rounds=cfg.coherence_block_rounds,
-        beta=cfg.beta,
         noise_sigma_db=cfg.noise_sigma_db,
         rng=np.random.default_rng(cfg.seed),
-        attack_enabled=cfg.attack.enabled,
-        attack_d=cfg.attack.d,
     )
+    return _attack(trace, cfg)
 
 
 def test_oakg_static_channel_is_constant_series():
@@ -212,8 +208,7 @@ def test_rakg_wide_band_filters_small_noise():
     assert len(proto.l_b) < len(proto.l_a)
 
 
-def _oracle_session(scenario, n_rounds, coherence, beta, noise_sigma_db, rng,
-                    attack_enabled, attack_d):
+def _oracle_session(scenario, n_rounds, coherence, noise_sigma_db, rng):
     """simulate_session drawn in the same order, with each link's channel as a
     per-round gather of gains and block coefficients summed over the paths."""
     links, p_x = scenario.links, scenario.p_x_dbm
@@ -234,13 +229,9 @@ def _oracle_session(scenario, n_rounds, coherence, beta, noise_sigma_db, rng,
         x_b = clean_ab + noise_sigma_db * rng.standard_normal(n_rounds)
         rss_ma = rss_ma + noise_sigma_db * rng.standard_normal(n_rounds)
         rss_mb = rss_mb + noise_sigma_db * rng.standard_normal(n_rounds)
-    injected = np.zeros(n_rounds, dtype=bool)
-    if attack_enabled:
-        x_a, x_b, injected = adversary.apply_attack(
-            x_a, x_b, rss_ma, rss_mb, beta, attack_d, power_offset_db=0.0)
     mode = np.asarray(scenario.profile.modes, dtype=np.int64)[mode_idx]
     return {"mode": mode, "x_a": x_a, "x_b": x_b, "rss_ma": rss_ma, "rss_mb": rss_mb,
-            "injected": injected}
+            "injected": np.zeros(n_rounds, dtype=bool)}
 
 
 @functools.cache
@@ -263,26 +254,16 @@ def _oracle_scenario(kind):
     n_rounds=st.integers(1, 400),
     coherence=st.one_of(st.integers(1, 40), st.integers(401, 5000)),
     noise_sigma_db=st.sampled_from([0.0, 1.5]),
-    attack_enabled=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=120, deadline=None)
 def test_block_channel_matches_per_round_oracle(kind, n_rounds, coherence, noise_sigma_db,
-                                                attack_enabled, seed):
+                                                seed):
     scenario = _oracle_scenario(kind)
-    args = dict(n_rounds=n_rounds, beta=0.4, noise_sigma_db=noise_sigma_db,
-                attack_enabled=attack_enabled, attack_d=3.0)
-    try:
-        want = _oracle_session(scenario, coherence=coherence,
-                               rng=np.random.default_rng(seed), **args)
-    except ContractError as err:
-        # the attack's thresholds need two finite samples; both paths refuse alike
-        with pytest.raises(ContractError, match=re.escape(str(err))):
-            simulate_session(scenario, coherence_block_rounds=coherence,
-                             rng=np.random.default_rng(seed), **args)
-        return
-    trace = simulate_session(scenario, coherence_block_rounds=coherence,
-                             rng=np.random.default_rng(seed), **args)
+    want = _oracle_session(scenario, n_rounds, coherence, noise_sigma_db,
+                           np.random.default_rng(seed))
+    trace = simulate_session(scenario, n_rounds=n_rounds, coherence_block_rounds=coherence,
+                             noise_sigma_db=noise_sigma_db, rng=np.random.default_rng(seed))
     for name, expected in want.items():
         got = getattr(trace, name)
         assert got.dtype == expected.dtype, name
@@ -294,12 +275,14 @@ def test_session_traced_peak_per_round(attack):
     # one 100k-round session; the bound sits between the per-round-gather
     # kernel (about 128-139 B/round) and the block kernel (about 80-91)
     n_rounds = 100_000
-    scenario = config_from_mapping({"seed": 5}).build_scenario()
+    cfg = config_from_mapping({"seed": 5, "attack": {"enabled": attack}})
+    scenario = cfg.build_scenario()
 
     def run():
-        return simulate_session(scenario, n_rounds=n_rounds, coherence_block_rounds=10,
-                                beta=0.4, noise_sigma_db=0.0 if attack else 2.0,
-                                rng=np.random.default_rng(5), attack_enabled=attack)
+        trace = simulate_session(scenario, n_rounds=n_rounds, coherence_block_rounds=10,
+                                 noise_sigma_db=0.0 if attack else 2.0,
+                                 rng=np.random.default_rng(5))
+        return _attack(trace, cfg)
 
     run()  # warm-up: first-call allocations are not the session's
     tracemalloc.start()

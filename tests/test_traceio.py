@@ -439,6 +439,30 @@ def test_malformed_sidecar_is_a_located_format_error(tmp_path, capsys):
     bits_path.write_bytes(b"\xff")
     with pytest.raises(TraceFormatError, match=r"bad\.bits: holds 8 bits, but bad\.bits\.rounds lists 20"):
         read_bitstream(bits_path)
+    # a payload longer than the ceil(n / 8) bytes write_bitstream writes is refused too
+    sidecar.write_text("\n".join(map(str, range(10))) + "\n")
+    bits_path.write_bytes(bytes(75))
+    with pytest.raises(TraceFormatError,
+                       match=r"bad\.bits: holds 600 bits, but bad\.bits\.rounds lists 10, which pack into 2 byte"):
+        read_bitstream(bits_path)
+    assert main(["randomness", str(bits_path)]) == 2
+    assert "bad.bits.rounds lists 10" in capsys.readouterr().err
+
+
+def test_commitment_trailing_bytes_rejected(tmp_path, capsys, rng):
+    params = RsParams(m=4, n=15, k=11)
+    commitments, _ = commit_stream(rng.integers(0, 2, size=600).astype(np.uint8), params, rng)
+    assert len(commitments) == 10
+    path = tmp_path / "commitments.bin"
+    write_commitments(path, commitments, params)
+    with open(path, "ab") as fh:
+        fh.write(b"garbage")
+    with pytest.raises(TraceFormatError, match=r"commitments\.bin: 7 trailing byte\(s\) after the last block"):
+        read_commitments(path)
+    bits_path = tmp_path / "s.bits"
+    write_bitstream(bits_path, Bitstream(bits=np.ones(600, np.uint8), source_rounds=np.arange(600)))
+    assert main(["open", str(bits_path), "--commitments", str(path)]) == 2
+    assert "7 trailing byte(s)" in capsys.readouterr().err
 
 
 def test_truncated_commitment_header_rejected(tmp_path):
