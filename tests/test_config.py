@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from phykey.config import config_from_mapping, parse_config
@@ -20,6 +22,92 @@ def test_minimal_config_gets_documented_defaults(tmp_path):
     assert cfg.attack.enabled is True
     assert cfg.noise_sigma_db == 0.0
     assert cfg.reconciliation.n == 255 and cfg.reconciliation.k == 223
+
+
+# every field of `seed: 1`, by dotted path
+DEFAULTS = {
+    "seed": 1, "scheme": "RAKG", "rounds": 100_000, "coherence_block_rounds": 10,
+    "beta": 0.4, "excursion_len": 1, "noise_sigma_db": 0.0,
+    "detection_threshold_dbm": -75.0, "wavelength_m": 0.125,
+    "topology.alice": (5.0, 0.0), "topology.bob": (15.0, 0.0),
+    "topology.mallory": (10.0, 5.0 * math.sqrt(3.0)),
+    "topology.scatterers": ((8.2, 3.7), (13.5, 6.1)),
+    "antenna.profile_csv": None, "antenna.synthesis.mode_count": 360,
+    "antenna.synthesis.front_to_back_db": 20.0, "antenna.synthesis.beam_exponent": 1.0,
+    "fading.reference_amplitude": 1e-4, "fading.reference_distance_m": 10.0,
+    "fading.k_factor": 300.0,
+    **{f"fading.{link}.{name}": None for link in ("ab", "ma", "mb")
+       for name in ("los_amplitude", "k_factor")},
+    "attack.enabled": True, "attack.d": 3.0, "attack.injection_power_dbm": None,
+    "attack.repeat_injection": False,
+    "reconciliation.symbol_bits": 8, "reconciliation.n": 255, "reconciliation.k": 223,
+}
+
+# (YAML after `seed: 1`, {dotted path: loaded value})
+LOADED = [
+    ("", DEFAULTS),
+    ("attack: {d: 3}", {"attack.d": 3.0}),
+    ("rounds: 5000.0", {"rounds": 5000}),
+    # YAML 1.1 reads an exponent without a dot, and JSON's 1e-05, as strings
+    ("fading: {k_factor: 1e14, reference_amplitude: 1e-05}",
+     {"fading.k_factor": 1e14, "fading.reference_amplitude": 1e-5}),
+    ("antenna: {synthesis: {front_to_back_db: 1e400}}",
+     {"antenna.synthesis.front_to_back_db": math.inf}),
+    ("topology: {alice: [1, 2], scatterers: [[0, 5]]}",
+     {"topology.alice": (1.0, 2.0), "topology.scatterers": ((0.0, 5.0),)}),
+    ("antenna: {profile_csv: null}\nfading: {ab: {k_factor: null}}\n"
+     "attack: {injection_power_dbm: null}",
+     {"antenna.profile_csv": None, "fading.ab.k_factor": None,
+      "attack.injection_power_dbm": None}),
+    ("fading: {ab: {k_factor: 50}}\nantenna: {synthesis: {mode_count: 12}}",
+     {"fading.ab.k_factor": 50.0, "fading.ab.los_amplitude": None, "fading.k_factor": 300.0,
+      "fading.ma.k_factor": None, "antenna.synthesis.mode_count": 12,
+      "antenna.synthesis.front_to_back_db": 20.0}),
+]
+
+# (whole YAML, the dotted paths its message names, in order)
+REJECTED = [
+    ("seed: 1\nfrobnicate: 1", ["frobnicate"]),
+    ("seed: 1\nattack: {dd: 1}", ["attack.dd"]),
+    ("seed: 1\nfading: {ab: {x: 1}}", ["fading.ab.x"]),
+    ("seed: 1\ntopology: {alice: [1, 2, 3]}", ["topology.alice"]),
+    ("seed: 1\nrounds: 1.5", ["rounds"]),
+    ('seed: 1\nrounds: "1e5"', ["rounds"]),
+    ("seed: 1\nbeta: .nan", ["beta"]),
+    ("seed: 1\nnoise_sigma_db: .nan", ["noise_sigma_db"]),
+    ("seed: 1\nantenna: {profile_csv: 5}", ["antenna.profile_csv"]),
+    ("seed: 1\nattack: 5", ["attack"]),
+    ("seed: 1\nscheme: XAKG", ["scheme"]),
+    ("rounds: 10", ["seed"]),
+    # field order, then unknown keys, at every level
+    ("seed: 1\nbeta: 2\nrounds: 0\nfoo: 1\nattack: {zz: 1, d: 0}",
+     ["rounds", "beta", "attack.d", "attack.zz", "foo"]),
+]
+
+
+def _plain(value):
+    """Sequences as tuples, so a list and a tuple of the same floats compare equal."""
+    return tuple(map(_plain, value)) if isinstance(value, (list, tuple)) else value
+
+
+def test_load_table(tmp_path):
+    # repr tells 3 from 3.0 and True from 1, so each value is checked with its type
+    wrong = []
+    for text, want in LOADED:
+        cfg = parse_config(write(tmp_path, f"seed: 1\n{text}\n"))
+        for path, value in want.items():
+            got = cfg
+            for name in path.split("."):
+                got = getattr(got, name)
+            if repr(_plain(got)) != repr(value):
+                wrong.append((text, path, got, value))
+    for text, paths in REJECTED:
+        with pytest.raises(ConfigError) as exc:
+            parse_config(write(tmp_path, text + "\n"))
+        named = [part.split(": ", 1)[0] for part in str(exc.value).split("; ")]
+        if named != paths:
+            wrong.append((text, named, paths))
+    assert wrong == []
 
 
 def test_default_topology_is_equilateral(tmp_path):
