@@ -293,7 +293,10 @@ def analyze_config(
     Thresholds default to a clean calibration session at the config's
     seed and at most _CALIBRATION_ROUNDS rounds (Eq.-style mean/std of
     Alice's series); counts are (ell, n, n0) from a measured or simulated
-    run. The result computes its guess-count PMF only when `.pmf` is read.
+    run. The closed form takes Mallory's injection power, the calibrated
+    `p_x_dbm` plus `_injection_offset_db(cfg)`, as the simulator injects;
+    `counts["p_x_dbm"]` is the calibrated power. The result computes its
+    guess-count PMF only when `.pmf` is read.
     """
     scenario = cfg.build_scenario()
     if q_minus is None or q_plus is None:
@@ -305,7 +308,7 @@ def analyze_config(
     fading, p_x = scenario.links.fading_am, scenario.p_x_dbm
     p0, p1, excluded_modes = closed_form_p0_p1(
         scenario.profile, scenario.g_am, abs(fading.los_mean), fading.sigma0,
-        q_minus, q_plus, p_x,
+        q_minus, q_plus, p_x + _injection_offset_db(cfg),
     )
     e_kre = e_krr = None
     key_guess = None

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -59,6 +60,9 @@ LOADED = [
      "attack: {injection_power_dbm: null}",
      {"antenna.profile_csv": None, "fading.ab.k_factor": None,
       "attack.injection_power_dbm": None}),
+    # YAML 1.1's boolean words
+    ("attack: {enabled: no, repeat_injection: on}",
+     {"attack.enabled": False, "attack.repeat_injection": True}),
     ("fading: {ab: {k_factor: 50}}\nantenna: {synthesis: {mode_count: 12}}",
      {"fading.ab.k_factor": 50.0, "fading.ab.los_amplitude": None, "fading.k_factor": 300.0,
       "fading.ma.k_factor": None, "antenna.synthesis.mode_count": 12,
@@ -110,6 +114,28 @@ def test_load_table(tmp_path):
     assert wrong == []
 
 
+@pytest.mark.parametrize("text, path", [
+    ("seed: true", "seed"),
+    ("seed: 1\nrounds: true", "rounds"),
+    ("seed: 1\nattack: {d: true}", "attack.d"),
+    ("seed: 1\nattack: {enabled: 1}", "attack.enabled"),
+    ('seed: 1\nattack: {enabled: "yes"}', "attack.enabled"),
+    ("seed: 1\nattack: {repeat_injection: 0}", "attack.repeat_injection"),
+])
+def test_booleans_are_not_numbers(tmp_path, text, path):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: expected"):
+        parse_config(write(tmp_path, text + "\n"))
+
+
+@pytest.mark.parametrize("text, path", [
+    ('rounds: "5000"', "rounds"),
+    ('fading: {k_factor: "inf"}', "fading.k_factor"),
+])
+def test_strings_are_numbers_only_in_float_fields(tmp_path, text, path):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: expected"):
+        parse_config(write(tmp_path, f"seed: 1\n{text}\n"))
+
+
 def test_default_topology_is_equilateral(tmp_path):
     cfg = parse_config(write(tmp_path, "seed: 1\n"))
     top = cfg.build_topology()
@@ -141,6 +167,8 @@ def test_unknown_key_rejected_with_field_path():
         config_from_mapping({"seed": 1, "frobnicate": True})
     with pytest.raises(ConfigError, match="attack"):
         config_from_mapping({"seed": 1, "attack": {"dd": 2}})
+    with pytest.raises(ConfigError, match="^1: unknown key$"):
+        config_from_mapping({"seed": 1, 1: 2})
 
 
 def test_nested_validation_reports_path():
@@ -215,6 +243,16 @@ def test_scenario_shared_by_copies_made_after_the_build():
     copy = cfg.model_copy(update={"seed": 2, "rounds": 500, "attack": {"enabled": False}})
     assert copy.build_scenario() is scenario
     assert cfg.build_scenario() is scenario
+
+
+def test_model_copy_loads_the_update():
+    cfg = config_from_mapping({"seed": 1, "attack": {"d": 2.0}})
+    copy = cfg.model_copy(update={"rounds": 500.0, "attack": {"enabled": False}})
+    assert (copy.seed, copy.rounds, copy.attack.enabled, copy.attack.d) == (1, 500, False, 3.0)
+    assert cfg.attack.d == 2.0
+    for update, path in (({"seed": -1}, "seed"), ({"seed": True}, "seed"), ({"bogus": 1}, "bogus")):
+        with pytest.raises(ConfigError, match=f"^{path}: "):
+            cfg.model_copy(update=update)
 
 
 def test_scenario_rebuilt_by_copies_made_before_the_build():

@@ -1,7 +1,8 @@
 """Start-up cost: importing phykey, running a session, analyzing it, and the
 `simulate`, `analyze --report`, `replay` and `randomness` commands load no
-`scipy` module at all; only reading the guess-count PMF loads `scipy.stats`
-and `scipy.signal`."""
+module of `scipy` or of the pydantic family (`pydantic`, `pydantic_core`,
+`annotated_types`, `typing_inspection`); only reading the guess-count PMF
+loads `scipy.stats` and `scipy.signal`."""
 import os
 import subprocess
 import sys
@@ -26,21 +27,24 @@ def loaded():
     return [m for m in ("scipy.stats", "scipy.signal") if m in sys.modules]
 
 
-def any_scipy():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+FORBIDDEN = ["scipy", "pydantic", "pydantic_core", "annotated_types", "typing_inspection"]
 
 
-assert any_scipy() == [], ("on import", any_scipy())
+def forbidden(packages=FORBIDDEN):
+    return sorted(m for m in sys.modules if m.split(".")[0] in packages)
+
+
+assert forbidden() == [], ("on import", forbidden())
 cfg = config_from_mapping({"seed": 3, "rounds": 5000, "attack": {"enabled": True, "d": 3.0}})
 report, _, _ = phykey.pipeline.run_experiment(cfg)
 assert report.n > 0, "the attack ran"
 phykey.pipeline.analyze_config(cfg)
-assert any_scipy() == [], ("after a session and the closed form", any_scipy())
+assert forbidden() == [], ("after a session and the closed form", forbidden())
 q_minus, q_plus = report.thresholds_alice
 counts = (report.ell, report.n, report.n0)
 assert report.n <= 20_000
 result = phykey.pipeline.analyze_config(cfg, q_minus=q_minus, q_plus=q_plus, counts=counts)
-assert any_scipy() == [], ("after analyze_config with counts", any_scipy())
+assert forbidden() == [], ("after analyze_config with counts", forbidden())
 with tempfile.TemporaryDirectory() as tmp:
     cfg_path = Path(tmp, "c.yaml")
     cfg_path.write_text(json.dumps({"seed": 3, "rounds": 5000, "attack": {"enabled": True}}))
@@ -54,13 +58,14 @@ with tempfile.TemporaryDirectory() as tmp:
         assert phykey.cli.main(["replay", str(Path(tmp, "trace.csv")), "--config", str(cfg_path),
                                 "--out-dir", str(Path(tmp, "replay"))]) == 0
         assert phykey.cli.main(["randomness", str(Path(tmp, "alice.bits"))]) == 0
-assert any_scipy() == [], ("after the simulate, analyze, replay and randomness CLI", any_scipy())
+assert forbidden() == [], ("after the simulate, analyze, replay and randomness CLI", forbidden())
 assert result.pmf is not None
 assert loaded() == ["scipy.stats"], ("after reading .pmf", loaded())
 guess_count_pmf(4096, 1000, 0.5, 0.3)
 assert loaded() == ["scipy.stats"], ("after a direct PMF", loaded())
 guess_count_pmf(4097, 1000, 0.5, 0.3)
 assert loaded() == ["scipy.stats", "scipy.signal"], ("after an FFT PMF", loaded())
+assert forbidden(FORBIDDEN[1:]) == [], ("after the PMF", forbidden(FORBIDDEN[1:]))
 """
 
 

@@ -225,8 +225,12 @@ def test_trials_cli_aggregate_report(tmp_path):
     assert [r["seed"] for r in aggregated] == [r.seed for r in direct]
 
 
-def test_analyze_config_with_counts_and_report_consistency():
-    cfg = small_cfg(rounds=50_000, coherence_block_rounds=1)
+@pytest.mark.parametrize("offset_db", [0.0, -5.0, 5.0, 10.0])
+def test_analyze_config_with_counts_and_report_consistency(offset_db):
+    # Mallory injects offset_db from the calibrated power; the closed form must follow
+    p_x = small_cfg().build_scenario().p_x_dbm
+    cfg = small_cfg(rounds=50_000, coherence_block_rounds=1,
+                    attack={"injection_power_dbm": p_x + offset_db})
     report, trace, proto = pipeline.run_experiment(cfg)
     at = proto.attack
     res = pipeline.analyze_config(
@@ -234,6 +238,7 @@ def test_analyze_config_with_counts_and_report_consistency():
         counts=(report.ell, report.n, report.n0),
     )
     assert 0.0 < res.p1 < 1.0
+    assert res.counts["p_x_dbm"] == p_x
     assert res.e_kre is not None and 0.0 <= res.e_kre <= 1.0
     assert res.key_guess is not None
     # empirical O1 per-attack tail success vs closed form, same thresholds
