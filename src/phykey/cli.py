@@ -42,7 +42,7 @@ _VALIDATION_ERRORS = (
 )
 
 
-_SEED = click.IntRange(min=0)  # the config's `seed` rule, which --seed would bypass
+_SEED = click.IntRange(min=0)  # the config's `seed` rule, as a usage error (exit 1)
 
 
 class RuntimeFailure(PhykeyError):
