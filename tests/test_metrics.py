@@ -8,6 +8,7 @@ import scipy.special
 from phykey.errors import ContractError
 from phykey.metrics import (
     _igamc,
+    _phi,
     approximate_entropy,
     attack_metrics,
     bit_mismatch_rate,
@@ -68,6 +69,34 @@ def test_apen_invariant_under_relabeling():
     assert approximate_entropy(bits, 2) == pytest.approx(
         approximate_entropy(1 - bits, 2), abs=1e-12
     )
+
+
+def _phi_int64(bits: np.ndarray, m: int) -> float:
+    """The int64-index, np.bincount Phi(m) that `_phi` replaced: its oracle."""
+    n = bits.size
+    bits = bits.astype(np.int64)
+    ext = np.concatenate([bits, bits[: m - 1]]) if m > 1 else bits
+    idx = np.zeros(n, dtype=np.int64)
+    for j in range(m):
+        idx = (idx << 1) | ext[j : j + n]
+    counts = np.bincount(idx, minlength=1 << m)
+    pi = counts[counts > 0] / n
+    return float(np.sum(pi * np.log(pi)))
+
+
+@pytest.mark.parametrize("n", [8, 9, 100, 1001, 364_000])
+def test_phi_matches_int64_oracle_over_seeds(n):
+    # bit for bit, on fair and biased bits; m = 8 and 9 meet at the uint8 limit
+    wrong = []
+    for seed in range(6 if n == 364_000 else 40):
+        rng = np.random.default_rng([n, seed])
+        bits = (rng.random(n) < (0.5, 0.1, 0.9)[seed % 3]).astype(np.uint8)
+        for m in (1, 2, 3, 8, 9) if n >= 1001 else (1, 2, 3):
+            if _phi(bits, m) != _phi_int64(bits, m):
+                wrong.append((seed, m))
+        if n >= 16 and approximate_entropy(bits, 2) != _phi_int64(bits, 2) - _phi_int64(bits, 3):
+            wrong.append((seed, "apen"))
+    assert wrong == []
 
 
 def test_apen_needs_enough_bits():

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -338,6 +339,35 @@ def test_export_crosses_ten_thousand_rows(tmp_path, monkeypatch):
         rng.random(n) < 0.3,
     )
     check_export_and_ingest(trace, tmp_path)
+
+
+def _traced_peak_mib(write) -> float:
+    """Peak traced memory of write() above what was allocated before it."""
+    write()  # warm-up: the digit tables are built once, not per call
+    tracemalloc.start()
+    try:
+        write()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
+@pytest.mark.parametrize("n", [100_000, 400_000])
+def test_writers_working_set_is_flat(n, tmp_path):
+    # the writers' temporaries take about 190 B (export) and 46 B (sidecar)
+    # per row of a chunk: about 1.5 and 0.4 MiB at 8,192 rows per chunk,
+    # 11.7 and 2.9 MiB at 65,536; the bounds do not grow with n
+    rng = np.random.default_rng(n)
+    trace = trace_from_columns(
+        rng.integers(0, 360, n), *(rng.normal(-60.0, 15.0, n) for _ in range(4)),
+        rng.random(n) < 0.3,
+    )
+    rounds = np.cumsum(rng.integers(1, 4, n))
+    stream = Bitstream(bits=rng.integers(0, 2, n).astype(np.uint8), source_rounds=rounds)
+    export = _traced_peak_mib(lambda: export_trace_csv(trace, tmp_path / "t.csv"))
+    sidecar = _traced_peak_mib(lambda: write_bitstream(tmp_path / "s.bits", stream))
+    assert export <= 4.0 and sidecar <= 1.0, (export, sidecar)
 
 
 def test_sidecar_matches_oracle_across_digit_groups(tmp_path, monkeypatch):
