@@ -37,11 +37,16 @@ def opportunity_masks(
     rss_ma: np.ndarray, rss_mb: np.ndarray, q_minus: float, q_plus: float, d: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(o0, o1) masks: both finite observations within d of each other
-    and both below q_minus (O0) or both above q_plus (O1)."""
+    and both below q_minus (O0) or both above q_plus (O1).
+
+    Finiteness needs no test of its own: a NaN on either side, or an
+    infinity on one side or both, makes |rss_ma - rss_mb| NaN or inf, and
+    `< d` is False for either, whatever d is (inf and NaN included).
+    """
     rss_ma = np.asarray(rss_ma, dtype=float)
     rss_mb = np.asarray(rss_mb, dtype=float)
     with np.errstate(invalid="ignore"):
-        close = np.isfinite(rss_ma) & np.isfinite(rss_mb) & (np.abs(rss_ma - rss_mb) < d)
+        close = np.abs(rss_ma - rss_mb) < d
     o0 = close & (rss_ma < q_minus) & (rss_mb < q_minus)
     o1 = close & (rss_ma > q_plus) & (rss_mb > q_plus)
     return o0, o1
@@ -76,7 +81,7 @@ def schedule_attacks(
             if (end[r - 1] - start[r - 1]) % step == 0:
                 start[r] += 1
     run_start = np.repeat(start, np.diff(np.append(first, idx.size)))
-    picks = idx[(idx - run_start) % step == 0]
+    picks = idx[np.flatnonzero((idx - run_start) % step == 0)]
     injected = np.zeros(n, dtype=bool)
     for k in range(1, step):
         injected[picks[picks + k < n] + k] = True
@@ -103,10 +108,11 @@ def apply_attack(
     """
     q_minus, q_plus = thresholds(x_a, beta)
     injected = schedule_attacks(rss_ma, rss_mb, q_minus, q_plus, d, repeat_injection)
+    rounds = np.flatnonzero(injected)
     out_a = np.array(x_a, dtype=float)
     out_b = np.array(x_b, dtype=float)
-    out_a[injected] = rss_ma[injected] + power_offset_db
-    out_b[injected] = rss_mb[injected] + power_offset_db
+    out_a[rounds] = rss_ma[rounds] + power_offset_db
+    out_b[rounds] = rss_mb[rounds] + power_offset_db
     return out_a, out_b, injected
 
 
@@ -168,11 +174,13 @@ class AttackTrace:
 
 
 def _key_positions(bits: Bitstream, rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(positions in the bitstream, found mask) of the given rounds."""
-    pos = np.searchsorted(bits.source_rounds, rounds)
-    found = pos < len(bits)
-    found[found] = bits.source_rounds[pos[found]] == rounds[found]
-    return pos, found
+    """(bitstream positions of the found rounds, found mask) of the given sorted rounds."""
+    size = 1 + max(bits.source_rounds.max(initial=-1), rounds.max(initial=-1))
+    keyed = np.zeros(size, dtype=bool)
+    keyed[bits.source_rounds] = True
+    marked = np.zeros(size, dtype=bool)
+    marked[rounds] = True
+    return np.flatnonzero(marked[bits.source_rounds]), keyed[rounds]
 
 
 def account_attacks(
@@ -204,17 +212,19 @@ def account_attacks(
         raise ContractError("injected mask and series length mismatch")
     if injected.size and injected[0]:
         raise ContractError("round 0 cannot be an attacked round")
-    q_minus, q_plus = thresholds(x_a[~injected], beta)
+    q_minus, q_plus = thresholds(x_a.take(np.flatnonzero(~injected)), beta)
     rounds = np.flatnonzero(injected)
-    last_clean = np.maximum.accumulate(np.where(injected, 0, np.arange(injected.size)))
-    obs = last_clean[rounds]
+    # each run of injected rounds is observed from the round before its start
+    first = np.flatnonzero(np.diff(rounds, prepend=-2) > 1)
+    obs = np.repeat(rounds[first] - 1, np.diff(first, append=rounds.size))
     ma = np.asarray(rss_ma, dtype=float)[obs]
     mb = np.asarray(rss_mb, dtype=float)[obs]
     with np.errstate(invalid="ignore"):
         kind = (0.5 * (ma + mb) >= 0.5 * (q_minus + q_plus)).astype(np.uint8)
     pos, survived = _key_positions(bits_a, rounds)
-    correct = survived.copy()
-    correct[survived] = bits_a.bits[pos[survived]] == kind[survived]
+    hit = np.flatnonzero(survived)
+    correct = np.zeros(rounds.size, dtype=bool)
+    correct[hit] = bits_a.bits[pos] == kind[hit]
     x_r = x_a[rounds]
     tail = np.where(kind == OpportunityKind.O1, x_r > q_plus, x_r < q_minus)
     return AttackTrace(
@@ -235,5 +245,5 @@ def assemble_guess(
     flips everywhere else."""
     guess = rng.integers(0, 2, size=len(bits_a), dtype=np.uint8)
     pos, found = _key_positions(bits_a, attack_trace.round_index)
-    guess[pos[found]] = attack_trace.kind[found]
+    guess[pos] = attack_trace.kind[found]
     return guess

@@ -47,18 +47,20 @@ def thresholds(x, beta: float) -> tuple[float, float]:
     least two finite samples are required for a meaningful spread.
     """
     x = np.asarray(x, dtype=float)
-    finite = x[np.isfinite(x)]
-    if finite.size < 2:
+    finite = np.isfinite(x)
+    if not finite.all():
+        x = x[finite]
+    if x.size < 2:
         raise ContractError(
-            f"need >= 2 finite samples for thresholds, got {finite.size}"
+            f"need >= 2 finite samples for thresholds, got {x.size}"
         )
-    lo, hi = float(finite.min()), float(finite.max())
+    lo, hi = float(x.min()), float(x.max())
     if lo == hi:
         # a constant series has mean exactly lo and zero spread; computing it
         # through np.mean would round and turn every sample into an excursion
         return (lo, lo)
-    mu = float(np.mean(finite))
-    sigma = float(np.std(finite))
+    mu = float(np.mean(x))
+    sigma = float(np.std(x))
     return (mu - beta * sigma, mu + beta * sigma)
 
 
@@ -108,9 +110,8 @@ def confirm_excursions(x_b, l_a, q_minus: float, q_plus: float, e: int = 1) -> n
     if l_a.size and (l_a.min() < 0 or l_a.max() >= x_b.size):
         raise ProtocolError("L_a index out of range for the peer series")
     if e == 1:
-        finite = np.isfinite(x_b[l_a])
-        keep = ((x_b[l_a] > q_plus) | (x_b[l_a] < q_minus)) & finite
-        return l_a[keep]
+        v = x_b[l_a]
+        return l_a[((v > q_plus) | (v < q_minus)) & np.isfinite(v)]
     above, below = _sides(x_b, q_minus, q_plus)
     full = _all_in_window(above, e) | _all_in_window(below, e)
     keep = l_a < full.size
