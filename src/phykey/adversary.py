@@ -174,7 +174,11 @@ class AttackTrace:
 
 
 def _key_positions(bits: Bitstream, rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(bitstream positions of the found rounds, found mask) of the given sorted rounds."""
+    """(bitstream positions of the found rounds, found mask) of the given sorted rounds.
+
+    Both sides are marked in boolean round masks, so the only temporaries
+    as long as the session take one byte per round.
+    """
     size = 1 + max(bits.source_rounds.max(initial=-1), rounds.max(initial=-1))
     keyed = np.zeros(size, dtype=bool)
     keyed[bits.source_rounds] = True

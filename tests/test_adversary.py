@@ -4,6 +4,7 @@ import pytest
 from phykey.adversary import (
     AttackTrace,
     OpportunityKind,
+    _key_positions,
     account_attacks,
     apply_attack,
     assemble_guess,
@@ -198,7 +199,7 @@ def test_assemble_guess_positional_audit(rng):
 def _oracle_opportunity(rss_ma, rss_mb, q_minus, q_plus, d):
     if not (np.isfinite(rss_ma) and np.isfinite(rss_mb)):
         return None
-    if abs(rss_ma - rss_mb) >= d:
+    if not abs(rss_ma - rss_mb) < d:  # "within d" is false for a NaN d
         return None
     if rss_ma > q_plus and rss_mb > q_plus:
         return OpportunityKind.O1
@@ -318,21 +319,122 @@ def test_columnar_adversary_matches_sequential_oracle(repeat_injection):
             bits=rng.integers(0, 2, size=keyed.size, dtype=np.uint8), source_rounds=keyed
         )
 
-        trace = account_attacks(x_a, obs_ma, obs_mb, injected, beta, bits_a)
-        oracle = _oracle_account(x_a, obs_ma, obs_mb, injected, d, beta, bits_a)
-        assert trace.to_records() == [
-            {k: v for k, v in rec.items() if k != "tail"} for rec in oracle
-        ]
-        for kind in OpportunityKind:
-            mine = [rec for rec in oracle if rec["kind"] == f"O{int(kind)}"]
-            assert trace.tail_stats(kind) == (sum(rec["tail"] for rec in mine), len(mine))
-        kept = [rec for rec in oracle if rec["survived_to_key"]]
-        assert (trace.n, trace.n0, trace.m) == (
-            len(kept),
-            sum(rec["kind"] == "O0" for rec in kept),
-            sum(bool(rec["correct"]) for rec in kept),
+        _assert_accounting_matches_oracle(x_a, obs_ma, obs_mb, injected, d, beta, bits_a, seed)
+
+
+def _assert_accounting_matches_oracle(x_a, rss_ma, rss_mb, injected, d, beta, bits_a, seed):
+    trace = account_attacks(x_a, rss_ma, rss_mb, injected, beta, bits_a)
+    oracle = _oracle_account(x_a, rss_ma, rss_mb, injected, d, beta, bits_a)
+    assert trace.to_records() == [
+        {k: v for k, v in rec.items() if k != "tail"} for rec in oracle
+    ]
+    for kind in OpportunityKind:
+        mine = [rec for rec in oracle if rec["kind"] == f"O{int(kind)}"]
+        assert trace.tail_stats(kind) == (sum(rec["tail"] for rec in mine), len(mine))
+    kept = [rec for rec in oracle if rec["survived_to_key"]]
+    assert (trace.n, trace.n0, trace.m) == (
+        len(kept),
+        sum(rec["kind"] == "O0" for rec in kept),
+        sum(bool(rec["correct"]) for rec in kept),
+    )
+    np.testing.assert_array_equal(
+        assemble_guess(trace, bits_a, np.random.default_rng(seed)),
+        _oracle_guess(oracle, bits_a, np.random.default_rng(seed)),
+    )
+    # _key_positions: bitstream positions of the keyed attacked rounds, and
+    # which attacked rounds are keyed
+    position = {r: i for i, r in enumerate(bits_a.source_rounds.tolist())}
+    rounds = np.flatnonzero(injected).tolist()
+    pos, found = _key_positions(bits_a, trace.round_index)
+    assert pos.tolist() == [position[r] for r in rounds if r in position]
+    assert found.tolist() == [r in position for r in rounds]
+
+
+# Injected flags the scheduler never produces but a replayed capture may
+# carry: (injected rounds, keyed rounds), "1" = flagged.
+ARBITRARY_FLAGS = [
+    ("0111011110011111000", "0101101111011101110"),  # runs of 3, 4 and 5
+    ("0100010001", "1111111111"),  # the last round is flagged
+    ("0000000000", "0110110111"),  # no injected round
+    ("0110011101", ""),  # an empty key stream
+    ("0110100000", "0000011111"),  # keyed rounds only after the last attack
+    ("0011111111", "0101010101"),  # every round after the first two flagged
+]
+
+
+def _flagged_session(rng, injected):
+    n = injected.size
+    x = rng.normal(-50.0, 6.0, size=n)
+    rss_ma = x + rng.normal(0.0, 2.0, size=n)
+    rss_mb = rss_ma + rng.normal(0.0, 1.5, size=n)
+    rss_ma[rng.random(n) < 0.05] = -np.inf
+    rss_mb[rng.random(n) < 0.03] = np.nan
+    return np.where(injected, rss_ma, x), rss_ma, rss_mb
+
+
+def test_accounting_matches_oracle_on_arbitrary_flags():
+    rng = np.random.default_rng(20)
+    for injected_pattern, keyed_pattern in ARBITRARY_FLAGS:
+        injected = np.array([c == "1" for c in injected_pattern])
+        keyed = np.array([c == "1" for c in keyed_pattern], dtype=bool)
+        x_a, rss_ma, rss_mb = _flagged_session(rng, injected)
+        bits_a = Bitstream(
+            bits=rng.integers(0, 2, size=keyed.sum(), dtype=np.uint8),
+            source_rounds=np.flatnonzero(keyed),
         )
+        _assert_accounting_matches_oracle(x_a, rss_ma, rss_mb, injected, 3.0, 0.4, bits_a, 0)
+    longest = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 400))
+        injected = rng.random(n) < float(rng.choice([0.1, 0.5, 0.85]))
+        injected[:2] = False  # round 0 is never attacked; thresholds need two clean rounds
+        runs = np.diff(np.flatnonzero(np.diff(np.concatenate(([0], injected, [0])))))[::2]
+        longest = max(longest, int(runs.max(initial=0)))
+        x_a, rss_ma, rss_mb = _flagged_session(rng, injected)
+        keyed = np.flatnonzero(rng.random(n) < float(rng.choice([0.0, 0.5, 1.0])))
+        bits_a = Bitstream(
+            bits=rng.integers(0, 2, size=keyed.size, dtype=np.uint8), source_rounds=keyed
+        )
+        _assert_accounting_matches_oracle(x_a, rss_ma, rss_mb, injected, 3.0, 0.4, bits_a, seed)
+    assert longest >= 5
+
+
+@pytest.mark.parametrize("repeat_injection", [False, True])
+@pytest.mark.parametrize("offset", [-7.5, 4.25])
+def test_apply_attack_matches_where_oracle(offset, repeat_injection):
+    erased_injections = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 500))
+        x_a = rng.normal(-50.0, 6.0, size=n)
+        x_b = x_a + rng.normal(0.0, 1.0, size=n)
+        rss_ma = x_a + rng.normal(0.0, 2.0, size=n)
+        rss_mb = rss_ma + rng.normal(0.0, 1.5, size=n)
+        rss_ma[rng.random(n) < 0.1] = -np.inf
+        rss_mb[rng.random(n) < 0.1] = -np.inf
+        beta, d = 0.4, 3.0
+        out_a, out_b, injected = apply_attack(
+            x_a, x_b, rss_ma, rss_mb, beta, d, offset, repeat_injection
+        )
+        q_minus, q_plus = thresholds(x_a, beta)
         np.testing.assert_array_equal(
-            assemble_guess(trace, bits_a, np.random.default_rng(seed)),
-            _oracle_guess(oracle, bits_a, np.random.default_rng(seed)),
+            injected, schedule_attacks(rss_ma, rss_mb, q_minus, q_plus, d, repeat_injection)
         )
+        assert out_a.tobytes() == np.where(injected, rss_ma + offset, x_a).tobytes()
+        assert out_b.tobytes() == np.where(injected, rss_mb + offset, x_b).tobytes()
+        erased_injections += int(np.count_nonzero(np.isneginf(out_a[injected])))
+    assert erased_injections > 0  # some injected rounds carry a -inf observation
+
+
+@pytest.mark.parametrize("d", [0.0, 3.0, np.inf, np.nan])
+def test_opportunity_masks_match_oracle_on_non_finite_pairs(d):
+    values = [-np.inf, np.inf, np.nan, -60.0, -59.0, -50.0, -41.0, -40.0]
+    rss_ma, rss_mb = (v.ravel() for v in np.meshgrid(values, values))
+    o0, o1 = opportunity_masks(rss_ma, rss_mb, q_minus=-58, q_plus=-42, d=d)
+    for a, b, got0, got1 in zip(rss_ma, rss_mb, o0, o1):
+        expected = _oracle_opportunity(a, b, -58, -42, d)
+        assert (got0, got1) == (
+            expected == OpportunityKind.O0,
+            expected == OpportunityKind.O1,
+        ), (a, b, d)

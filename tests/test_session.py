@@ -292,3 +292,26 @@ def test_session_traced_peak_per_round(attack):
     finally:
         tracemalloc.stop()
     assert peak / n_rounds <= 110.0
+
+
+@pytest.mark.parametrize("repeat_injection, bound", [(False, 33.0), (True, 39.0)])
+def test_run_protocol_traced_peak_per_round(repeat_injection, bound):
+    # quantization and attack accounting of an attacked 100k-round session:
+    # about 29 B/round one-shot and 35 with repeat_injection; one more
+    # whole-session int64 temporary (8 B/round) fails the bound
+    n_rounds = 100_000
+    cfg = config_from_mapping(
+        {"seed": 5, "attack": {"enabled": True, "repeat_injection": repeat_injection}}
+    )
+    trace = _attack(simulate_session(cfg.build_scenario(), n_rounds=n_rounds,
+                                     coherence_block_rounds=10, noise_sigma_db=0.0,
+                                     rng=np.random.default_rng(5)), cfg)
+    run_protocol(trace, cfg.beta, cfg.excursion_len)  # warm-up
+    tracemalloc.start()
+    try:
+        proto = run_protocol(trace, cfg.beta, cfg.excursion_len)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert proto.attack is not None and proto.attack.n > 0
+    assert peak / n_rounds <= bound
