@@ -40,30 +40,14 @@ _PMF_REPORT_LIMIT = 20_000  # to_dict lists the PMF only up to this many attacke
 _LOG_ZERO = -746.0  # exp is exactly +0.0 below this: it rounds anything under e^-745.13 to 0
 
 
-# k and log k! for k = 0, 1, ...; grown on demand by _series_tables, up to
-# _TABLE_CAP entries (1 MiB each), twice the 65.6k the K=3000 closed form uses
-_KS = _LOG_FACTORIALS = np.zeros(0)
-_TABLE_CAP = 1 << 17
-
-
 def _series_tables(hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """k and log k! for k = 0..hi, as views of tables that grow on demand.
+    """k and log k! for k = 0..hi.
 
-    Tables past _TABLE_CAP entries are built for the call and not kept.
     A running sum's prefix does not depend on how far it runs, so a
     slice of a longer table equals the table built for hi alone.
     """
-    global _KS, _LOG_FACTORIALS
-    if _KS.size <= hi:
-        size = max(hi + 1, min(2 * _KS.size, _TABLE_CAP))
-        ks = np.arange(size, dtype=float)
-        log_factorials = np.concatenate(([0.0], np.cumsum(np.log(ks[1:]))))
-        ks.setflags(write=False)  # callers get views: keep the shared tables intact
-        log_factorials.setflags(write=False)
-        if size > _TABLE_CAP:
-            return ks[: hi + 1], log_factorials[: hi + 1]
-        _KS, _LOG_FACTORIALS = ks, log_factorials
-    return _KS[: hi + 1], _LOG_FACTORIALS[: hi + 1]
+    ks = np.arange(hi + 1, dtype=float)
+    return ks, np.concatenate(([0.0], np.cumsum(np.log(ks[1:]))))
 
 
 def _poisson_window(lam: float, n: int) -> tuple[int, int]:
@@ -81,18 +65,26 @@ def _poisson_terms(lam: float, lo: int, up: int, ks, lf, out: np.ndarray) -> Non
     np.exp(terms, out=terms)
 
 
-def _marcum_q1_tails(a: float, bs: tuple[float, ...]) -> list[float]:
-    """[Q1(a, b) for b in bs]: the tails share one Poisson series of a^2/2."""
+def _series_plan(a: float, bs: tuple[float, ...]) -> tuple[float, list[float], list[int]]:
+    """(x, ys, his) of Q1(a, b) for b in bs: x = a^2/2, each y = b^2/2, and
+    the last k of each tail's series, past which the truncated Poisson mass
+    is below 1e-16 of the total; no his when x == 0, the Rayleigh tail."""
     x, ys = a * a / 2.0, [b * b / 2.0 for b in bs]
     # a NaN fails v >= 0; an infinite one, or a square that overflows, leaves x or a y infinite
     if not (all(v >= 0.0 for v in (a, *bs)) and all(math.isfinite(v) for v in (x, *ys))):
         raise ContractError(
             f"marcum_q1 needs a, b >= 0 with finite a*a/2 and b*b/2, got {(a, *bs)}"
         )
-    if x == 0.0:  # a == 0, or a*a/2 underflowed: the Rayleigh tail
+    if x == 0.0:  # a == 0, or a*a/2 underflowed
+        return x, ys, []
+    return x, ys, [int(max(x, y) + 40.0 * math.sqrt(max(x, y) + 1.0) + 40.0) for y in ys]
+
+
+def _marcum_q1_tails(x: float, ys: list[float], his: list[int], ks, lf) -> list[float]:
+    """[Q1 for y in ys] from `_series_plan`'s (x, ys, his): the tails share one
+    Poisson series of x. ks and lf are `_series_tables` reaching max(his)."""
+    if not his:
         return [math.exp(-y) for y in ys]
-    his = [int(max(x, y) + 40.0 * math.sqrt(max(x, y) + 1.0) + 40.0) for y in ys]
-    ks, lf = _series_tables(max(his))
     pois_x = np.zeros(max(his) + 1)
     xlo, xup = _poisson_window(x, pois_x.size)
     _poisson_terms(x, xlo, xup, ks, lf, pois_x)
@@ -122,7 +114,7 @@ def marcum_q1(a: float, b: float) -> float:
     closed form's own arguments (seeds 1-10) b reaches 106 at the default
     config (K=300) and 335 at K=3000, with worst errors of 4.3e-12 and
     8.4e-11. Work and memory grow with max(a, b)^2 / 2; the k and log k!
-    tables are kept up to _TABLE_CAP entries and built per call past it.
+    tables are built for the call.
     x == 0 (also when a*a/2 underflows) gives exp(-y); y == 0 gives 1.
     a or b negative, NaN or infinite, or a*a/2 or b*b/2 overflowing, raises
     ContractError.
@@ -133,7 +125,8 @@ def marcum_q1(a: float, b: float) -> float:
     constant after (to x's window end; past it each product is +0.0 anyway).
     The dot product spans [0, hi], as BLAS groups its additions by index.
     """
-    return _marcum_q1_tails(a, (b,))[0]
+    x, ys, his = _series_plan(a, (b,))
+    return _marcum_q1_tails(x, ys, his, *_series_tables(max(his, default=0)))[0]
 
 
 def closed_form_p0_p1(
@@ -152,7 +145,8 @@ def closed_form_p0_p1(
     `g_am`). p1 = mean over modes of Q1(nu/varsigma, r_plus/varsigma) and
     p0 = mean of the complementary CDF term at r_minus, with
     r = 10^((q - P_x)/20) the amplitude matching threshold q in dBm.
-    A mode's two tails share one Poisson series of (nu/varsigma)^2/2.
+    A mode's two tails share one Poisson series of (nu/varsigma)^2/2, and
+    every mode slices one k and log k! table built for the longest series.
     Degenerate modes (varsigma == 0: zero gain on every M-A path) are
     excluded with a warning, mirroring power calibration.
     """
@@ -169,7 +163,9 @@ def closed_form_p0_p1(
             stacklevel=2,
         )
     modes = zip(nu[live].tolist(), varsigma[live].tolist())
-    tails = [_marcum_q1_tails(nu_u / vs_u, (r_minus / vs_u, r_plus / vs_u)) for nu_u, vs_u in modes]
+    plans = [_series_plan(nu_u / vs_u, (r_minus / vs_u, r_plus / vs_u)) for nu_u, vs_u in modes]
+    tables = _series_tables(max((hi for *_, his in plans for hi in his), default=0))
+    tails = [_marcum_q1_tails(*plan, *tables) for plan in plans]
     p0 = float(np.mean([1.0 - above_minus for above_minus, _ in tails]))
     p1 = float(np.mean([above_plus for _, above_plus in tails]))
     return p0, p1, int(np.count_nonzero(~live))

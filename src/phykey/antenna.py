@@ -99,15 +99,13 @@ def synthesize_rotated_beam(
     mode_count: int = 360,
     front_to_back_db: float = 20.0,
     beam_exponent: float = 1.0,
-    angle_step_deg: float = 1.0,
 ) -> AntennaProfile:
     """Synthesize a rotated-beam profile: one raised-cosine lobe per mode.
 
     The attenuation at offset delta from boresight is
     front_to_back_db * ((1 - cos delta) / 2) ** beam_exponent, so the
     stored gain spans [10^(-ftb/20), 1]. Mode u is mode 0 rotated by
-    u * angle_step_deg; with a 1-degree step and 360 modes every mode's
-    table is a circular shift of mode 0's.
+    u mod 360 degrees, so every mode's table is a circular shift of mode 0's.
     """
     if mode_count < 1:
         raise ProfileError("mode_count must be >= 1")
@@ -115,15 +113,12 @@ def synthesize_rotated_beam(
         raise ProfileError("front_to_back_db must be finite and >= 0")
     if beam_exponent <= 0:
         raise ProfileError("beam_exponent must be > 0")
-    if not np.isfinite(angle_step_deg):
-        raise ProfileError("angle_step_deg must be finite")
     angles = np.arange(0.0, 360.0, 1.0)
     offsets = np.radians(angles)
     atten_db = front_to_back_db * ((1.0 - np.cos(offsets)) / 2.0) ** beam_exponent
     base = 10.0 ** (-atten_db / 20.0)
-    # row u is base rolled by its shift: np.roll(base, s)[k] == base[(k - s) % 360]
-    shifts = (np.round(np.arange(mode_count) * angle_step_deg) % angles.size).astype(np.int64)
-    gains = base[(np.arange(angles.size) - shifts[:, None]) % angles.size]
+    # row u is base rolled by u: np.roll(base, u)[k] == base[(k - u) % 360]
+    gains = base[(np.arange(angles.size) - np.arange(mode_count)[:, None]) % angles.size]
     return AntennaProfile(
         modes=tuple(range(mode_count)), angles_deg=angles, gains=gains, kind=RA_KIND
     )

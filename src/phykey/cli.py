@@ -18,6 +18,7 @@ from . import fuzzy, metrics, pipeline, traceio
 from .antenna import save_antenna_profile, synthesize_rotated_beam
 from .config import parse_config
 from .errors import (
+    CalibrationError,
     ConfigError,
     ContractError,
     GeometryError,
@@ -35,6 +36,7 @@ EXIT_RUNTIME = 3
 _VALIDATION_ERRORS = (
     ConfigError,
     ProfileError,
+    CalibrationError,
     GeometryError,
     ContractError,
     ProtocolError,
@@ -87,6 +89,11 @@ def _report_inputs(path) -> dict:
     counts = tuple(rep.get(k) for k in ("ell", "n", "n0"))
     if not all(type(v) is int for v in counts):
         raise ConfigError(f"{path}: not a session report: ell, n and n0 must be integers")
+    ell, n, n0 = counts
+    if not (ell >= 1 and 0 <= n0 <= n <= ell):
+        raise ConfigError(
+            f"{path}: counts need ell >= 1 and 0 <= n0 <= n <= ell, got ell={ell}, n={n}, n0={n0}"
+        )
     q = rep.get("thresholds_alice")
     if q is not None and not (type(q) is list and len(q) == 2
                               and all(type(v) in (int, float) for v in q)):

@@ -63,39 +63,33 @@ def _phi(bits: np.ndarray, m: int) -> float:
     """Sum of pi*log(pi) over overlapping m-patterns of the uint8 0/1 `bits`
     with wraparound.
 
-    Patterns of up to 8 bits are built in uint8 with in-place shifts and
-    counted one comparison pass per pattern, which is about ten times
-    faster than int64 indices and np.bincount (its cast to intp included);
-    longer ones go through np.bincount."""
+    Patterns are built in uint8 with in-place shifts and counted one
+    comparison pass per pattern, which is about ten times faster than
+    int64 indices and np.bincount (its cast to intp included)."""
     n = bits.size
     ext = np.concatenate([bits, bits[: m - 1]])
-    idx = bits.astype(np.uint8 if m <= 8 else np.int64)
+    idx = bits.copy()
     for j in range(1, m):
         idx <<= 1
         idx |= ext[j : j + n]
-    if m <= 8:
-        counts = np.array([np.count_nonzero(idx == p) for p in range(1 << m)])
-    else:
-        counts = np.bincount(idx, minlength=1 << m)
+    counts = np.array([np.count_nonzero(idx == p) for p in range(1 << m)])
     pi = counts[counts > 0] / n
     return float(np.sum(pi * np.log(pi)))
 
 
-def approximate_entropy(bits, m_block: int = APEN_BLOCK) -> float:
-    """ApEn(m) = Phi(m) - Phi(m+1) over cyclically extended windows of
-    0/1 `bits`.
+def approximate_entropy(bits) -> float:
+    """ApEn(m) = Phi(m) - Phi(m+1), m = APEN_BLOCK, over cyclically
+    extended windows of 0/1 `bits`.
 
     0 for any deterministic periodic sequence; ln 2 in the i.i.d.
     fair-coin limit.
     """
     bits = np.asarray(bits, dtype=np.uint8)
-    if m_block < 1:
-        raise ContractError("m_block must be >= 1")
-    if bits.size < 2 ** (m_block + 1):
+    if bits.size < 2 ** (APEN_BLOCK + 1):
         raise ContractError(
-            f"need at least 2^(m+1) = {2 ** (m_block + 1)} bits, got {bits.size}"
+            f"need at least 2^(m+1) = {2 ** (APEN_BLOCK + 1)} bits, got {bits.size}"
         )
-    return _phi(bits, m_block) - _phi(bits, m_block + 1)
+    return _phi(bits, APEN_BLOCK) - _phi(bits, APEN_BLOCK + 1)
 
 
 @dataclass(frozen=True)
@@ -225,12 +219,11 @@ class SessionReport:
     thresholds_alice: tuple[float, float] | None = None
     thresholds_bob: tuple[float, float] | None = None
     attack_rounds: list[dict] = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
+    # the Rician K-factor of each link ("ab", "ma", "mb")
+    fading_k_factor: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """The fields in declaration order, randomness results as dicts and
-        `extra`'s keys merged in at the top level."""
+        """The fields in declaration order, randomness results as dicts."""
         out = _shallow_dict(self)
         out["randomness"] = {k: v.to_dict() for k, v in self.randomness.items()}
-        out.update(out.pop("extra"))
         return out

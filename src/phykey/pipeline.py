@@ -185,11 +185,11 @@ def build_report(
         thresholds_alice=protocol.thresholds_alice,
         thresholds_bob=protocol.thresholds_bob,
         attack_rounds=attack.to_records() if listed else [],
-        extra={"fading_k_factor": {
+        fading_k_factor={
             "ab": links.fading_ab.k_factor(paths),
             "ma": links.fading_am.k_factor(paths),
             "mb": links.fading_mb.k_factor(paths),
-        }},
+        },
     ), commitments
 
 
@@ -297,7 +297,17 @@ def analyze_config(
     `p_x_dbm` plus `_injection_offset_db(cfg)`, as the simulator injects;
     `counts["p_x_dbm"]` is the calibrated power. The result computes its
     guess-count PMF only when `.pmf` is read.
+
+    The closed form assumes an excursion length of 1, so any other
+    `excursion_len` is refused with a ContractError: from 2 on, Bob's
+    confirmation keeps only the attacked excursions whose genuine rounds
+    agree with Mallory, and the public index list tells her which.
     """
+    if cfg.excursion_len != 1:
+        raise ContractError(
+            "the closed form assumes an excursion length of 1, got excursion_len="
+            f"{cfg.excursion_len}: Bob's confirmation shows Mallory which attacked bits survive"
+        )
     scenario = cfg.build_scenario()
     if q_minus is None or q_plus is None:
         cal_trace = _simulate(

@@ -29,10 +29,9 @@ for the rows export writes (`_export_rows`): blocks of the file are
 checked with whole-block byte counts, and each number is read from the
 8-byte word ending at its field. A file holding anything else (-inf
 erasures, |v| >= 1000 dBm, modes past 8 digits, spaces, CRLF, blank
-lines, exponents) is read by `_read_any_form`, which defines the
-accepted grammar, the values and the located errors, from the first
-block the kernel leaves: blocks end on row boundaries, and the kernel's
-rows come out the same bit for bit.
+lines, exponents) is read whole by `_read_any_form`, which defines the
+accepted grammar, the values and the located errors; the kernel's rows
+come out the same bit for bit.
 
 Bitstreams: packed binary, MSB-first within bytes, zero-padded tail,
 plus a `<name>.rounds` sidecar listing each bit's source round (one
@@ -213,33 +212,27 @@ def ingest_trace(path) -> MeasurementTrace:
     integer in the int64 range, and comes back exactly as written;
     injected must be 0 or 1. Errors name the file line as `row N`.
 
-    A file whose header line is export's, byte for byte, is read by
-    `_read_export_form` for as many blocks as hold only rows in the
-    narrow form export writes (no -inf, no |value| >= 1000 dBm, modes of
-    up to 8 digits), and by `_read_any_form` from where it stopped. Any
+    A file whose header line is export's, byte for byte, and whose rows
+    are all in the narrow form export writes (no -inf, no |value| >= 1000
+    dBm, modes of up to 8 digits) is read by `_read_export_form`. Any
     other file goes whole to `_read_any_form`, which defines the grammar,
-    the values and the errors; the columns are the ones it would return
-    for the whole file, bit for bit.
+    the values and the errors; the columns are the ones it would return,
+    bit for bit.
     """
     with open(path, "rb") as fh:
-        parts, rest = _read_export_form(fh) if fh.readline() == _EXPORT_HEADER else ([], 0)
-    if rest is not None:
-        parts.append(_read_any_form(path, rest, sum(part[0].size for part in parts)))
-    columns = parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
-    return MeasurementTrace(*columns)
+        columns = _read_export_form(fh) if fh.readline() == _EXPORT_HEADER else None
+    return MeasurementTrace(*(_read_any_form(path) if columns is None else columns))
 
 
-def _read_export_form(fh) -> tuple[list[tuple[np.ndarray, ...]], int | None]:
-    """(mode, x_a, x_b, rss_ma, rss_mb, injected) of each block of the rest
-    of `fh` that `_export_rows` reads, up to the first it cannot, and the
-    file offset of the first byte left unread: None when it read every
-    byte and at least one row, the last ended by a newline.
+def _read_export_form(fh) -> tuple[np.ndarray, ...] | None:
+    """(mode, x_a, x_b, rss_ma, rss_mb, injected) of the rest of `fh`, or
+    None unless `_export_rows` reads every block and at least one row, the
+    last ended by a newline.
 
     `fh` is read in `_READ_BLOCK` blocks, each parsed up to its last
-    newline, so the working set stays small on long traces, and the
-    offset left is always the start of a row.
+    newline, so the working set stays small on long traces.
     """
-    parts, carry, done = [], b"", fh.tell()
+    parts, carry = [], b""
     for chunk in iter(functools.partial(fh.read, _READ_BLOCK), b""):
         buf = bytes(_WORD) + carry + chunk
         del chunk  # one copy of the block at a time keeps the peak down
@@ -247,12 +240,13 @@ def _read_export_form(fh) -> tuple[list[tuple[np.ndarray, ...]], int | None]:
         if end:
             part = _export_rows(buf, end)
             if part is None:
-                return parts, done
+                return None
             mode, values, injected = part
             parts.append((mode, *values, injected))
-            done += end - _WORD
         carry = buf[max(end, _WORD):]
-    return parts, done if carry or not parts else None
+    if carry or not parts:
+        return None
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(c) for c in zip(*parts))
 
 
 def _export_rows(buf: bytes, end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -333,13 +327,9 @@ def _swar_digits(words: np.ndarray, count: np.ndarray, point: bool) -> np.ndarra
     return ((d & pairs) * u(100 + (w0 << 32)) + ((d >> u(16)) & pairs) * u(1 + (w1 << 32))) >> u(32)
 
 
-def _read_any_form(path, start: int = 0, rows_before: int = 0) -> tuple[np.ndarray, ...]:
+def _read_any_form(path) -> tuple[np.ndarray, ...]:
     """(mode, x_a, x_b, rss_ma, rss_mb, injected) of any trace CSV
-    `ingest_trace` accepts; else the TraceFormatError naming its first bad row.
-
-    With `start`, only the rows from that file offset on are read: it is the
-    start of a line, and `rows_before` data rows, all good and none blank,
-    lie between the header and it."""
+    `ingest_trace` accepts; else the TraceFormatError naming its first bad row."""
     # undecodable bytes become U+FFFD, which no number or column name
     # holds, so they are reported at their line instead of raising
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
@@ -351,16 +341,14 @@ def _read_any_form(path, start: int = 0, rows_before: int = 0) -> tuple[np.ndarr
         if missing:
             raise TraceFormatError(f"{path}: missing column(s) {', '.join(missing)}")
         idx = {c: columns.index(c) for c in columns}
-        if start:
-            fh.seek(start)
-        body, first_line = fh.tell(), 2 + rows_before
-        data = _read_rows(path, fh, len(columns), float, np.float64, "row", first_line)
-        if not data.shape[0] and not rows_before:
+        body = fh.tell()
+        data = _read_rows(path, fh, len(columns), float, np.float64, "row", first_line=2)
+        if not data.shape[0]:
             raise TraceFormatError(f"{path}: no data rows")
 
         def rows():  # (line number, fields) of each data row
             fh.seek(body)
-            return ((lineno, line.split(",")) for lineno, line in _data_lines(fh, first_line))
+            return ((lineno, line.split(",")) for lineno, line in _data_lines(fh, 2))
 
         mode = data[:, idx["mode"]] if "mode" in idx else np.zeros(data.shape[0])
         injected = data[:, idx["injected"]] if "injected" in idx else np.zeros(data.shape[0])

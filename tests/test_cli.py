@@ -149,6 +149,37 @@ def test_analyze_rejects_unusable_report_exit_2(tmp_path, capsys, kind, message)
     assert str(report) in err and message in err
 
 
+@pytest.mark.parametrize("ell, n, n0", [(500, 3, 5), (30, 40, 20), (0, 0, 0)],
+                         ids=["n0-above-n", "n-above-ell", "no-key-bits"])
+def test_analyze_rejects_inconsistent_report_counts_exit_2(tmp_path, capsys, ell, n, n0):
+    # a session with no key bits writes ell = 0; the others are damaged reports
+    cfg = write_cfg(tmp_path, BASE_CFG)
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"ell": ell, "n": n, "n0": n0}))
+    code, out, err = run_cli(capsys, "analyze", "--config", cfg, "--report", str(report))
+    assert code == 2 and out == ""
+    assert f"validation error: {report}: counts need ell >= 1 and 0 <= n0 <= n <= ell" in err
+
+
+def test_analyze_refuses_excursion_len_above_1_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE_CFG + "excursion_len: 2\n")
+    code, out, err = run_cli(capsys, "analyze", "--config", cfg)
+    assert code == 2 and out == ""
+    assert "the closed form assumes an excursion length of 1, got excursion_len=2" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_profile_without_usable_mode_exits_2(tmp_path, capsys, command):
+    # every mode has zero gain everywhere, so no transmit power calibrates
+    profile = tmp_path / "dead.csv"
+    profile.write_text("mode,angle_deg,gain_linear\n"
+                       + "".join(f"{m},{a},0\n" for m in range(3) for a in (0, 120, 240)))
+    cfg = write_cfg(tmp_path, BASE_CFG + f"antenna: {{profile_csv: {json.dumps(str(profile))}}}\n")
+    code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert code == 2 and out == ""
+    assert "validation error: every mode has zero gain on all A->B paths" in err
+
+
 @pytest.mark.parametrize("pair", ["[-62.08, -67.80]", "[NaN, NaN]", "[-Infinity, Infinity]"])
 def test_analyze_rejects_impossible_thresholds_exit_2(tmp_path, capsys, pair):
     # swapped thresholds leave an empty quantizer band; no session writes them

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import ive
 
-from phykey import analysis
 from phykey.analysis import (
     _poisson_terms,
     _poisson_window,
@@ -106,27 +105,16 @@ def test_absolute_error_under_1e_10_up_to_75():
 
 
 def test_series_tables_slice_equals_a_fresh_build():
-    # the grown table's prefix is bit-identical to one built for hi alone,
-    # whatever order the windows are asked for in
-    for hi in (5, 3000, 40, 17_000, 0, 9_999, analysis._TABLE_CAP + 10):
+    # the closed form slices one table built for its longest series: each
+    # prefix is bit-identical to the table built for hi alone
+    longest_ks, longest_lf = _series_tables(140_000)
+    for hi in (5, 3000, 40, 17_000, 0, 9_999, 120_000):
         ks, lf = _series_tables(hi)
         fresh = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, hi + 1)))))
         assert np.array_equal(lf, fresh)
         assert np.array_equal(ks, np.arange(hi + 1))
-
-
-def test_tables_past_the_cap_are_built_per_call(monkeypatch):
-    monkeypatch.setattr(analysis, "_KS", np.zeros(0))
-    monkeypatch.setattr(analysis, "_LOG_FACTORIALS", np.zeros(0))
-    marcum_q1(1000.0, 1.0)  # needs 528k terms
-    assert analysis._KS.size <= analysis._TABLE_CAP
-    assert analysis._LOG_FACTORIALS.size <= analysis._TABLE_CAP
-    value = marcum_q1(600.0, 590.0)
-    assert analysis._KS.size <= analysis._TABLE_CAP
-    # the same value from tables kept past the cap
-    monkeypatch.setattr(analysis, "_TABLE_CAP", 10**6)
-    assert marcum_q1(600.0, 590.0) == value
-    assert analysis._KS.size > 180_000
+        assert lf.tobytes() == longest_lf[: hi + 1].tobytes()
+        assert ks.tobytes() == longest_ks[: hi + 1].tobytes()
 
 
 def _marcum_full_window(a: float, b: float) -> float:

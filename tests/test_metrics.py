@@ -7,6 +7,7 @@ import scipy.special
 
 from phykey.errors import ContractError
 from phykey.metrics import (
+    APEN_BLOCK,
     _igamc,
     _phi,
     approximate_entropy,
@@ -49,25 +50,25 @@ def test_mismatch_requires_equal_lengths():
 
 
 def test_apen_constant_sequence_is_zero():
-    assert approximate_entropy(np.zeros(64, dtype=np.uint8), 2) == pytest.approx(0.0)
+    assert approximate_entropy(np.zeros(64, dtype=np.uint8)) == pytest.approx(0.0)
 
 
 def test_apen_alternating_sequence_is_zero():
     bits = np.tile([0, 1], 64)
-    assert approximate_entropy(bits, 2) == pytest.approx(0.0, abs=1e-12)
+    assert approximate_entropy(bits) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_apen_iid_fair_bits_near_ln2():
     rng = np.random.default_rng(6)
     bits = rng.integers(0, 2, size=100_000)
-    assert approximate_entropy(bits, 2) == pytest.approx(math.log(2.0), abs=0.01)
+    assert approximate_entropy(bits) == pytest.approx(math.log(2.0), abs=0.01)
 
 
 def test_apen_invariant_under_relabeling():
     rng = np.random.default_rng(7)
     bits = rng.integers(0, 2, size=5000).astype(np.uint8)
-    assert approximate_entropy(bits, 2) == pytest.approx(
-        approximate_entropy(1 - bits, 2), abs=1e-12
+    assert approximate_entropy(bits) == pytest.approx(
+        approximate_entropy(1 - bits), abs=1e-12
     )
 
 
@@ -86,22 +87,22 @@ def _phi_int64(bits: np.ndarray, m: int) -> float:
 
 @pytest.mark.parametrize("n", [8, 9, 100, 1001, 364_000])
 def test_phi_matches_int64_oracle_over_seeds(n):
-    # bit for bit, on fair and biased bits; m = 8 and 9 meet at the uint8 limit
+    # bit for bit, on fair and biased bits, at the m and m + 1 of ApEn
     wrong = []
     for seed in range(6 if n == 364_000 else 40):
         rng = np.random.default_rng([n, seed])
         bits = (rng.random(n) < (0.5, 0.1, 0.9)[seed % 3]).astype(np.uint8)
-        for m in (1, 2, 3, 8, 9) if n >= 1001 else (1, 2, 3):
+        for m in (APEN_BLOCK, APEN_BLOCK + 1):
             if _phi(bits, m) != _phi_int64(bits, m):
                 wrong.append((seed, m))
-        if n >= 16 and approximate_entropy(bits, 2) != _phi_int64(bits, 2) - _phi_int64(bits, 3):
+        if n >= 16 and approximate_entropy(bits) != _phi_int64(bits, 2) - _phi_int64(bits, 3):
             wrong.append((seed, "apen"))
     assert wrong == []
 
 
 def test_apen_needs_enough_bits():
     with pytest.raises(ContractError):
-        approximate_entropy(np.zeros(7, dtype=np.uint8), 2)
+        approximate_entropy(np.zeros(7, dtype=np.uint8))
 
 
 def test_monobit_balanced_sequence_p_is_exactly_one():

@@ -7,6 +7,7 @@ from phykey import fuzzy, pipeline
 from phykey.analysis import guess_count_pmf
 from phykey.antenna import AntennaProfile, save_antenna_profile
 from phykey.config import config_from_mapping
+from phykey.errors import ContractError
 from phykey.traceio import export_trace_csv, ingest_trace, read_commitments
 
 
@@ -256,6 +257,17 @@ def test_analyze_config_self_calibrates_thresholds():
     assert "q_plus" in res.counts and res.counts["q_plus"] > res.counts["q_minus"]
 
 
+@pytest.mark.parametrize("excursion_len", [2, 3])
+def test_analyze_config_refuses_excursion_len_above_1(excursion_len, monkeypatch):
+    # refused before the closed form runs, with or without counts
+    monkeypatch.setattr(pipeline, "closed_form_p0_p1", None)
+    cfg = small_cfg(excursion_len=excursion_len)
+    want = f"excursion length of 1, got excursion_len={excursion_len}"
+    for kwargs in ({}, {"q_minus": -64.0, "q_plus": -60.0, "counts": (500, 40, 20)}):
+        with pytest.raises(ContractError, match=want):
+            pipeline.analyze_config(cfg, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def attacked_5k():
     """A 5k-round attacked session's config, thresholds and (ell, n, n0)."""
@@ -348,7 +360,7 @@ def test_per_link_fading_overrides_change_only_that_link():
 
 def test_report_extras_expose_k_factors():
     report, _, _ = pipeline.run_experiment(small_cfg(rounds=2000))
-    k = report.extra["fading_k_factor"]
+    k = report.fading_k_factor
     assert set(k) == {"ab", "ma", "mb"}
     assert all(v == pytest.approx(300.0) for v in k.values())
 

@@ -301,14 +301,12 @@ def test_batched_codec_matches_scalar_oracle(params):
 
 
 def test_importing_the_cli_builds_no_codec_tables():
-    """Set-up stays cheap: field, codec and Marcum-Q series tables are
-    built on first use."""
+    """Set-up stays cheap: field and codec tables are built on first use."""
     code = (
         "import phykey.cli, phykey.pipeline\n"
-        "from phykey import analysis, galois, reed_solomon\n"
+        "from phykey import galois, reed_solomon\n"
         "assert galois.field.cache_info().currsize == 0\n"
         "assert reed_solomon.codec.cache_info().currsize == 0\n"
-        "assert analysis._KS.size == 0\n"
     )
     # the child imports the phykey this process imported, also when pytest's
     # `pythonpath` setting put it on sys.path and PYTHONPATH is unset
