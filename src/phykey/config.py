@@ -31,7 +31,7 @@ from typing import Literal, Optional, Union, get_args, get_origin
 import yaml
 
 from .antenna import AntennaProfile, load_antenna_profile, omni_profile, synthesize_rotated_beam
-from .errors import ConfigError, ContractError
+from .errors import CalibrationError, ConfigError, ContractError
 from .geometry import Topology
 from .reed_solomon import RsParams
 from .session import Scenario, build_scenario
@@ -153,12 +153,18 @@ class ExperimentConfig:
         a copy made after a build shares it, also when it changes seed,
         rounds or attack. A copy of a config that has not built one yet
         builds its own (one beam synthesis, or one profile CSV read, and the
-        calibrations) on its first call."""
+        calibrations) on its first call. A CalibrationError of a CSV profile
+        names the file, as its ProfileErrors do."""
         key = (self.scheme, self.detection_threshold_dbm, self.wavelength_m,
                self.topology, self.antenna, self.fading)
         if self._scenario is None or self._scenario[0] != key:
-            scenario = build_scenario(self.build_topology(), self.build_profile(), self.fading,
-                                      self.scheme, self.detection_threshold_dbm)
+            try:
+                scenario = build_scenario(self.build_topology(), self.build_profile(),
+                                          self.fading, self.scheme, self.detection_threshold_dbm)
+            except CalibrationError as exc:
+                if self.scheme == "OAKG" or self.antenna.profile_csv is None:
+                    raise
+                raise CalibrationError(f"{self.antenna.profile_csv}: {exc}") from None
             object.__setattr__(self, "_scenario", (key, scenario))
         return self._scenario[1]
 

@@ -193,7 +193,37 @@ def _pmf_oracle(n, n0, p0, p1):
     ],
 )
 def test_pmf_equals_scipy_convolution_exactly(n, n0, p0, p1):
-    assert np.array_equal(guess_count_pmf(n, n0, p0, p1), _pmf_oracle(n, n0, p0, p1))
+    # within 1e-13 of scipy's binomials convolved as before, and exact where
+    # the count is certain: n = 0, or each side empty or at p in {0, 1}
+    got, want = guess_count_pmf(n, n0, p0, p1), _pmf_oracle(n, n0, p0, p1)
+    assert got.shape == want.shape == (n + 1,)
+    assert np.max(np.abs(got - want)) <= 1e-13
+    if (n0 == 0 or p0 in (0.0, 1.0)) and (n0 == n or p1 in (0.0, 1.0)):
+        certain = np.zeros(n + 1)
+        certain[round(n0 * p0 + (n - n0) * p1)] = 1.0
+        assert np.array_equal(got, certain)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pmf_matches_scipy_binomials_on_a_seeded_sweep(seed):
+    # n0 = n leaves one binomial; n0 < n convolves two (directly or by FFT);
+    # p within 1e-12 of 0 or 1 included
+    rng = np.random.default_rng(2200 + seed)
+
+    def draw_p():
+        p, edge = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1e-12)
+        return float(rng.choice([p, edge, 1.0 - edge]))
+
+    for _ in range(10):
+        n = int(rng.integers(1, 60_000))
+        p = draw_p()
+        want = stats.binom.pmf(np.arange(n + 1), n, p)
+        assert np.max(np.abs(guess_count_pmf(n, n, p, 0.5) - want)) <= 1e-13, (n, p)
+    for _ in range(4):
+        n = int(rng.integers(1, 60_000))
+        n0, p0, p1 = int(rng.integers(0, n + 1)), draw_p(), draw_p()
+        got, want = guess_count_pmf(n, n0, p0, p1), _pmf_oracle(n, n0, p0, p1)
+        assert np.max(np.abs(got - want)) <= 1e-13, (n, n0, p0, p1)
 
 
 def test_expected_rates_equal_probabilities():

@@ -177,7 +177,7 @@ def test_profile_without_usable_mode_exits_2(tmp_path, capsys, command):
     cfg = write_cfg(tmp_path, BASE_CFG + f"antenna: {{profile_csv: {json.dumps(str(profile))}}}\n")
     code, out, err = run_cli(capsys, command, "--config", cfg)
     assert code == 2 and out == ""
-    assert "validation error: every mode has zero gain on all A->B paths" in err
+    assert f"validation error: {profile}: every mode has zero gain on all A->B paths" in err
 
 
 @pytest.mark.parametrize("pair", ["[-62.08, -67.80]", "[NaN, NaN]", "[-Infinity, Infinity]"])

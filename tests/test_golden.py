@@ -84,9 +84,9 @@ REPLAY_GOLDEN = {
 
 # sha256 of analyze_config(...).to_dict() (p0/p1, rates, p_key, pmf)
 ANALYSIS_GOLDEN = {
-    "oakg_attacked_seed5": "1921c98bf737ac4a1297adab34241a45985904d93aa45df4c3d88a3aa648cd7b",
-    "rakg_attacked": "a1ba29291b858366ae967d5ee87bff3d4757f3ddc0c2e084a19c2172576c5fd0",
-    "zero_gain_mode": "aad31f828c2a868e3207151792a959062ff60b9cc5c72864c08738f89bcc72d1",
+    "oakg_attacked_seed5": "b82819064d76b3bc4f2e069daff13d55ff60c9c4dea2ccadf0b722806fa3410a",
+    "rakg_attacked": "3854e8878c65b7e89dd608daa2c639d4996122024ea9ca258636c8cd8e88e57f",
+    "zero_gain_mode": "8ced23e67e181ceaf958b89341a7ee278b8f9ae8b5e9ffd4144cf50b56c1721c",
 }
 
 
