@@ -127,11 +127,15 @@ def synthesize_rotated_beam(
 def load_antenna_profile(path) -> AntennaProfile:
     """Load a profile CSV with header mode,angle_deg,gain_linear.
 
-    Every mode must list the same angle set; gaps between listed angles
-    are covered by the interpolation rule at query time.
+    A mode is an integer in the int64 range, as in the trace CSV. Every
+    mode must list the same angle set; gaps between listed angles are
+    covered by the interpolation rule at query time. Errors name the file
+    line as `line N`.
     """
     rows: dict[int, dict[float, float]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become U+FFFD, which no number holds, so they are
+    # reported at their line
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline()
         if header.strip().replace(" ", "") != "mode,angle_deg,gain_linear":
             raise ProfileError(
@@ -151,6 +155,8 @@ def load_antenna_profile(path) -> AntennaProfile:
                 g = float(parts[2])
             except ValueError as exc:
                 raise ProfileError(f"{path}: line {lineno}: {exc}") from None
+            if not -(2**63) <= mode < 2**63:
+                raise ProfileError(f"{path}: line {lineno}: mode must be an int64, got {mode}")
             if not np.isfinite(g) or g < 0.0:
                 raise ProfileError(
                     f"{path}: line {lineno}: gain must be finite and >= 0, got {g}"

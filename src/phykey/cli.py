@@ -1,9 +1,9 @@
 """Command-line surface: simulate, analyze, replay, commit, open,
 randomness, gen-profile.
 
-Exit codes: 0 success, 1 usage, 2 validation (config/format/contract),
-3 runtime (including reconciliation/verification failures under
---strict).
+Exit codes: 0 success, 1 usage, 2 any refused input (every
+`PhykeyError` but `RuntimeFailure`), 3 a `--strict` failure
+(`RuntimeFailure`) or an I/O error.
 """
 from __future__ import annotations
 
@@ -17,38 +17,18 @@ import numpy as np
 from . import fuzzy, metrics, pipeline, traceio
 from .antenna import save_antenna_profile, synthesize_rotated_beam
 from .config import parse_config
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    ContractError,
-    GeometryError,
-    PhykeyError,
-    ProfileError,
-    ProtocolError,
-    TraceFormatError,
-)
+from .errors import ConfigError, ContractError, PhykeyError
 from .reed_solomon import RsParams
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
-_VALIDATION_ERRORS = (
-    ConfigError,
-    ProfileError,
-    CalibrationError,
-    GeometryError,
-    ContractError,
-    ProtocolError,
-    TraceFormatError,
-)
-
-
 _SEED = click.IntRange(min=0)  # the config's `seed` rule, as a usage error (exit 1)
 
 
 class RuntimeFailure(PhykeyError):
-    """Raised for --strict failures and other runtime problems."""
+    """A --strict failure: reconciliation or verification did not succeed."""
 
 
 def _emit(data, fmt: str) -> None:
@@ -114,15 +94,13 @@ def cli():
 @cli.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--seed", type=_SEED, default=None, help="Override the config seed.")
-@click.option("--trials", type=int, default=1, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out-dir", type=click.Path(), default=None)
 @click.option("--strict", is_flag=True, default=False)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def simulate(config_path, seed, trials, out_dir, strict, fmt):
     """Run seeded key-generation sessions with the configured adversary."""
     cfg = _load_config(config_path, seed)
-    if trials < 1:
-        raise click.UsageError("--trials must be >= 1")
     if trials == 1:
         report, _, _ = pipeline.run_experiment(cfg, out_dir=out_dir)
         reports = [report]
@@ -267,23 +245,17 @@ def main(argv=None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0
-    except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
-        return EXIT_USAGE
     except click.ClickException as exc:
-        exc.show()
+        click.echo(f"usage error: {exc.format_message()}", err=True)
         return EXIT_USAGE
     except click.exceptions.Abort:
         return EXIT_USAGE
-    except _VALIDATION_ERRORS as exc:
-        click.echo(f"validation error: {exc}", err=True)
-        return EXIT_VALIDATION
     except RuntimeFailure as exc:
         click.echo(f"runtime failure: {exc}", err=True)
         return EXIT_RUNTIME
     except PhykeyError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_RUNTIME
+        click.echo(f"validation error: {exc}", err=True)
+        return EXIT_VALIDATION
     except OSError as exc:
         click.echo(f"i/o error: {exc}", err=True)
         return EXIT_RUNTIME

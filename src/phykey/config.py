@@ -325,7 +325,7 @@ def parse_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.load(fh, Loader=_NoDuplicateLoader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if data is None:
         raise ConfigError(f"{path}: empty config")

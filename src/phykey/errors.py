@@ -1,4 +1,8 @@
-"""Exception hierarchy for the phykey package."""
+"""Exception hierarchy for the phykey package.
+
+Every class here is a refused input, CLI exit code 2; only the CLI's
+`RuntimeFailure` (a --strict failure) and I/O errors exit 3.
+"""
 
 
 class PhykeyError(Exception):
@@ -6,7 +10,7 @@ class PhykeyError(Exception):
 
 
 class ConfigError(PhykeyError):
-    """Config file / parameter validation failure (CLI exit code 2)."""
+    """Config file / parameter validation failure."""
 
 
 class GeometryError(PhykeyError):

@@ -152,18 +152,32 @@ def test_profile_csv_roundtrip(tmp_path):
     np.testing.assert_allclose(loaded.angles_deg, profile.angles_deg)
 
 
-def test_negative_gain_row_rejected(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("mode,angle_deg,gain_linear\n5,90,-0.1\n")
-    with pytest.raises(ProfileError, match="line 2"):
-        load_antenna_profile(path)
+HEADER = b"mode,angle_deg,gain_linear\n"
 
 
-def test_malformed_row_reports_line_number(tmp_path):
+@pytest.mark.parametrize("body, where, reason", [
+    (b"mode,angle,gain\n0,0,1\n", "line 1", "expected header"),
+    (HEADER + b"0,0\n", "line 2", "expected 3 fields"),
+    (HEADER + b"0,0,1.0\n0,ten,1.0\n", "line 3", "could not convert"),
+    (HEADER + b"5,90,-0.1\n", "line 2", "gain must be finite and >= 0"),
+    (HEADER + b"0,0,1\n0,360,1\n", "line 3", "angle must be in [0, 360)"),
+    (HEADER + b"0,0,1\n0,0,0.5\n", "line 3", "duplicate (mode, angle) = (0, 0.0)"),
+    (HEADER + b"\n", None, "no profile rows"),
+    (HEADER + b"0,0,1\n1,90,1\n", None, "modes list different angle sets"),
+    (HEADER + b"0,0,1\n0,180,0.\xff5\n", "line 3", "could not convert"),
+    (HEADER + b"9223372036854775807,0,1\n9223372036854775808,0,1\n", "line 3",
+     "mode must be an int64, got 9223372036854775808"),
+    (HEADER + b"-9223372036854775809,0,1\n", "line 2", "mode must be an int64"),
+], ids=["header", "fields", "number", "negative-gain", "angle-range", "duplicate",
+        "no-rows", "angle-sets", "undecodable-byte", "mode-above-int64", "mode-below-int64"])
+def test_profile_csv_refusal_names_path_and_line(tmp_path, body, where, reason):
     path = tmp_path / "bad.csv"
-    path.write_text("mode,angle_deg,gain_linear\n0,0,1.0\n0,ten,1.0\n")
-    with pytest.raises(ProfileError, match="line 3"):
+    path.write_bytes(body)
+    with pytest.raises(ProfileError) as info:
         load_antenna_profile(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: {where}: " if where else f"{path}: ")
+    assert reason in message
 
 
 TOP = Topology(alice=(0, 0), bob=(10, 0), mallory=(5, 5))

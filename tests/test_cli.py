@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from phykey import pipeline
-from phykey.cli import main
+from phykey import errors, pipeline
+from phykey.cli import RuntimeFailure, main
 from phykey.config import config_from_mapping
-from phykey.errors import ContractError
+from phykey.errors import ContractError, PhykeyError
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +72,39 @@ def test_validation_error_exit_code_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "--config", cfg)
     assert code == 2
     assert "beta" in err
+
+
+PHYKEY_ERRORS = [c for c in vars(errors).values()
+                 if isinstance(c, type) and issubclass(c, PhykeyError)]
+
+
+@pytest.mark.parametrize("error", PHYKEY_ERRORS + [RuntimeFailure], ids=lambda c: c.__name__)
+def test_exit_code_follows_the_error_class(tmp_path, capsys, monkeypatch, error):
+    # every PhykeyError is a refused input (2) except the --strict RuntimeFailure (3)
+    def run_experiment(cfg, out_dir=None):
+        raise error("boom")
+
+    monkeypatch.setattr(pipeline, "run_experiment", run_experiment)
+    cfg = write_cfg(tmp_path, BASE_CFG)
+    expected = (3, "runtime failure") if error is RuntimeFailure else (2, "validation error")
+    code, out, err = run_cli(capsys, "simulate", "--config", cfg)
+    assert (code, out, err) == (expected[0], "", f"{expected[1]}: boom\n")
+
+
+def test_out_dir_naming_a_file_is_an_io_error_exit_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("6000", "2000"))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    code, _, err = run_cli(capsys, "simulate", "--config", cfg, "--out-dir", str(taken))
+    assert code == 3
+    assert err.startswith("i/o error: ") and str(taken) in err
+
+
+def test_zero_trials_is_a_usage_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE_CFG)
+    code, out, err = run_cli(capsys, "simulate", "--config", cfg, "--trials", "0")
+    assert (code, out) == (1, "")
+    assert err == "usage error: Invalid value for '--trials': 0 is not in the range x>=1.\n"
 
 
 def test_seed_override(tmp_path, capsys):
@@ -178,6 +211,24 @@ def test_profile_without_usable_mode_exits_2(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, command, "--config", cfg)
     assert code == 2 and out == ""
     assert f"validation error: {profile}: every mode has zero gain on all A->B paths" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+@pytest.mark.parametrize("config, rows", [
+    (b"seed: 7\nrounds: 60\xff00\n", None),
+    (None, b"0,0,1\n0,180,0.\xff5\n"),
+    (None, b"0,0,1\n100000000000000000000,0,1\n"),
+], ids=["config-0xff", "profile-0xff", "profile-mode-1e20"])
+def test_undecodable_or_wide_input_exits_2_naming_the_file(tmp_path, capsys, command, config, rows):
+    # each used to escape as a UnicodeDecodeError or OverflowError traceback
+    cfg, profile = tmp_path / "cfg.yaml", tmp_path / "beam.csv"
+    profile.write_bytes(b"mode,angle_deg,gain_linear\n" + (rows or b""))
+    cfg.write_bytes(config or f"{BASE_CFG}antenna: {{profile_csv: {json.dumps(str(profile))}}}\n"
+                    .encode())
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    where = f"{cfg}: " if config else f"{profile}: line 3: "
+    assert err.startswith(f"validation error: {where}")
 
 
 @pytest.mark.parametrize("pair", ["[-62.08, -67.80]", "[NaN, NaN]", "[-Infinity, Infinity]"])
