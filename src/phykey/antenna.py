@@ -18,6 +18,8 @@ from .rician import rician_mean_amplitude, rician_params
 
 OA_KIND = "OA"
 RA_KIND = "RA"
+# a mode is an integer in the int64 range, as in the trace CSV
+_INT64_MODES = range(-(2**63), 2**63)
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,10 @@ class AntennaProfile:
     kind: str = RA_KIND
 
     def __post_init__(self):
+        modes = tuple(int(m) for m in self.modes)
+        for mode in modes:
+            if mode not in _INT64_MODES:
+                raise ProfileError(f"mode must be an int64, got {mode}")
         angles = np.asarray(self.angles_deg, dtype=float)
         gains = np.asarray(self.gains, dtype=float)
         if gains.ndim != 2 or gains.shape != (len(self.modes), angles.size):
@@ -60,7 +66,7 @@ class AntennaProfile:
         gains.setflags(write=False)
         object.__setattr__(self, "angles_deg", angles)
         object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
+        object.__setattr__(self, "modes", modes)
 
     @property
     def mode_count(self) -> int:
@@ -155,7 +161,7 @@ def load_antenna_profile(path) -> AntennaProfile:
                 g = float(parts[2])
             except ValueError as exc:
                 raise ProfileError(f"{path}: line {lineno}: {exc}") from None
-            if not -(2**63) <= mode < 2**63:
+            if mode not in _INT64_MODES:
                 raise ProfileError(f"{path}: line {lineno}: mode must be an int64, got {mode}")
             if not np.isfinite(g) or g < 0.0:
                 raise ProfileError(

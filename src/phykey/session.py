@@ -24,6 +24,7 @@ the rounds, which would move every digest of a trace or a key.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ from .geometry import LinkPathSet, Topology, path_angles
 
 RAKG = "RAKG"
 OAKG = "OAKG"
+# coherence blocks synthesized per step: a step's temporaries stay in cache
+# and small next to the session's columns
+_CHUNK_BLOCKS = 1024
 
 
 @dataclass(frozen=True)
@@ -107,33 +111,37 @@ def build_links(topology: Topology, fading_cfg) -> LinkSet:
     )
 
 
-def _rss(h: np.ndarray, p_x: float) -> np.ndarray:
-    """RSS in dBm, 20*log10|h| + P_x; |h| = 0 maps to -inf, the erasure
-    sentinel (below any threshold, treated as packet loss downstream)."""
-    mag = np.abs(h)
+def _rss(h: np.ndarray, p_x: float, out: np.ndarray | None = None) -> np.ndarray:
+    """RSS in dBm, 20*log10|h| + P_x, written into `out` when given; |h| = 0
+    maps to -inf, the erasure sentinel (below any threshold, treated as
+    packet loss downstream)."""
+    mag = np.abs(h, out=out)
     with np.errstate(divide="ignore"):
-        return 20.0 * np.log10(mag) + p_x
+        np.log10(mag, out=mag)
+    mag *= 20.0
+    mag += p_x
+    return mag
 
 
 def _block_channel(g: np.ndarray, a: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """sum_p g[mode, p] * a[block, p] on a (block, round-in-block) mode grid.
 
     Each path's gains are a 1-D take from one gain column, scaled by that
-    block's coefficient broadcast over its rounds. A real gain times a
-    complex coefficient is the gain times each part, and a complex sum adds
-    the parts separately, so accumulating them in path order rounds exactly
-    as the complex sum over the paths of per-round gathers does.
+    block's coefficient broadcast over its rounds, and accumulated straight
+    into the result's real and imaginary parts. A real gain times a complex
+    coefficient is the gain times each part, and a complex sum adds the
+    parts separately, so accumulating them in path order rounds exactly as
+    the complex sum over the paths of per-round gathers does.
     """
+    h = np.empty(grid.shape, dtype=complex)
+    re, im = h.real, h.imag
     gain = g[:, 0].take(grid)
-    re = gain * a[:, 0, None].real
-    im = gain * a[:, 0, None].imag
+    np.multiply(gain, a[:, 0, None].real, out=re)
+    np.multiply(gain, a[:, 0, None].imag, out=im)
     for p in range(1, g.shape[1]):
         g[:, p].take(grid, out=gain)
         re += gain * a[:, p, None].real
         im += gain * a[:, p, None].imag
-    h = np.empty(grid.shape, dtype=complex)
-    h.real = re
-    h.imag = im
     return h
 
 
@@ -209,24 +217,73 @@ def simulate_session(
     a_ab = sample_fading_blocks(rng, links.fading_ab, links.ab.path_count, n_blocks)
     a_am = sample_fading_blocks(rng, links.fading_am, links.am.path_count, n_blocks)
     a_mb = sample_fading_blocks(rng, links.fading_mb, links.mb_path_count, n_blocks)
-
     mode_idx = rng.integers(0, scenario.profile.mode_count, size=n_rounds)
-    # one block never spans more rounds than the session has
-    block_len = min(coherence_block_rounds, n_rounds)
-    pad = n_blocks * block_len - n_rounds
-    grid = (np.pad(mode_idx, (0, pad)) if pad else mode_idx).reshape(n_blocks, block_len)
 
-    clean_ab = _rss(_block_channel(scenario.g_ab, a_ab, grid), p_x).reshape(-1)[:n_rounds]
-    rss_ma = _rss(_block_channel(scenario.g_am, a_am, grid), p_x).reshape(-1)[:n_rounds]
-    rss_mb = np.repeat(_rss(np.sum(a_mb, axis=1), p_x), block_len)[:n_rounds]
-    if noise_sigma_db > 0.0:
-        x_a = clean_ab + noise_sigma_db * rng.standard_normal(n_rounds)
-        x_b = clean_ab + noise_sigma_db * rng.standard_normal(n_rounds)
-        rss_ma = rss_ma + noise_sigma_db * rng.standard_normal(n_rounds)
-        rss_mb = rss_mb + noise_sigma_db * rng.standard_normal(n_rounds)
+    # the noise is drawn next in the serial order: the worker takes the
+    # generator until join, and this thread allocates its arrays
+    noise = [np.empty(n_rounds) for _ in range(4)] if noise_sigma_db > 0.0 else []
+    failure: list[BaseException] = []
+
+    def draw_noise():
+        try:
+            for z in noise:
+                rng.standard_normal(out=z)
+        except BaseException as exc:  # re-raised by the calling thread
+            failure.append(exc)
+
+    worker = threading.Thread(target=draw_noise, name="phykey-session-noise")
+    if noise:
+        worker.start()
+    try:
+        # one block never spans more rounds than the session has
+        block_len = min(coherence_block_rounds, n_rounds)
+        shape = (n_blocks, block_len)
+        # M-B is omni at both ends: one RSS per block, repeated at the end
+        block_mb = _rss(np.sum(a_mb, axis=1), p_x)
+        del a_mb
+        clean_ab = _synthesize(scenario.g_ab, a_ab, mode_idx, shape, p_x)
+        del a_ab
+        clean_am = _synthesize(scenario.g_am, a_am, mode_idx, shape, p_x)
+        del a_am
+    finally:
+        if noise:
+            worker.join()
+    if failure:
+        raise failure[0]
+
+    clean_ab = clean_ab.reshape(-1)[:n_rounds]
+    clean_am = clean_am.reshape(-1)[:n_rounds]
+    if noise:
+        # z *= sigma; z += clean rounds as clean + sigma * z does
+        for z in noise:
+            z *= noise_sigma_db
+        x_a, x_b, rss_ma, rss_mb = noise
+        x_a += clean_ab
+        x_b += clean_ab
+        del clean_ab
+        rss_ma += clean_am
+        del clean_am
+        rss_mb += np.repeat(block_mb, block_len)[:n_rounds]
     else:
-        x_a = clean_ab.copy()
-        x_b = clean_ab.copy()
+        x_a, x_b, rss_ma = clean_ab, clean_ab.copy(), clean_am
+        rss_mb = np.repeat(block_mb, block_len)[:n_rounds]
 
     modes = np.asarray(scenario.profile.modes, dtype=np.int64)[mode_idx]
     return MeasurementTrace(modes, x_a, x_b, rss_ma, rss_mb, np.zeros(n_rounds, dtype=bool))
+
+
+def _synthesize(g: np.ndarray, a: np.ndarray, mode_idx: np.ndarray, shape, p_x: float):
+    """One link's clean RSS on the (block, round-in-block) grid `shape`,
+    computed _CHUNK_BLOCKS blocks at a time into one preallocated array.
+
+    The last block is padded with mode 0 (only when the session is not a
+    whole number of blocks); the caller cuts the padding off."""
+    n_blocks, block_len = shape
+    rss = np.empty(shape)
+    for b0 in range(0, n_blocks, _CHUNK_BLOCKS):
+        b1 = min(b0 + _CHUNK_BLOCKS, n_blocks)
+        rows = mode_idx[b0 * block_len:b1 * block_len]
+        pad = (b1 - b0) * block_len - rows.size
+        grid = (np.pad(rows, (0, pad)) if pad else rows).reshape(b1 - b0, block_len)
+        _rss(_block_channel(g, a[b0:b1], grid), p_x, out=rss[b0:b1])
+    return rss
