@@ -20,6 +20,23 @@ per block and repeated. Each link's magnitude is taken with complex
 `np.abs`, the function the per-round formula used: `np.hypot(re, im)`
 on the two parts differs from it in the last bit on about a third of
 the rounds, which would move every digest of a trace or a key.
+
+A noisy session overlaps its two halves on two cores. The generator is
+drawn in one fixed order: the fading coefficients of the three links,
+the modes, then one noise array each for x_a, x_b, rss_ma and rss_mb.
+After the mode draw the calling thread allocates the four noise arrays
+and one worker fills them in that order, while the calling thread, which
+no longer touches the generator, synthesizes the A-B and A-M channels
+_CHUNK_BLOCKS blocks at a time straight into preallocated RSS columns.
+After the join each noise array becomes its column in place (`z *=
+sigma; z += clean` rounds as `clean + sigma * z` does), so every output
+and the generator's final state equal those of the serial order. The
+chunks keep the peak flat: the four noise arrays are live for the whole
+synthesis, so no whole-session complex or gain temporary may sit beside
+them, and each link's fading coefficients and clean column are released
+once used. The noise arrays are allocated by the calling thread because
+a thread's own allocations go to a separate malloc arena. A zero-noise
+session starts no thread.
 """
 from __future__ import annotations
 
@@ -263,7 +280,12 @@ def simulate_session(
         del clean_ab
         rss_ma += clean_am
         del clean_am
-        rss_mb += np.repeat(block_mb, block_len)[:n_rounds]
+        # each block's RSS broadcast over its rounds, with no whole-session
+        # repeat; a short last block takes the last one
+        whole = n_rounds // block_len
+        by_block = rss_mb[:whole * block_len].reshape(whole, block_len)
+        by_block += block_mb[:whole, None]
+        rss_mb[whole * block_len:] += block_mb[-1]
     else:
         x_a, x_b, rss_ma = clean_ab, clean_ab.copy(), clean_am
         rss_mb = np.repeat(block_mb, block_len)[:n_rounds]
