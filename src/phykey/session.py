@@ -255,7 +255,8 @@ def simulate_session(
         # one block never spans more rounds than the session has
         block_len = min(coherence_block_rounds, n_rounds)
         shape = (n_blocks, block_len)
-        # M-B is omni at both ends: one RSS per block, repeated at the end
+        # M-B is omni at both ends: one RSS per block, spread over its
+        # rounds once the noise is in
         block_mb = _rss(np.sum(a_mb, axis=1), p_x)
         del a_mb
         clean_ab = _synthesize(scenario.g_ab, a_ab, mode_idx, shape, p_x)

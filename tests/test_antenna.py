@@ -180,6 +180,17 @@ def test_profile_csv_refusal_names_path_and_line(tmp_path, body, where, reason):
     assert reason in message
 
 
+@pytest.mark.parametrize("mode", [2**63, -(2**63) - 1, 2**64])
+def test_profile_refuses_mode_outside_int64(mode):
+    # the type holds the rule, so a profile built in code cannot reach a
+    # session whose int64 mode column would overflow
+    with pytest.raises(ProfileError, match=f"mode must be an int64, got {mode}"):
+        AntennaProfile(modes=(0, mode), angles_deg=np.array([0.0]), gains=np.ones((2, 1)))
+    edges = AntennaProfile(modes=(-(2**63), 2**63 - 1), angles_deg=np.array([0.0]),
+                           gains=np.ones((2, 1)))
+    assert edges.modes == (-(2**63), 2**63 - 1)
+
+
 TOP = Topology(alice=(0, 0), bob=(10, 0), mallory=(5, 5))
 
 

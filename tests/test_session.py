@@ -1,4 +1,5 @@
 import functools
+import threading
 import tracemalloc
 import warnings
 
@@ -12,7 +13,7 @@ from phykey.config import config_from_mapping
 from phykey.errors import ContractError
 from phykey.fading import sample_fading_blocks
 from phykey.pipeline import _attack, run_protocol
-from phykey.session import build_scenario, simulate_session
+from phykey.session import _CHUNK_BLOCKS, build_scenario, simulate_session
 
 
 def _run(cfg, profile=None):
@@ -270,10 +271,74 @@ def test_block_channel_matches_per_round_oracle(kind, n_rounds, coherence, noise
         assert got.tobytes() == expected.tobytes(), name
 
 
+@pytest.mark.parametrize("noise_sigma_db", [0.0, 1.5])
+@pytest.mark.parametrize("coherence, short", [(1, 0), (10, 3)], ids=["coherence-1", "padded-10"])
+@pytest.mark.parametrize("n_blocks", [_CHUNK_BLOCKS - 1, _CHUNK_BLOCKS, _CHUNK_BLOCKS + 1,
+                                      2 * _CHUNK_BLOCKS + 3])
+def test_chunked_session_matches_oracle_across_chunks(n_blocks, coherence, short,
+                                                       noise_sigma_db):
+    # the hypothesis test above stays inside one chunk; at coherence 10 the
+    # last block is 3 rounds short, so the last chunk is padded
+    n_rounds = n_blocks * coherence - short
+    scenario = _oracle_scenario("beam")
+    want_rng, rng = np.random.default_rng(n_blocks), np.random.default_rng(n_blocks)
+    want = _oracle_session(scenario, n_rounds, coherence, noise_sigma_db, want_rng)
+    trace = simulate_session(scenario, n_rounds=n_rounds, coherence_block_rounds=coherence,
+                             noise_sigma_db=noise_sigma_db, rng=rng)
+    for name, expected in want.items():
+        got = getattr(trace, name)
+        assert got.dtype == expected.dtype, name
+        assert got.tobytes() == expected.tobytes(), name
+    # the caller's generator ends where the serial session leaves it:
+    # build_report draws the commitments from it next
+    assert rng.standard_normal(8).tobytes() == want_rng.standard_normal(8).tobytes()
+
+
+class _FailingGenerator:
+    """A seeded Generator whose `fail_at`-th standard_normal call raises."""
+
+    def __init__(self, fail_at):
+        self._rng = np.random.default_rng(0)
+        self._calls = 0
+        self._fail_at = fail_at
+        self.error = RuntimeError(f"standard_normal call {fail_at} failed")
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        self._calls += 1
+        if self._calls == self._fail_at:
+            raise self.error
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+# the fading takes six standard_normal calls, then the worker draws the four
+# noise arrays: the first, a middle and the last of them fail
+@pytest.mark.parametrize("fail_at", [7, 8, 10])
+def test_failed_noise_draw_raises_and_leaves_no_thread(fail_at):
+    rng = _FailingGenerator(fail_at)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        simulate_session(_oracle_scenario("beam"), n_rounds=5000, coherence_block_rounds=10,
+                         noise_sigma_db=2.0, rng=rng)
+    assert info.value is rng.error
+    assert threading.active_count() == threads
+
+
+def test_zero_noise_session_starts_no_thread(monkeypatch):
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+    simulate_session(_oracle_scenario("beam"), n_rounds=5000, coherence_block_rounds=10,
+                     noise_sigma_db=0.0, rng=np.random.default_rng(0))
+    assert started == []
+
+
 @pytest.mark.parametrize("attack", [False, True])
 def test_session_traced_peak_per_round(attack):
     # one 100k-round session; the bound sits between the per-round-gather
-    # kernel (about 128-139 B/round) and the block kernel (about 80-91)
+    # kernel (about 128-139 B/round) and the block kernel (about 80-91 on
+    # the whole session at once, 63-66 in chunks beside the noise worker)
     n_rounds = 100_000
     cfg = config_from_mapping({"seed": 5, "attack": {"enabled": attack}})
     scenario = cfg.build_scenario()
