@@ -27,21 +27,21 @@ the modes, then one noise array each for x_a, x_b, rss_ma and rss_mb.
 After the mode draw the calling thread allocates the four noise arrays
 and one worker fills them in that order, while the calling thread, which
 no longer touches the generator, synthesizes the A-B and A-M channels
-_CHUNK_BLOCKS blocks at a time straight into preallocated RSS columns.
-After the join each noise array becomes its column in place (`z *=
-sigma; z += clean` rounds as `clean + sigma * z` does), so every output
-and the generator's final state equal those of the serial order. The
-chunks keep the peak flat: the four noise arrays are live for the whole
-synthesis, so no whole-session complex or gain temporary may sit beside
-them, and each link's fading coefficients and clean column are released
-once used. The noise arrays are allocated by the calling thread because
-a thread's own allocations go to a separate malloc arena. A zero-noise
-session starts no thread.
+about _CHUNK_ROUNDS rounds at a time straight into preallocated RSS
+columns. Once the worker's result is read each noise array becomes its
+column in place (`z *= sigma; z += clean` rounds as `clean + sigma * z`
+does), so every output and the generator's final state equal those of
+the serial order. The steps keep the peak flat at every coherence
+length: the four noise arrays are live for the whole synthesis, so no
+whole-session complex or gain temporary may sit beside them, and each
+link's fading coefficients and clean column are released once used. The
+noise arrays are allocated by the calling thread because a thread's own
+allocations go to a separate malloc arena. A zero-noise session starts
+no thread.
 """
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +53,9 @@ from .geometry import LinkPathSet, Topology, path_angles
 
 RAKG = "RAKG"
 OAKG = "OAKG"
-# coherence blocks synthesized per step: a step's temporaries stay in cache
-# and small next to the session's columns
-_CHUNK_BLOCKS = 1024
+# rounds synthesized per step, whatever the coherence length: a step's
+# temporaries stay in cache and small next to the session's columns
+_CHUNK_ROUNDS = 16384
 
 
 @dataclass(frozen=True)
@@ -236,38 +236,33 @@ def simulate_session(
     a_mb = sample_fading_blocks(rng, links.fading_mb, links.mb_path_count, n_blocks)
     mode_idx = rng.integers(0, scenario.profile.mode_count, size=n_rounds)
 
+    # M-B is omni at both ends: one RSS per block, spread over its rounds
+    # at the end; its coefficients go before the noise arrays are allocated
+    block_mb = _rss(np.sum(a_mb, axis=1), p_x)
+    del a_mb
+    # one block never spans more rounds than the session has
+    block_len = min(coherence_block_rounds, n_rounds)
+    shape = (n_blocks, block_len)
     # the noise is drawn next in the serial order: the worker takes the
-    # generator until join, and this thread allocates its arrays
+    # generator until its result is read, and this thread allocates its arrays
     noise = [np.empty(n_rounds) for _ in range(4)] if noise_sigma_db > 0.0 else []
-    failure: list[BaseException] = []
 
     def draw_noise():
-        try:
-            for z in noise:
-                rng.standard_normal(out=z)
-        except BaseException as exc:  # re-raised by the calling thread
-            failure.append(exc)
+        for z in noise:
+            rng.standard_normal(out=z)
 
-    worker = threading.Thread(target=draw_noise, name="phykey-session-noise")
-    if noise:
-        worker.start()
-    try:
-        # one block never spans more rounds than the session has
-        block_len = min(coherence_block_rounds, n_rounds)
-        shape = (n_blocks, block_len)
-        # M-B is omni at both ends: one RSS per block, spread over its
-        # rounds once the noise is in
-        block_mb = _rss(np.sum(a_mb, axis=1), p_x)
-        del a_mb
+    # imported on first use: concurrent.futures loads logging, about 12 ms
+    # of every start of the CLI
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1, thread_name_prefix="phykey-session-noise") as pool:
+        drawn = pool.submit(draw_noise) if noise else None
         clean_ab = _synthesize(scenario.g_ab, a_ab, mode_idx, shape, p_x)
         del a_ab
         clean_am = _synthesize(scenario.g_am, a_am, mode_idx, shape, p_x)
         del a_am
-    finally:
-        if noise:
-            worker.join()
-    if failure:
-        raise failure[0]
+        if drawn:
+            drawn.result()
 
     clean_ab = clean_ab.reshape(-1)[:n_rounds]
     clean_am = clean_am.reshape(-1)[:n_rounds]
@@ -278,18 +273,16 @@ def simulate_session(
         x_a, x_b, rss_ma, rss_mb = noise
         x_a += clean_ab
         x_b += clean_ab
-        del clean_ab
         rss_ma += clean_am
-        del clean_am
-        # each block's RSS broadcast over its rounds, with no whole-session
-        # repeat; a short last block takes the last one
-        whole = n_rounds // block_len
-        by_block = rss_mb[:whole * block_len].reshape(whole, block_len)
-        by_block += block_mb[:whole, None]
-        rss_mb[whole * block_len:] += block_mb[-1]
     else:
         x_a, x_b, rss_ma = clean_ab, clean_ab.copy(), clean_am
-        rss_mb = np.repeat(block_mb, block_len)[:n_rounds]
+    # the clean columns are gone or in use before the M-B column is spread
+    del clean_ab, clean_am
+    mb = np.repeat(block_mb, block_len)[:n_rounds]
+    if noise:
+        rss_mb += mb
+    else:
+        rss_mb = mb
 
     modes = np.asarray(scenario.profile.modes, dtype=np.int64)[mode_idx]
     return MeasurementTrace(modes, x_a, x_b, rss_ma, rss_mb, np.zeros(n_rounds, dtype=bool))
@@ -297,16 +290,22 @@ def simulate_session(
 
 def _synthesize(g: np.ndarray, a: np.ndarray, mode_idx: np.ndarray, shape, p_x: float):
     """One link's clean RSS on the (block, round-in-block) grid `shape`,
-    computed _CHUNK_BLOCKS blocks at a time into one preallocated array.
+    computed about _CHUNK_ROUNDS rounds at a time into one preallocated array.
 
-    The last block is padded with mode 0 (only when the session is not a
-    whole number of blocks); the caller cuts the padding off."""
+    A step is a run of whole blocks, or part of one block when a block is
+    longer than a step, so its rounds are contiguous. The last block is
+    padded with mode 0 (only when the session is not a whole number of
+    blocks); the caller cuts the padding off."""
     n_blocks, block_len = shape
     rss = np.empty(shape)
-    for b0 in range(0, n_blocks, _CHUNK_BLOCKS):
-        b1 = min(b0 + _CHUNK_BLOCKS, n_blocks)
-        rows = mode_idx[b0 * block_len:b1 * block_len]
-        pad = (b1 - b0) * block_len - rows.size
-        grid = (np.pad(rows, (0, pad)) if pad else rows).reshape(b1 - b0, block_len)
-        _rss(_block_channel(g, a[b0:b1], grid), p_x, out=rss[b0:b1])
+    rows, cols = max(1, _CHUNK_ROUNDS // block_len), min(block_len, _CHUNK_ROUNDS)
+    for b0 in range(0, n_blocks, rows):
+        b1 = min(b0 + rows, n_blocks)
+        for c0 in range(0, block_len, cols):
+            c1 = min(c0 + cols, block_len)
+            start, stop = b0 * block_len + c0, (b1 - 1) * block_len + c1
+            part = mode_idx[start:stop]
+            pad = stop - start - part.size
+            grid = (np.pad(part, (0, pad)) if pad else part).reshape(b1 - b0, c1 - c0)
+            _rss(_block_channel(g, a[b0:b1], grid), p_x, out=rss[b0:b1, c0:c1])
     return rss

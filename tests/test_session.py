@@ -13,7 +13,7 @@ from phykey.config import config_from_mapping
 from phykey.errors import ContractError
 from phykey.fading import sample_fading_blocks
 from phykey.pipeline import _attack, run_protocol
-from phykey.session import _CHUNK_BLOCKS, build_scenario, simulate_session
+from phykey.session import _CHUNK_ROUNDS, build_scenario, simulate_session
 
 
 def _run(cfg, profile=None):
@@ -271,17 +271,33 @@ def test_block_channel_matches_per_round_oracle(kind, n_rounds, coherence, noise
         assert got.tobytes() == expected.tobytes(), name
 
 
+def _around_a_step(coherence, short):
+    step = _CHUNK_ROUNDS // coherence  # blocks per step
+    return [pytest.param(coherence, short, n, id=f"coherence-{coherence}-{n}-blocks")
+            for n in (step - 1, step, step + 1, 2 * step + 3)]
+
+
+# a block three steps long, its last step 3 rounds wide
+_LONG = 2 * _CHUNK_ROUNDS + 3
+
+
 @pytest.mark.parametrize("noise_sigma_db", [0.0, 1.5])
-@pytest.mark.parametrize("coherence, short", [(1, 0), (10, 3)], ids=["coherence-1", "padded-10"])
-@pytest.mark.parametrize("n_blocks", [_CHUNK_BLOCKS - 1, _CHUNK_BLOCKS, _CHUNK_BLOCKS + 1,
-                                      2 * _CHUNK_BLOCKS + 3])
+@pytest.mark.parametrize("coherence, short, n_blocks", [
+    *_around_a_step(1, 0),
+    *_around_a_step(10, 3),
+    pytest.param(_LONG, 0, 1, id="long-block"),
+    pytest.param(_LONG, 1, 3, id="long-blocks-1-short"),
+    pytest.param(_LONG, _CHUNK_ROUNDS + 5, 2, id="long-blocks-padded-steps"),
+])
 def test_chunked_session_matches_oracle_across_chunks(n_blocks, coherence, short,
                                                        noise_sigma_db):
-    # the hypothesis test above stays inside one chunk; at coherence 10 the
-    # last block is 3 rounds short, so the last chunk is padded
+    # the hypothesis test above stays inside one step. A step is
+    # _CHUNK_ROUNDS // coherence whole blocks, or part of one block when a
+    # block is longer; the last block is `short` rounds short, so its steps
+    # are padded (in the last case the last two steps are padding only)
     n_rounds = n_blocks * coherence - short
     scenario = _oracle_scenario("beam")
-    want_rng, rng = np.random.default_rng(n_blocks), np.random.default_rng(n_blocks)
+    want_rng, rng = np.random.default_rng(n_rounds), np.random.default_rng(n_rounds)
     want = _oracle_session(scenario, n_rounds, coherence, noise_sigma_db, want_rng)
     trace = simulate_session(scenario, n_rounds=n_rounds, coherence_block_rounds=coherence,
                              noise_sigma_db=noise_sigma_db, rng=rng)
