@@ -236,10 +236,6 @@ def simulate_session(
     a_mb = sample_fading_blocks(rng, links.fading_mb, links.mb_path_count, n_blocks)
     mode_idx = rng.integers(0, scenario.profile.mode_count, size=n_rounds)
 
-    # M-B is omni at both ends: one RSS per block, spread over its rounds
-    # at the end; its coefficients go before the noise arrays are allocated
-    block_mb = _rss(np.sum(a_mb, axis=1), p_x)
-    del a_mb
     # one block never spans more rounds than the session has
     block_len = min(coherence_block_rounds, n_rounds)
     shape = (n_blocks, block_len)
@@ -257,6 +253,10 @@ def simulate_session(
 
     with ThreadPoolExecutor(1, thread_name_prefix="phykey-session-noise") as pool:
         drawn = pool.submit(draw_noise) if noise else None
+        # M-B is omni at both ends: one RSS per block, spread over its
+        # rounds at the end
+        block_mb = _rss(np.sum(a_mb, axis=1), p_x)
+        del a_mb
         clean_ab = _synthesize(scenario.g_ab, a_ab, mode_idx, shape, p_x)
         del a_ab
         clean_am = _synthesize(scenario.g_am, a_am, mode_idx, shape, p_x)
