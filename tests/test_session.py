@@ -354,7 +354,7 @@ def test_zero_noise_session_starts_no_thread(monkeypatch):
 def test_session_traced_peak_per_round(attack):
     # one 100k-round session; the bound sits between the per-round-gather
     # kernel (about 128-139 B/round) and the block kernel (about 80-91 on
-    # the whole session at once, 63-66 in chunks beside the noise worker)
+    # the whole session at once, 63-68 in steps beside the noise worker)
     n_rounds = 100_000
     cfg = config_from_mapping({"seed": 5, "attack": {"enabled": attack}})
     scenario = cfg.build_scenario()
