@@ -26,12 +26,12 @@ from .antenna import (
 from .config import ExperimentConfig, parse_config
 from .errors import PhykeyError
 from .fading import FadingParams
-from .fuzzy import Commitment, ReconcileFailure, commit, derive_key, open_commitment, verify_keys
+from .fuzzy import Commitment, ReconcileFailure, commit_stream, derive_key, open_stream, verify_keys
 from .geometry import LinkPathSet, Topology, path_angles
 from .metrics import approximate_entropy, attack_metrics, bit_mismatch_rate, randomness_tests, secret_bit_rate
 from .pipeline import analyze_config, replay_trace, run_experiment, run_protocol, run_trials
 from .quantize import Bitstream, confirm_excursions, find_excursions, quantize, thresholds
-from .reed_solomon import DecodeFailure, ReedSolomon, RsParams
+from .reed_solomon import ReedSolomon, RsParams
 from .rician import rician_params
 from .session import MeasurementTrace, Scenario, build_links, build_scenario, simulate_session
 

@@ -3,7 +3,7 @@
 Each config section is a frozen dataclass, and one table-driven loader
 (`_load_section`) checks a YAML mapping against it. It walks the
 section's fields, coerces each value by the field's annotation, applies
-the `ge`/`gt`/`lt`/`finite` bounds in the field's metadata and rejects
+the `ge`/`gt`/`lt` bounds in the field's metadata and rejects
 unknown and duplicate keys at every level. It reports every bad field as
 `dotted.path: reason`, fields in declaration order and then unknown
 keys, joined by "; " in one ConfigError. The seed is mandatory so every
@@ -14,8 +14,8 @@ Coercion rules:
   (`rounds: 5000.0` loads as 5000);
 - a float field takes an int or a float, or a string that spells a
   decimal number, because YAML 1.1 reads an exponent without a dot
-  (`k_factor: 1e14`) and JSON's `1e-05` as strings; `1e400` reads as
-  inf. No other string is a number;
+  (`k_factor: 1e14`) and JSON's `1e-05` as strings. No other string is
+  a number, and no float may be infinite or NaN (`1e400` overflows);
 - booleans are not numbers and numbers are not booleans: a bool field
   takes only `true`/`false` (YAML's `yes`/`no`/`on`/`off` already load
   as booleans), and an int or float field takes no boolean;
@@ -42,7 +42,7 @@ Point = tuple[float, float]
 
 
 def _bounded(default=MISSING, **bounds):
-    """A field whose loaded value must satisfy bounds: ge, gt, lt or finite=True."""
+    """A field whose loaded value must satisfy bounds: ge, gt or lt."""
     return field(default=default, metadata=bounds)
 
 
@@ -89,7 +89,7 @@ class FadingConfig:
 class AttackConfig:
     enabled: bool = True
     d: float = _bounded(3.0, gt=0.0)
-    injection_power_dbm: Optional[float] = _bounded(None, finite=True)
+    injection_power_dbm: Optional[float] = None
     repeat_injection: bool = False
 
 
@@ -110,7 +110,7 @@ class ExperimentConfig:
     beta: float = _bounded(0.4, gt=0.0, lt=1.0)
     excursion_len: int = _bounded(1, ge=1)
     noise_sigma_db: float = _bounded(0.0, ge=0.0)
-    detection_threshold_dbm: float = _bounded(-75.0, finite=True)
+    detection_threshold_dbm: float = -75.0
     wavelength_m: float = _bounded(0.125, gt=0.0)
     topology: TopologyConfig = TopologyConfig()
     antenna: AntennaConfig = AntennaConfig()
@@ -193,7 +193,6 @@ _BOUNDS = {
     "ge": (operator.ge, "greater than or equal to {}"),
     "gt": (operator.gt, "greater than {}"),
     "lt": (operator.lt, "less than {}"),
-    "finite": (lambda value, _: math.isfinite(value), "finite"),
 }
 
 
@@ -225,7 +224,7 @@ def _load_section(cls, data, path: str, errors: list):
             continue
         for name, bound in f.metadata.items():
             check, words = _BOUNDS[name]
-            if not check(value, bound):  # also false for NaN
+            if not check(value, bound):
                 errors.append(f"{where}: must be {words.format(bound)}, got {value!r}")
                 break
     names = {f.name for f in known}
@@ -275,14 +274,15 @@ def _scalar(tp, value):
         if number and (isinstance(value, int) or value.is_integer()):
             return int(value)
         raise ValueError("expected an integer")
-    if isinstance(value, str) and _DECIMAL.fullmatch(value):
-        return float(value)
-    if number:
-        try:
-            return float(value)
-        except OverflowError:
-            raise ValueError("number out of float range") from None
-    raise ValueError("expected a number")
+    if not (number or (isinstance(value, str) and _DECIMAL.fullmatch(value))):
+        raise ValueError("expected a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("number out of float range") from None
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
 
 
 class _NoDuplicateLoader(yaml.SafeLoader):

@@ -9,7 +9,8 @@ re-randomizes it uniformly.
 
 The bitstream is chunked into blocks of n*m bits; a final partial
 block is dropped rather than padded, so every reconciled bit is a
-genuinely agreed one.
+genuinely agreed one. `commit_stream` and `open_stream` handle all of
+a stream's blocks in one batch; one block is a one-block stream.
 """
 from __future__ import annotations
 
@@ -76,73 +77,10 @@ class Commitment:
 
 @dataclass(frozen=True)
 class ReconcileFailure:
-    """Why reconciliation failed; for a stream, "block b: why" for every
-    failing block in block order, joined by "; "."""
+    """Why reconciliation failed: "block b: why" for every failing block
+    in block order, joined by "; "."""
 
     reason: str
-
-
-def _check_block(bits: np.ndarray, params: RsParams) -> np.ndarray:
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size != params.block_bits:
-        raise ContractError(
-            f"block must be exactly {params.block_bits} bits, got {bits.size}"
-        )
-    return bits.reshape(1, -1)
-
-
-def _commit_blocks(
-    s_a: np.ndarray, params: RsParams, rng: np.random.Generator
-) -> tuple[list[Commitment], np.ndarray]:
-    """Commitments to the rows of a (blocks, n*m) bit array, and the y rows.
-
-    One draw of blocks*k symbols equals one draw of k per block in turn.
-    """
-    blocks = len(s_a)
-    y = rng.integers(0, 1 << params.m, size=blocks * params.k).reshape(blocks, params.k)
-    codewords = codec(params).encode_blocks(y)
-    deltas = s_a ^ symbols_to_bits(codewords, params.m).reshape(blocks, params.block_bits)
-    commitments = [
-        Commitment(delta=delta, verifier_digest=digest, params=params)
-        for delta, digest in zip(deltas, _digests(y, params.m))
-    ]
-    return commitments, y
-
-
-def _open_blocks(
-    s_b: np.ndarray, commitments: list[Commitment], params: RsParams
-) -> tuple[np.ndarray, dict[int, str]]:
-    """Recovered S_a rows for a (blocks, n*m) bit array, and {block: reason}.
-
-    A decoded codeword with zero syndromes is exactly enc(y'), so it is
-    XORed with delta directly instead of re-encoding y'.
-    """
-    deltas = np.stack([cm.delta for cm in commitments])
-    received = bits_to_symbols(s_b ^ deltas, params.m).reshape(len(commitments), -1)
-    codewords, failures = codec(params).decode_blocks(received)
-    failures = {b: f"decode: {reason}" for b, reason in failures.items()}
-    digests = _digests(codewords[:, : params.k], params.m)
-    for b, (cm, digest) in enumerate(zip(commitments, digests)):
-        if b not in failures and digest != cm.verifier_digest:
-            failures[b] = "digest mismatch"
-    recovered = symbols_to_bits(codewords, params.m).reshape(len(commitments), -1) ^ deltas
-    return recovered, dict(sorted(failures.items()))
-
-
-def commit(
-    s_a: np.ndarray, params: RsParams, rng: np.random.Generator
-) -> tuple[Commitment, np.ndarray]:
-    """Commit to one block of exactly n*m bits; returns (commitment, y)."""
-    commitments, y = _commit_blocks(_check_block(s_a, params), params, rng)
-    return commitments[0], y[0]
-
-
-def open_commitment(s_b: np.ndarray, commitment: Commitment, params: RsParams):
-    """Recover the committed S_a from Bob's block, or ReconcileFailure."""
-    recovered, failures = _open_blocks(_check_block(s_b, params), [commitment], params)
-    if failures:
-        return ReconcileFailure(failures[0])
-    return recovered[0]
 
 
 def commit_stream(
@@ -150,32 +88,48 @@ def commit_stream(
 ) -> tuple[list[Commitment], int]:
     """Commit a whole bitstream in one batch; the partial tail is dropped.
 
-    Returns the commitments and the number of bits covered.
+    Returns the commitments and the number of bits covered. One draw of
+    blocks*k symbols equals one draw of k per block in turn.
     """
     s_a = np.asarray(s_a, dtype=np.uint8)
-    nblocks = s_a.size // params.block_bits
-    covered = nblocks * params.block_bits
-    blocks = s_a[:covered].reshape(nblocks, params.block_bits)
-    commitments, _ = _commit_blocks(blocks, params, rng)
+    blocks = s_a.size // params.block_bits
+    covered = blocks * params.block_bits
+    shape = (blocks, params.block_bits)
+    y = rng.integers(0, 1 << params.m, size=blocks * params.k).reshape(blocks, params.k)
+    codewords = codec(params).encode_blocks(y)
+    deltas = s_a[:covered].reshape(shape) ^ symbols_to_bits(codewords, params.m).reshape(shape)
+    commitments = [
+        Commitment(delta=delta, verifier_digest=digest, params=params)
+        for delta, digest in zip(deltas, _digests(y, params.m))
+    ]
     return commitments, covered
 
 
 def open_stream(s_b: np.ndarray, commitments: list[Commitment], params: RsParams):
     """Open every block in one batch; any failing block fails the stream.
 
-    The ReconcileFailure names every failing block, first one first.
+    The ReconcileFailure names every failing block, first one first. A
+    decoded codeword with zero syndromes is exactly enc(y'), so it is
+    XORed with delta directly instead of re-encoding y'.
     """
     s_b = np.asarray(s_b, dtype=np.uint8)
-    need = len(commitments) * params.block_bits
+    blocks = len(commitments)
+    need = blocks * params.block_bits
     if s_b.size < need:
         raise ContractError(f"peer stream holds {s_b.size} bits, need {need}")
     if not commitments:
         return np.zeros(0, dtype=np.uint8)
-    blocks = s_b[:need].reshape(len(commitments), params.block_bits)
-    recovered, failures = _open_blocks(blocks, commitments, params)
+    deltas = np.stack([cm.delta for cm in commitments])
+    received = bits_to_symbols(s_b[:need].reshape(blocks, -1) ^ deltas, params.m)
+    codewords, failures = codec(params).decode_blocks(received.reshape(blocks, -1))
+    failures = {b: f"decode: {reason}" for b, reason in failures.items()}
+    digests = _digests(codewords[:, : params.k], params.m)
+    for b, (cm, digest) in enumerate(zip(commitments, digests)):
+        if b not in failures and digest != cm.verifier_digest:
+            failures[b] = "digest mismatch"
     if failures:
-        return ReconcileFailure("; ".join(f"block {b}: {r}" for b, r in failures.items()))
-    return recovered.reshape(-1)
+        return ReconcileFailure("; ".join(f"block {b}: {r}" for b, r in sorted(failures.items())))
+    return symbols_to_bits(codewords, params.m) ^ deltas.reshape(-1)
 
 
 def derive_key(bits: np.ndarray) -> bytes:

@@ -10,9 +10,10 @@ import. Decoding is the classic bounded-distance chain and runs only on
 blocks with a nonzero syndrome: Berlekamp-Massey for the error locator
 (vectorized over blocks), Chien search for its roots and Forney for the
 magnitudes (vectorized over blocks and positions).
-Anything beyond t = floor((n-k)/2) symbol errors yields DecodeFailure
-or (rarely) a valid-looking wrong word; callers needing certainty must
-verify a digest, as the fuzzy commitment does.
+Beyond t = floor((n-k)/2) symbol errors a block fails, with its reason
+in `decode_blocks`' {block: reason} dict, or (rarely) decodes to a
+valid-looking wrong word; callers needing certainty must verify a
+digest, as the fuzzy commitment does.
 """
 from __future__ import annotations
 
@@ -58,13 +59,6 @@ class RsParams:
     @property
     def parity_bits(self) -> int:
         return (self.n - self.k) * self.m
-
-
-@dataclass(frozen=True)
-class DecodeFailure:
-    """Bounded-distance decoding gave up; a value, not an exception."""
-
-    reason: str
 
 
 class ReedSolomon:
@@ -218,17 +212,6 @@ class ReedSolomon:
             reasons[i] = "correction did not clear the syndromes"
         corrected[unclear] = received[unclear]
         return corrected, reasons
-
-    def encode(self, word) -> np.ndarray:
-        """Systematic codeword: the k data symbols followed by parity."""
-        return self.encode_blocks(np.reshape(word, (1, -1)))[0]
-
-    def decode(self, received):
-        """Corrected data word, or DecodeFailure beyond the t radius."""
-        codewords, failures = self.decode_blocks(np.reshape(received, (1, -1)))
-        if failures:
-            return DecodeFailure(failures[0])
-        return codewords[0, : self.params.k]
 
 
 @lru_cache(maxsize=8)

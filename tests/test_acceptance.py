@@ -19,7 +19,7 @@ from phykey.analysis import (
     marcum_q1,
 )
 from phykey.config import config_from_mapping
-from phykey.fuzzy import ReconcileFailure, commit, open_commitment
+from phykey.fuzzy import ReconcileFailure, commit_stream, open_stream
 from phykey.quantize import thresholds
 from phykey.reed_solomon import RsParams
 from phykey.session import simulate_session
@@ -231,25 +231,25 @@ def test_criterion_07_reconciliation_contract():
     trials = 1000
     for _ in range(trials):
         s_a = rng.integers(0, 2, size=60).astype(np.uint8)
-        cm, _ = commit(s_a, params, rng)
+        commitments, _ = commit_stream(s_a, params, rng)
         s_b = s_a.copy()
         for sym in rng.choice(15, size=int(rng.integers(1, 3)), replace=False):
             mask = int(rng.integers(1, 16))
             for b in range(4):
                 if mask >> b & 1:
                     s_b[sym * 4 + b] ^= 1
-        out = open_commitment(s_b, cm, params)
+        out = open_stream(s_b, commitments, params)
         recovered += (not isinstance(out, ReconcileFailure)) and np.array_equal(out, s_a)
     for _ in range(trials):
         s_a = rng.integers(0, 2, size=60).astype(np.uint8)
-        cm, _ = commit(s_a, params, rng)
+        commitments, _ = commit_stream(s_a, params, rng)
         s_b = s_a.copy()
         for sym in rng.choice(15, size=3, replace=False):  # t+1 distinct symbols
             mask = int(rng.integers(1, 16))
             for b in range(4):
                 if mask >> b & 1:
                     s_b[sym * 4 + b] ^= 1
-        flagged += isinstance(open_commitment(s_b, cm, params), ReconcileFailure)
+        flagged += isinstance(open_stream(s_b, commitments, params), ReconcileFailure)
     elapsed = time.perf_counter() - t_start
     ok = recovered == trials and flagged == trials and elapsed < 30.0
     assert _report(

@@ -190,6 +190,7 @@ def _pmf_oracle(n, n0, p0, p1):
         (60_000, 0, 0.47, 0.29),
         (60_000, 30_000, 1.0, 1.0),
         (60_000, 60_000, 0.61, 0.0),
+        (60_000, 30_000, 0.4, 0.6),  # 60,001 = 29 x 2069: a slow FFT length
     ],
 )
 def test_pmf_equals_scipy_convolution_exactly(n, n0, p0, p1):

@@ -52,8 +52,6 @@ LOADED = [
     # YAML 1.1 reads an exponent without a dot, and JSON's 1e-05, as strings
     ("fading: {k_factor: 1e14, reference_amplitude: 1e-05}",
      {"fading.k_factor": 1e14, "fading.reference_amplitude": 1e-5}),
-    ("antenna: {synthesis: {front_to_back_db: 1e400}}",
-     {"antenna.synthesis.front_to_back_db": math.inf}),
     ("topology: {alice: [1, 2], scatterers: [[0, 5]]}",
      {"topology.alice": (1.0, 2.0), "topology.scatterers": ((0.0, 5.0),)}),
     ("antenna: {profile_csv: null}\nfading: {ab: {k_factor: null}}\n"
@@ -79,7 +77,14 @@ REJECTED = [
     ('seed: 1\nrounds: "1e5"', ["rounds"]),
     ("seed: 1\nbeta: .nan", ["beta"]),
     ("seed: 1\nnoise_sigma_db: .nan", ["noise_sigma_db"]),
-    # the dBm fields have no range, but must be finite
+    # every float must be finite, also where a field has no range (the dBm
+    # fields, coordinates) or only a lower bound; 1e400 overflows to inf
+    ("seed: 1\nantenna: {synthesis: {front_to_back_db: 1e400}}",
+     ["antenna.synthesis.front_to_back_db"]),
+    ("seed: 1\nfading: {k_factor: 1e400}", ["fading.k_factor"]),
+    ("seed: 1\nnoise_sigma_db: .inf", ["noise_sigma_db"]),
+    ("seed: 1\nfading: {ab: {los_amplitude: .inf}}", ["fading.ab.los_amplitude"]),
+    ("seed: 1\ntopology: {alice: [.inf, 0]}", ["topology.alice.0"]),
     ("seed: 1\nattack: {injection_power_dbm: .nan}", ["attack.injection_power_dbm"]),
     ("seed: 1\nattack: {injection_power_dbm: .inf}", ["attack.injection_power_dbm"]),
     ("seed: 1\nattack: {injection_power_dbm: -.inf}", ["attack.injection_power_dbm"]),

@@ -1,17 +1,15 @@
+import hashlib
+
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phykey.errors import ContractError
 from phykey.fuzzy import (
     ReconcileFailure,
     bits_to_symbols,
     challenge_response,
-    commit,
     commit_stream,
     derive_key,
-    open_commitment,
     open_stream,
     pack_bits,
     symbols_to_bits,
@@ -39,30 +37,33 @@ def test_pack_unpack_roundtrip(rng):
 
 
 def test_self_commitment_gives_zero_delta(rng):
-    rs = ReedSolomon(RS15)
+    # one block draws its private word as one draw of k symbols
     y = rng.integers(0, 16, size=11)
-    s_a = symbols_to_bits(rs.encode(y), 4)
+    s_a = symbols_to_bits(ReedSolomon(RS15).encode_blocks(y[None]), 4)
+    draws = []
 
     class FixedY:
         def integers(self, low, high, size):
+            draws.append((low, high, size))
             return y
 
-    cm, y_out = commit(s_a, RS15, FixedY())
-    np.testing.assert_array_equal(y_out, y)
+    (cm,), covered = commit_stream(s_a, RS15, FixedY())
+    assert draws == [(0, 16, 11)] and covered == 60
+    assert cm.verifier_digest == hashlib.sha256(np.packbits(symbols_to_bits(y, 4)).tobytes()).digest()
     assert not cm.delta.any()
 
 
 def test_commit_open_identity(rng):
     s_a = rng.integers(0, 2, size=60).astype(np.uint8)
-    cm, _ = commit(s_a, RS15, rng)
-    out = open_commitment(s_a.copy(), cm, RS15)
+    commitments, _ = commit_stream(s_a, RS15, rng)
+    out = open_stream(s_a.copy(), commitments, RS15)
     np.testing.assert_array_equal(out, s_a)
 
 
 def test_open_recovers_exact_sa_with_symbol_confined_flips(rng):
     for _ in range(300):
         s_a = rng.integers(0, 2, size=60).astype(np.uint8)
-        cm, _ = commit(s_a, RS15, rng)
+        commitments, _ = commit_stream(s_a, RS15, rng)
         s_b = s_a.copy()
         symbols = rng.choice(15, size=2, replace=False)
         for sym in symbols:
@@ -71,7 +72,7 @@ def test_open_recovers_exact_sa_with_symbol_confined_flips(rng):
             for b in range(4):
                 if mask >> b & 1:
                     s_b[sym * 4 + b] ^= 1
-        out = open_commitment(s_b, cm, RS15)
+        out = open_stream(s_b, commitments, RS15)
         assert not isinstance(out, ReconcileFailure)
         np.testing.assert_array_equal(out, s_a)
 
@@ -79,7 +80,7 @@ def test_open_recovers_exact_sa_with_symbol_confined_flips(rng):
 def test_open_flags_beyond_radius_corruption(rng):
     for _ in range(300):
         s_a = rng.integers(0, 2, size=60).astype(np.uint8)
-        cm, _ = commit(s_a, RS15, rng)
+        commitments, _ = commit_stream(s_a, RS15, rng)
         s_b = s_a.copy()
         symbols = rng.choice(15, size=3, replace=False)  # t + 1 distinct symbols
         for sym in symbols:
@@ -87,7 +88,7 @@ def test_open_flags_beyond_radius_corruption(rng):
             for b in range(4):
                 if mask >> b & 1:
                     s_b[sym * 4 + b] ^= 1
-        out = open_commitment(s_b, cm, RS15)
+        out = open_stream(s_b, commitments, RS15)
         assert isinstance(out, ReconcileFailure)
 
 
@@ -95,17 +96,10 @@ def test_delta_hiding_per_bit_frequency(rng):
     # over fresh private words, each delta bit should look like a fair coin
     s_a = rng.integers(0, 2, size=60).astype(np.uint8)
     trials = 10_000
-    acc = np.zeros(60)
-    for _ in range(trials):
-        cm, _ = commit(s_a, RS15, rng)
-        acc += cm.delta
-    freq = acc / trials
+    commitments, _ = commit_stream(np.tile(s_a, trials), RS15, rng)
+    freq = np.mean([cm.delta for cm in commitments], axis=0)
+    assert len(commitments) == trials
     assert np.all(np.abs(freq - 0.5) < 0.02)
-
-
-def test_wrong_length_rejected(rng):
-    with pytest.raises(ContractError):
-        commit(np.zeros(59, dtype=np.uint8), RS15, rng)
 
 
 def test_stream_chunking_drops_partial_tail(rng):
@@ -135,8 +129,10 @@ def test_stream_failure_names_every_failing_block(rng):
     bad[240:] ^= 1
     out = open_stream(bad, commitments, RS15)
     assert isinstance(out, ReconcileFailure)
-    singles = [open_commitment(bad[b * 60 : (b + 1) * 60], commitments[b], RS15) for b in (1, 4)]
-    assert out.reason == f"block 1: {singles[0].reason}; block 4: {singles[1].reason}"
+    # each block alone fails for the same reason, as block 0 of its own stream
+    singles = [open_stream(bad[b * 60 : (b + 1) * 60], [commitments[b]], RS15)
+               .reason.removeprefix("block 0: ") for b in (1, 4)]
+    assert out.reason == f"block 1: {singles[0]}; block 4: {singles[1]}"
 
 
 def test_stream_commit_draws_like_block_by_block_commits():
@@ -144,7 +140,7 @@ def test_stream_commit_draws_like_block_by_block_commits():
     commitments, covered = commit_stream(bits, RS15, np.random.default_rng(9))
     rng = np.random.default_rng(9)
     for b, cm in enumerate(commitments):
-        single, _ = commit(bits[b * 60 : (b + 1) * 60], RS15, rng)
+        (single,), _ = commit_stream(bits[b * 60 : (b + 1) * 60], RS15, rng)
         np.testing.assert_array_equal(cm.delta, single.delta)
         assert cm.verifier_digest == single.verifier_digest
     assert covered == 240 and len(commitments) == 4
@@ -155,7 +151,7 @@ def test_stream_commit_draws_like_block_by_block_commits():
 def test_commit_open_identity_property(seed, n_bad_symbols):
     rng = np.random.default_rng(seed)
     s_a = rng.integers(0, 2, size=60).astype(np.uint8)
-    cm, _ = commit(s_a, RS15, rng)
+    commitments, _ = commit_stream(s_a, RS15, rng)
     s_b = s_a.copy()
     if n_bad_symbols:
         for sym in rng.choice(15, size=n_bad_symbols, replace=False):
@@ -163,7 +159,7 @@ def test_commit_open_identity_property(seed, n_bad_symbols):
             for b in range(4):
                 if mask >> b & 1:
                     s_b[sym * 4 + b] ^= 1
-    out = open_commitment(s_b, cm, RS15)
+    out = open_stream(s_b, commitments, RS15)
     np.testing.assert_array_equal(out, s_a)
 
 

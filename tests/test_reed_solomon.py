@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,16 @@ import pytest
 import phykey
 from phykey.errors import ContractError
 from phykey.galois import field
-from phykey.reed_solomon import DecodeFailure, ReedSolomon, RsParams, codec
+from phykey.reed_solomon import ReedSolomon, RsParams, codec
 
 RS15 = RsParams(m=4, n=15, k=11)
+
+
+@dataclass(frozen=True)
+class OracleFailure:
+    """The scalar oracle gave up, with the reason the batched decoder must report."""
+
+    reason: str
 
 
 class ScalarReedSolomon:
@@ -93,7 +101,7 @@ class ScalarReedSolomon:
         locator = self.berlekamp_massey(synd)
         n_errors = len(locator) - 1
         if n_errors > p.t:
-            return DecodeFailure(f"locator degree {n_errors} exceeds t={p.t}")
+            return OracleFailure(f"locator degree {n_errors} exceeds t={p.t}")
         order = gf.order - 1
         positions, roots_x = [], []
         for j in range(p.n):
@@ -106,7 +114,7 @@ class ScalarReedSolomon:
                 positions.append(j)
                 roots_x.append(int(gf.exp[deg % order]))
         if len(positions) != n_errors:
-            return DecodeFailure(f"locator of degree {n_errors} has {len(positions)} roots")
+            return OracleFailure(f"locator of degree {n_errors} has {len(positions)} roots")
         nsym = p.n - p.k
         omega = [0] * nsym
         for i in range(nsym):
@@ -122,10 +130,10 @@ class ScalarReedSolomon:
             for i in range(1, len(locator), 2):
                 den ^= gf.mul(locator[i], gf.pow(xinv, i - 1))
             if den == 0:
-                return DecodeFailure("Forney denominator vanished")
+                return OracleFailure("Forney denominator vanished")
             corrected[j] ^= gf.mul(x_k, gf.div(num, den))
         if any(self.syndromes(corrected)):
-            return DecodeFailure("correction did not clear the syndromes")
+            return OracleFailure("correction did not clear the syndromes")
         return corrected[: p.k].copy()
 
 
@@ -139,22 +147,33 @@ def test_params_validation():
     assert RS15.parity_bits == 16
 
 
+def _corrupt(codewords, n_errors, params, rng):
+    """Each row with n_errors[row] distinct positions XORed with nonzero magnitudes."""
+    bad = codewords.copy()
+    for row, count in enumerate(n_errors):
+        pos = rng.choice(params.n, size=count, replace=False)
+        bad[row, pos] ^= rng.integers(1, 1 << params.m, size=count)
+    return bad
+
+
 def test_zero_word_encodes_to_zero_codeword():
-    np.testing.assert_array_equal(codec(RS15).encode(np.zeros(11, dtype=int)), np.zeros(15))
+    zeros = np.zeros((1, 11), dtype=int)
+    np.testing.assert_array_equal(codec(RS15).encode_blocks(zeros), np.zeros((1, 15)))
 
 
 def test_encoding_is_systematic_and_roundtrips(rng):
-    word = rng.integers(0, 16, size=11)
-    cw = codec(RS15).encode(word)
-    np.testing.assert_array_equal(cw[:11], word)
-    np.testing.assert_array_equal(codec(RS15).decode(cw), word)
+    words = rng.integers(0, 16, size=(4, 11))
+    cw = codec(RS15).encode_blocks(words)
+    np.testing.assert_array_equal(cw[:, :11], words)
+    decoded, failures = codec(RS15).decode_blocks(cw)
+    assert failures == {}
+    np.testing.assert_array_equal(decoded, cw)
 
 
 def test_codeword_syndromes_vanish_at_generator_roots(rng):
     # independent oracle: evaluate the codeword polynomial at alpha^i
     gf = field(4)
-    word = rng.integers(0, 16, size=11)
-    cw = codec(RS15).encode(word)
+    cw = codec(RS15).encode_blocks(rng.integers(0, 16, size=(1, 11)))[0]
     for i in range(15 - 11):
         root = gf.pow(2, i)
         acc = 0
@@ -166,60 +185,45 @@ def test_codeword_syndromes_vanish_at_generator_roots(rng):
 def test_encode_linearity(rng):
     w1 = rng.integers(0, 16, size=11)
     w2 = rng.integers(0, 16, size=11)
-    c1, c2 = codec(RS15).encode(w1), codec(RS15).encode(w2)
-    np.testing.assert_array_equal(codec(RS15).encode(w1 ^ w2), c1 ^ c2)
+    c1, c2, c12 = codec(RS15).encode_blocks(np.stack([w1, w2, w1 ^ w2]))
+    np.testing.assert_array_equal(c12, c1 ^ c2)
 
 
 def test_symbol_out_of_range_rejected():
     with pytest.raises(ContractError):
-        codec(RS15).encode(np.array([16] + [0] * 10))
+        codec(RS15).encode_blocks(np.array([[16] + [0] * 10]))
     with pytest.raises(ContractError):
-        codec(RS15).decode(np.array([16] + [0] * 14))
+        codec(RS15).decode_blocks(np.array([[16] + [0] * 14]))
 
 
 @pytest.mark.parametrize("params", [RS15, RsParams(m=4, n=13, k=7), RsParams(m=6, n=63, k=45)])
 def test_corrects_up_to_t_random_errors(params, rng):
     rs = ReedSolomon(params)
-    for _ in range(200):
-        word = rng.integers(0, 1 << params.m, size=params.k)
-        cw = rs.encode(word)
-        n_err = int(rng.integers(1, params.t + 1))
-        pos = rng.choice(params.n, size=n_err, replace=False)
-        bad = cw.copy()
-        for j in pos:
-            bad[j] ^= int(rng.integers(1, 1 << params.m))
-        out = rs.decode(bad)
-        assert not isinstance(out, DecodeFailure)
-        np.testing.assert_array_equal(out, word)
+    cw = rs.encode_blocks(rng.integers(0, 1 << params.m, size=(200, params.k)))
+    bad = _corrupt(cw, rng.integers(1, params.t + 1, size=200), params, rng)
+    decoded, failures = rs.decode_blocks(bad)
+    assert failures == {}
+    np.testing.assert_array_equal(decoded, cw)
 
 
 def test_exhaustive_two_symbol_flips_randomized(rng):
     # the reconciliation contract at desk scale: 1000 random <= t corruptions
     rs = ReedSolomon(RS15)
-    word = rng.integers(0, 16, size=11)
-    cw = rs.encode(word)
-    for _ in range(1000):
-        pos = rng.choice(15, size=2, replace=False)
-        bad = cw.copy()
-        for j in pos:
-            bad[j] ^= int(rng.integers(1, 16))
-        np.testing.assert_array_equal(rs.decode(bad), word)
+    cw = np.repeat(rs.encode_blocks(rng.integers(0, 16, size=(1, 11))), 1000, axis=0)
+    decoded, failures = rs.decode_blocks(_corrupt(cw, [2] * 1000, RS15, rng))
+    assert failures == {}
+    np.testing.assert_array_equal(decoded, cw)
 
 
 def test_beyond_radius_never_returns_original(rng):
     # t+1 distinct-symbol corruptions: decoder may fail or miscorrect to a
     # different word, but can never silently return the original
     rs = ReedSolomon(RS15)
-    for _ in range(500):
-        word = rng.integers(0, 16, size=11)
-        cw = rs.encode(word)
-        pos = rng.choice(15, size=RS15.t + 1, replace=False)
-        bad = cw.copy()
-        for j in pos:
-            bad[j] ^= int(rng.integers(1, 16))
-        out = rs.decode(bad)
-        if not isinstance(out, DecodeFailure):
-            assert not np.array_equal(out, word)
+    cw = rs.encode_blocks(rng.integers(0, 16, size=(500, 11)))
+    decoded, failures = rs.decode_blocks(_corrupt(cw, [RS15.t + 1] * 500, RS15, rng))
+    for row in range(500):
+        if row not in failures:
+            assert not np.array_equal(decoded[row], cw[row])
 
 
 def test_exhaustive_all_error_patterns_small_code(rng):
@@ -227,35 +231,25 @@ def test_exhaustive_all_error_patterns_small_code(rng):
     # pattern with every nonzero magnitude must decode back
     params = RsParams(m=3, n=7, k=3)
     rs = ReedSolomon(params)
-    word = rng.integers(0, 8, size=3)
-    cw = rs.encode(word)
-    for i in range(7):
-        for e1 in range(1, 8):
-            bad = cw.copy()
-            bad[i] ^= e1
-            np.testing.assert_array_equal(rs.decode(bad), word)
-    for i in range(7):
-        for j in range(i + 1, 7):
-            for e1 in range(1, 8):
-                for e2 in range(1, 8):
-                    bad = cw.copy()
-                    bad[i] ^= e1
-                    bad[j] ^= e2
-                    out = rs.decode(bad)
-                    assert not isinstance(out, DecodeFailure)
-                    np.testing.assert_array_equal(out, word)
+    cw = rs.encode_blocks(rng.integers(0, 8, size=(1, 3)))[0]
+    # singles[i, e - 1]: magnitude e at position i; doubles pair two positions
+    singles = np.eye(7, dtype=np.int64)[:, None, :] * np.arange(1, 8)[None, :, None]
+    doubles = [(singles[i][:, None] + singles[j][None, :]).reshape(-1, 7)
+               for i in range(7) for j in range(i + 1, 7)]
+    errors = np.concatenate([singles.reshape(-1, 7), *doubles])
+    assert errors.shape == (7 * 7 + 21 * 7 * 7, 7)
+    decoded, failures = rs.decode_blocks(cw ^ errors)
+    assert failures == {}
+    np.testing.assert_array_equal(decoded, np.broadcast_to(cw, decoded.shape))
 
 
 def test_big_default_instance_roundtrip(rng):
     params = RsParams(m=8, n=255, k=223)
     rs = ReedSolomon(params)
-    word = rng.integers(0, 256, size=223)
-    cw = rs.encode(word)
-    pos = rng.choice(255, size=params.t, replace=False)
-    bad = cw.copy()
-    for j in pos:
-        bad[j] ^= int(rng.integers(1, 256))
-    np.testing.assert_array_equal(rs.decode(bad), word)
+    cw = rs.encode_blocks(rng.integers(0, 256, size=(1, 223)))
+    decoded, failures = rs.decode_blocks(_corrupt(cw, [params.t], params, rng))
+    assert failures == {}
+    np.testing.assert_array_equal(decoded, cw)
 
 
 ORACLE_CODES = {  # code: seeds checked (the scalar oracle is slow on the big code)
@@ -269,7 +263,7 @@ ORACLE_CODES = {  # code: seeds checked (the scalar oracle is slow on the big co
 @pytest.mark.parametrize("params", list(ORACLE_CODES), ids=lambda p: f"RS({p.n},{p.k})")
 def test_batched_codec_matches_scalar_oracle(params):
     """Mixed batches of clean, correctable and beyond-radius blocks:
-    codeword, success or DecodeFailure (with its reason), and the
+    codeword, success or failure (with its reason), and the
     returned word, miscorrections included, agree block by block."""
     oracle, rs = ScalarReedSolomon(params), ReedSolomon(params)
     outcomes = {}
@@ -285,7 +279,7 @@ def test_batched_codec_matches_scalar_oracle(params):
         for row in range(16):
             np.testing.assert_array_equal(codewords[row], oracle.encode(words[row]))
             want = oracle.decode(received[row])
-            if isinstance(want, DecodeFailure):
+            if isinstance(want, OracleFailure):
                 assert failures.get(row) == want.reason
                 np.testing.assert_array_equal(decoded[row], received[row])
                 outcome = " ".join(want.reason.split()[:2])
