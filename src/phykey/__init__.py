@@ -15,14 +15,7 @@ from .analysis import (
     key_guess_probability,
     marcum_q1,
 )
-from .antenna import (
-    AntennaProfile,
-    calibrate_tx_power,
-    load_antenna_profile,
-    omni_profile,
-    save_antenna_profile,
-    synthesize_rotated_beam,
-)
+from .antenna import AntennaProfile, calibrate_tx_power, omni_profile, synthesize_rotated_beam
 from .config import ExperimentConfig, parse_config
 from .errors import PhykeyError
 from .fading import FadingParams
@@ -34,5 +27,6 @@ from .quantize import Bitstream, confirm_excursions, find_excursions, quantize, 
 from .reed_solomon import ReedSolomon, RsParams
 from .rician import rician_params
 from .session import MeasurementTrace, Scenario, build_links, build_scenario, simulate_session
+from .traceio import load_antenna_profile, save_antenna_profile
 
 __version__ = "0.1.0"

@@ -1,10 +1,11 @@
-"""Antenna gain profiles: CSV loading, interpolation, synthesis, power calibration.
+"""Antenna gain profiles: interpolation, synthesis, power calibration.
 
 A profile is a dense gain table over (mode, angle). Gains are linear
 weights applied directly to per-path fading coefficients; between
 listed angles the gain is interpolated linearly with wraparound at
 360 degrees. An omnidirectional (OA) profile is the degenerate single
-mode with gain 1 everywhere.
+mode with gain 1 everywhere. Profile CSV files are read and written by
+`traceio`.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .rician import rician_mean_amplitude, rician_params
 
 OA_KIND = "OA"
 RA_KIND = "RA"
-# a mode is an integer in the int64 range, as in the trace CSV
+# a mode is an integer in the int64 range, in a profile as in the trace CSV
 _INT64_MODES = range(-(2**63), 2**63)
 
 
@@ -128,73 +129,6 @@ def synthesize_rotated_beam(
     return AntennaProfile(
         modes=tuple(range(mode_count)), angles_deg=angles, gains=gains, kind=RA_KIND
     )
-
-
-def load_antenna_profile(path) -> AntennaProfile:
-    """Load a profile CSV with header mode,angle_deg,gain_linear.
-
-    A mode is an integer in the int64 range, as in the trace CSV. Every
-    mode must list the same angle set; gaps between listed angles are
-    covered by the interpolation rule at query time. Errors name the file
-    line as `line N`.
-    """
-    rows: dict[int, dict[float, float]] = {}
-    # undecodable bytes become U+FFFD, which no number holds, so they are
-    # reported at their line
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        header = fh.readline()
-        if header.strip().replace(" ", "") != "mode,angle_deg,gain_linear":
-            raise ProfileError(
-                f"{path}: line 1: expected header 'mode,angle_deg,gain_linear', "
-                f"got {header.strip()!r}"
-            )
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ProfileError(f"{path}: line {lineno}: expected 3 fields")
-            try:
-                mode = int(parts[0])
-                angle = float(parts[1])
-                g = float(parts[2])
-            except ValueError as exc:
-                raise ProfileError(f"{path}: line {lineno}: {exc}") from None
-            if mode not in _INT64_MODES:
-                raise ProfileError(f"{path}: line {lineno}: mode must be an int64, got {mode}")
-            if not np.isfinite(g) or g < 0.0:
-                raise ProfileError(
-                    f"{path}: line {lineno}: gain must be finite and >= 0, got {g}"
-                )
-            if not (0.0 <= angle < 360.0):
-                raise ProfileError(
-                    f"{path}: line {lineno}: angle must be in [0, 360), got {angle}"
-                )
-            per_mode = rows.setdefault(mode, {})
-            if angle in per_mode:
-                raise ProfileError(
-                    f"{path}: line {lineno}: duplicate (mode, angle) = ({mode}, {angle})"
-                )
-            per_mode[angle] = g
-    if not rows:
-        raise ProfileError(f"{path}: no profile rows")
-    modes = tuple(sorted(rows))
-    angle_sets = {tuple(sorted(rows[m])) for m in modes}
-    if len(angle_sets) != 1:
-        raise ProfileError(f"{path}: modes list different angle sets")
-    angles = np.array(sorted(rows[modes[0]]))
-    gains = np.array([[rows[m][a] for a in angles] for m in modes])
-    kind = OA_KIND if len(modes) == 1 and np.all(gains == 1.0) else RA_KIND
-    return AntennaProfile(modes=modes, angles_deg=angles, gains=gains, kind=kind)
-
-
-def save_antenna_profile(profile: AntennaProfile, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("mode,angle_deg,gain_linear\n")
-        for i, mode in enumerate(profile.modes):
-            for angle, g in zip(profile.angles_deg, profile.gains[i]):
-                fh.write(f"{mode},{angle:g},{g:.12g}\n")
 
 
 def calibrate_tx_power(

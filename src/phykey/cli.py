@@ -15,9 +15,10 @@ import click
 import numpy as np
 
 from . import fuzzy, metrics, pipeline, traceio
-from .antenna import save_antenna_profile, synthesize_rotated_beam
+from .antenna import synthesize_rotated_beam
 from .config import parse_config
 from .errors import ConfigError, ContractError, PhykeyError
+from .quantize import Bitstream
 from .reed_solomon import RsParams
 
 EXIT_USAGE = 1
@@ -165,15 +166,14 @@ def commit(bitstream, out, seed, symbol_bits, n, k):
     """Commit to a bitstream file; emits the commitment blob."""
     params = RsParams(m=symbol_bits, n=n, k=k)
     stream = traceio.read_bitstream(bitstream)
+    if stream.bits.size < params.block_bits:
+        raise ContractError(f"{bitstream}: holds {stream.bits.size} bits, fewer than one "
+                            f"block of {params.block_bits} bits (n * symbol-bits)")
     commitments, covered = fuzzy.commit_stream(
         stream.bits, params, np.random.default_rng(seed)
     )
     traceio.write_commitments(out, commitments, params)
-    click.echo(
-        json.dumps(
-            {"blocks": len(commitments), "covered_bits": covered, "out": str(out)}
-        )
-    )
+    click.echo(json.dumps({"blocks": len(commitments), "covered_bits": covered, "out": str(out)}))
 
 
 @cli.command(name="open")
@@ -189,27 +189,15 @@ def open_cmd(bitstream, commit_path, out, strict):
     recovered = fuzzy.open_stream(stream.bits, commitments, params)
     if isinstance(recovered, fuzzy.ReconcileFailure):
         click.echo(json.dumps({"ok": False, "reason": recovered.reason}))
-        if strict:
-            raise RuntimeFailure(f"reconciliation failed: {recovered.reason}")
+        if strict:  # stdout's reason names the blocks; stderr only counts them
+            raise RuntimeFailure(f"reconciliation failed: {recovered.failed} of "
+                                 f"{len(commitments)} blocks did not open")
         return
     if out is not None:
-        from .quantize import Bitstream
-
-        traceio.write_bitstream(
-            out,
-            Bitstream(
-                bits=recovered, source_rounds=np.arange(recovered.size, dtype=np.int64)
-            ),
-        )
-    click.echo(
-        json.dumps(
-            {
-                "ok": True,
-                "recovered_bits": int(recovered.size),
-                "key_sha256": fuzzy.derive_key(recovered).hex(),
-            }
-        )
-    )
+        rounds = np.arange(recovered.size, dtype=np.int64)
+        traceio.write_bitstream(out, Bitstream(bits=recovered, source_rounds=rounds))
+    key = fuzzy.derive_key(recovered).hex()
+    click.echo(json.dumps({"ok": True, "recovered_bits": int(recovered.size), "key_sha256": key}))
 
 
 @cli.command()
@@ -237,7 +225,7 @@ def gen_profile(out, modes, front_to_back_db, beam_exponent):
         front_to_back_db=front_to_back_db,
         beam_exponent=beam_exponent,
     )
-    save_antenna_profile(profile, out)
+    traceio.save_antenna_profile(profile, out)
     click.echo(json.dumps({"modes": modes, "out": str(out)}))
 
 

@@ -30,11 +30,12 @@ from typing import Literal, Optional, Union, get_args, get_origin
 
 import yaml
 
-from .antenna import AntennaProfile, load_antenna_profile, omni_profile, synthesize_rotated_beam
+from .antenna import AntennaProfile, omni_profile, synthesize_rotated_beam
 from .errors import CalibrationError, ConfigError, ContractError
 from .geometry import Topology
 from .reed_solomon import RsParams
 from .session import Scenario, build_scenario
+from .traceio import load_antenna_profile
 
 _DEFAULT_MALLORY_Y = 5.0 * math.sqrt(3.0)
 

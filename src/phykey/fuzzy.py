@@ -78,9 +78,10 @@ class Commitment:
 @dataclass(frozen=True)
 class ReconcileFailure:
     """Why reconciliation failed: "block b: why" for every failing block
-    in block order, joined by "; "."""
+    in block order, joined by "; ", and how many blocks failed."""
 
     reason: str
+    failed: int
 
 
 def commit_stream(
@@ -128,7 +129,8 @@ def open_stream(s_b: np.ndarray, commitments: list[Commitment], params: RsParams
         if b not in failures and digest != cm.verifier_digest:
             failures[b] = "digest mismatch"
     if failures:
-        return ReconcileFailure("; ".join(f"block {b}: {r}" for b, r in sorted(failures.items())))
+        reason = "; ".join(f"block {b}: {r}" for b, r in sorted(failures.items()))
+        return ReconcileFailure(reason, failed=len(failures))
     return symbols_to_bits(codewords, params.m) ^ deltas.reshape(-1)
 
 

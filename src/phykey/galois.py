@@ -65,11 +65,6 @@ class GF2m:
             raise ContractError(f"symbol {a} outside GF(2^{self.m})")
         return a
 
-    def add(self, a: int, b: int) -> int:
-        return self.check(a) ^ self.check(b)
-
-    sub = add  # characteristic 2: subtraction is addition
-
     def mul(self, a: int, b: int) -> int:
         self.check(a), self.check(b)
         if a == 0 or b == 0:

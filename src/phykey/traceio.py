@@ -1,11 +1,12 @@
-"""Trace CSV, packed bitstream, and commitment file formats.
+"""Trace CSV, antenna profile CSV, packed bitstream, and commitment file formats.
 
 Trace CSV: header `round,mode,x_a,x_b,rss_ma,rss_mb,injected`, one row
 per probing round. The same format is the replay-ingestion input;
 replayed experiment captures may omit the mode and injected columns.
 The file holds exactly a MeasurementTrace's columns: the scheme, the
 calibrated transmit power and the injection power are not in it, and a
-replay takes them from its config.
+replay takes them from its config. The `round` column is required but
+never read: rows replay in file order, and their round values are not checked.
 
 Precision contract: dBm values are written as `%.4f`, 4 decimals
 rounded half-to-even from the exact binary value (0.03125 -> 0.0312,
@@ -33,6 +34,9 @@ lines, exponents) is read whole by `_read_any_form`, which defines the
 accepted grammar, the values and the located errors; the kernel's rows
 come out the same bit for bit.
 
+Antenna profile CSV: header `mode,angle_deg,gain_linear`, rows read by
+`_Table` as the general reader's are: one grammar, int64 rule and error rule.
+
 Bitstreams: packed binary, MSB-first within bytes, zero-padded tail,
 plus a `<name>.rounds` sidecar listing each bit's source round (one
 per line, so the sidecar also fixes the exact bit count).
@@ -52,7 +56,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, TraceFormatError
+from .antenna import _INT64_MODES, OA_KIND, RA_KIND, AntennaProfile
+from .errors import ContractError, ProfileError, TraceFormatError
 from .fuzzy import Commitment, pack_bits, unpack_bits
 from .quantize import Bitstream
 from .reed_solomon import RsParams
@@ -205,12 +210,15 @@ def ingest_trace(path) -> MeasurementTrace:
 
     Requires the round,x_a,x_b,rss_ma,rss_mb columns; mode and injected
     are optional (zero when absent, as in raw experiment captures).
-    Every field is a number as Python's `float` reads it; blank lines
+    `round` must hold a number but is never read: rows replay in file
+    order. Every field is a number as Python's `float` reads it; blank lines
     are skipped. The required columns must be finite or -inf, the
     erasure sentinel the simulator records for a zero-gain round and
     export writes as `-inf`; NaN and +inf are refused. mode must be an
     integer in the int64 range, and comes back exactly as written;
-    injected must be 0 or 1. Errors name the file line as `row N`.
+    injected must be 0 or 1. Errors name the file line as `row N`: a
+    field count or a number that does not parse first, then the first
+    line in file order with a bad value (`_Table.refuse`).
 
     A file whose header line is export's, byte for byte, and whose rows
     are all in the narrow form export writes (no -inf, no |value| >= 1000
@@ -341,37 +349,112 @@ def _read_any_form(path) -> tuple[np.ndarray, ...]:
         if missing:
             raise TraceFormatError(f"{path}: missing column(s) {', '.join(missing)}")
         idx = {c: columns.index(c) for c in columns}
-        body = fh.tell()
-        data = _read_rows(path, fh, len(columns), float, np.float64, "row", first_line=2)
+        table = _Table(path, fh, len(columns), TraceFormatError, "row")
+        data = table.data
         if not data.shape[0]:
             raise TraceFormatError(f"{path}: no data rows")
-
-        def rows():  # (line number, fields) of each data row
-            fh.seek(body)
-            return ((lineno, line.split(",")) for lineno, line in _data_lines(fh, 2))
-
-        mode = data[:, idx["mode"]] if "mode" in idx else np.zeros(data.shape[0])
+        none = np.zeros(data.shape[0], dtype=np.int64)
+        mode, not_int = table.exact_ints(idx["mode"]) if "mode" in idx else (none, none != 0)
         injected = data[:, idx["injected"]] if "injected" in idx else np.zeros(data.shape[0])
-        # a float holds each integer below 2**53 exactly; from there on, the
-        # field's text gives the value
-        wide = np.abs(mode) >= 2.0**53
-        exact = []
-        if wide.any():
-            exact = [_exact_int(f[idx["mode"]]) for (_, f), w in zip(rows(), wide) if w]
-        not_int = ~(mode == np.floor(mode))
-        not_int[wide] = [v is None for v in exact]
-        for bad, why in (
+        table.refuse([
             (~(data[:, [idx[c] for c in REQUIRED_COLUMNS]] < np.inf).all(axis=1),
              "non-finite value other than -inf"),
             (not_int, "mode is not an integer"),
             ((injected != 0) & (injected != 1), "injected is not 0 or 1"),
-        ):
-            if bad.any():
-                lineno, _ = next(itertools.islice(rows(), int(np.argmax(bad)), None))
-                raise TraceFormatError(f"{path}: row {lineno}: {why}")
-    mode = (np.where(wide, 0.0, mode) if exact else mode).astype(np.int64)
-    mode[wide] = exact
+        ])
     return (mode, *(data[:, idx[c]] for c in REQUIRED_COLUMNS[1:]), injected.astype(bool))
+
+
+def load_antenna_profile(path) -> AntennaProfile:
+    """Load a profile CSV with header mode,angle_deg,gain_linear.
+
+    Rows are read as a trace's (`_Table`): a mode is any number `float`
+    reads that is an int64, so `5.0` and `1e3` are modes 5 and 1000. Every
+    mode must list the same angle set, in any row order; the interpolation
+    rule covers the gaps. Errors name the file line as `line N`: a field
+    count or a number that does not parse first, then the first line in
+    file order with a bad mode, gain or angle or a repeated (mode, angle).
+    """
+    # undecodable bytes become U+FFFD, which no number holds
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        header = fh.readline().strip()
+        if header.replace(" ", "") != "mode,angle_deg,gain_linear":
+            raise ProfileError(f"{path}: line 1: expected header "
+                               f"'mode,angle_deg,gain_linear', got {header!r}")
+        table = _Table(path, fh, 3, ProfileError, "line")
+        if not table.data.shape[0]:
+            raise ProfileError(f"{path}: no profile rows")
+        modes, not_int = table.exact_ints(0)
+        angles, gains = table.data[:, 1], table.data[:, 2]
+        # stable, so a run of one (mode, angle) pair keeps file order and
+        # each row of it after the first repeats an earlier line
+        order = np.lexsort((angles, modes))
+        m, a = modes[order], angles[order]
+        repeat = np.zeros(order.size, dtype=bool)
+        repeat[order[1:]] = (m[1:] == m[:-1]) & (a[1:] == a[:-1])
+        r = np.argmax(repeat)  # the first repeat, the only one a refusal names
+        table.refuse([
+            (not_int, "mode must be an int64, got {0}"),
+            (~((gains >= 0.0) & (gains < np.inf)), "gain must be finite and >= 0, got {v[2]}"),
+            (~((angles >= 0.0) & (angles < 360.0)), "angle must be in [0, 360), got {v[1]}"),
+            (repeat, f"duplicate (mode, angle) = ({modes[r]}, {angles[r]})"),
+        ])
+    modes, listed = np.unique(m, return_counts=True)  # and the angles each lists
+    if (listed != listed[0]).any() or (a.reshape(modes.size, -1) != a[:listed[0]]).any():
+        raise ProfileError(f"{path}: modes list different angle sets")
+    gains = gains[order].reshape(modes.size, -1)
+    kind = OA_KIND if modes.size == 1 and np.all(gains == 1.0) else RA_KIND
+    return AntennaProfile(tuple(modes.tolist()), a[:listed[0]], gains, kind)
+
+
+def save_antenna_profile(profile: AntennaProfile, path) -> None:
+    # each float as the shortest text `float` reads back to it, so a
+    # saved profile loads back exactly
+    angles = profile.angles_deg.tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("mode,angle_deg,gain_linear\n")
+        for mode, gains in zip(profile.modes, profile.gains.tolist()):
+            fh.writelines(f"{mode},{a!r},{g!r}\n" for a, g in zip(angles, gains))
+
+
+class _Table:
+    """The data rows of a CSV file whose header is line 1, as `_read_rows`'s
+    float64 `(rows, width)` array `data`, with the exact int64 columns and
+    located refusals of the trace and profile readers."""
+
+    def __init__(self, path, fh, width: int, error, label: str):
+        self.path, self.fh, self.error, self.label, self.start = path, fh, error, label, fh.tell()
+        self.data = _read_rows(path, fh, width, float, np.float64, label, 2, error)
+
+    def _fields(self):  # (line number, stripped fields) of each row, read again
+        self.fh.seek(self.start)
+        return ((n, [f.strip() for f in line.split(",")]) for n, line in _data_lines(self.fh, 2))
+
+    def exact_ints(self, column: int) -> tuple[np.ndarray, np.ndarray]:
+        """The column as int64, exactly as written, and the mask of rows that
+        hold no int64 (0 there). A float holds each integer below 2**53
+        exactly; from there on, one pass over the text gives the values."""
+        values = self.data[:, column]
+        wide = np.abs(values) >= 2.0**53
+        exact = []
+        if wide.any():
+            exact = [_exact_int(f[column]) for (_, f), w in zip(self._fields(), wide) if w]
+        bad = values != np.floor(values)
+        bad[wide] = [v is None for v in exact]
+        ints = np.where(wide | bad, 0.0, values).astype(np.int64)
+        ints[wide] = [v or 0 for v in exact]
+        return ints, bad
+
+    def refuse(self, checks) -> None:
+        """Raise the file's error at the first row any `(mask, why)` check
+        flags, in file order; on one row the earlier check wins. `why` is
+        formatted with the row's fields as text and its numbers as `v`."""
+        flagged = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks) if bad.any()]
+        if flagged:
+            row, k = min(flagged)
+            lineno, fields = next(itertools.islice(self._fields(), row, None))
+            why = checks[k][1].format(*fields, v=self.data[row])
+            raise self.error(f"{self.path}: {self.label} {lineno}: {why}")
 
 
 def _exact_int(text: str) -> int | None:
@@ -380,20 +463,21 @@ def _exact_int(text: str) -> int | None:
         value = Decimal(text)
     except InvalidOperation:
         return None
-    if value == value.to_integral_value() and -(2**63) <= value < 2**63:
+    if value == value.to_integral_value() and _INT64_MODES.start <= value < _INT64_MODES.stop:
         return int(value)
     return None
 
 
-def _read_rows(path, fh, width: int, parse, dtype, label: str, first_line: int) -> np.ndarray:
+def _read_rows(path, fh, width: int, parse, dtype, label: str, first_line: int,
+               error=TraceFormatError) -> np.ndarray:
     """The rest of `fh` as a `(rows, width)` array of comma-separated numbers.
 
     One `np.loadtxt` pass reads well-formed input. What it accepts is a
     subset of `parse` (`float` or `_int64`) on each stripped field, with
     the same values, so when it fails or finds another width the lines
-    are scanned again one by one with `parse`. That raises a
-    TraceFormatError naming the first bad line as `<label> N`, or returns
-    the rows of input only `parse` reads (`1_000`, whitespace-only lines).
+    are scanned again one by one with `parse`. That raises `error`
+    naming the first bad line as `<label> N`, or returns the rows of
+    input only `parse` reads (`1_000`, whitespace-only lines).
     """
     start = fh.tell()
     try:
@@ -410,13 +494,11 @@ def _read_rows(path, fh, width: int, parse, dtype, label: str, first_line: int) 
     for lineno, line in _data_lines(fh, first_line):
         parts = line.split(",")
         if len(parts) != width:
-            raise TraceFormatError(
-                f"{path}: {label} {lineno}: expected {width} fields, got {len(parts)}"
-            )
+            raise error(f"{path}: {label} {lineno}: expected {width} fields, got {len(parts)}")
         try:
             rows.append([parse(v) for v in parts])
         except (ValueError, OverflowError) as exc:
-            raise TraceFormatError(f"{path}: {label} {lineno}: {exc}") from None
+            raise error(f"{path}: {label} {lineno}: {exc}") from None
     return np.array(rows, dtype=dtype).reshape(-1, width)
 
 
@@ -501,6 +583,8 @@ def read_commitments(path) -> tuple[list[Commitment], RsParams]:
             params = RsParams(m=m, n=n, k=k)
         except ContractError as exc:
             raise TraceFormatError(f"{path}: {exc}") from None
+        if not count:
+            raise TraceFormatError(f"{path}: holds no blocks")
         blob_len = (params.block_bits + 7) // 8
         commitments = []
         for b in range(count):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -6,17 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phykey import analysis, antenna
-from phykey.antenna import (
-    AntennaProfile,
-    calibrate_tx_power,
-    load_antenna_profile,
-    omni_profile,
-    save_antenna_profile,
-    synthesize_rotated_beam,
-)
+from phykey.antenna import AntennaProfile, calibrate_tx_power, omni_profile, synthesize_rotated_beam
 from phykey.errors import CalibrationError, ProfileError
 from phykey.geometry import LinkPathSet, Topology, path_angles
 from phykey.rician import rician_params
+from phykey.traceio import load_antenna_profile, save_antenna_profile
 
 
 def test_omni_profile_gain_is_one_everywhere():
@@ -168,8 +163,15 @@ HEADER = b"mode,angle_deg,gain_linear\n"
     (HEADER + b"9223372036854775807,0,1\n9223372036854775808,0,1\n", "line 3",
      "mode must be an int64, got 9223372036854775808"),
     (HEADER + b"-9223372036854775809,0,1\n", "line 2", "mode must be an int64"),
+    (HEADER + b"0,0,1\n0.5,0,1\n", "line 3", "mode must be an int64, got 0.5"),
+    (HEADER + b"0,0,1\n \t \n0,360,1\n", "line 4", "angle must be in [0, 360), got 360.0"),
+    (HEADER + b"0,400,1\n0,90,-1\n", "line 2", "angle must be in [0, 360), got 400.0"),
+    (HEADER + b"0,90,-1\n0,400,1\n", "line 2", "gain must be finite and >= 0, got -1.0"),
+    (HEADER + b"0,400,1\n0,x,1\n", "line 3", "could not convert"),
 ], ids=["header", "fields", "number", "negative-gain", "angle-range", "duplicate",
-        "no-rows", "angle-sets", "undecodable-byte", "mode-above-int64", "mode-below-int64"])
+        "no-rows", "angle-sets", "undecodable-byte", "mode-above-int64", "mode-below-int64",
+        "fractional-mode", "whitespace-line", "angle-then-gain", "gain-then-angle",
+        "number-before-value"])
 def test_profile_csv_refusal_names_path_and_line(tmp_path, body, where, reason):
     path = tmp_path / "bad.csv"
     path.write_bytes(body)
@@ -178,6 +180,108 @@ def test_profile_csv_refusal_names_path_and_line(tmp_path, body, where, reason):
     message = str(info.value)
     assert message.startswith(f"{path}: {where}: " if where else f"{path}: ")
     assert reason in message
+
+
+def test_profile_csv_modes_follow_the_trace_rule(tmp_path):
+    # any number float reads that is an int64 is a mode, in any row order
+    path = tmp_path / "modes.csv"
+    path.write_bytes(HEADER + b"1e3,90,0.5\n5.0,90,0.25\n1e3,0,1\n 5 ,0,1\n")
+    profile = load_antenna_profile(path)
+    assert profile.modes == (5, 1000) and profile.kind == "RA"
+    assert profile.angles_deg.tolist() == [0.0, 90.0]
+    assert profile.gains.tolist() == [[1.0, 0.25], [1.0, 0.5]]
+
+
+def oracle_load_profile(path):
+    """The per-line profile loader the shared table reader replaced, with
+    its two deliberate changes: a mode is any number `float` reads that is
+    an int64, and a field count or a number that does not parse is refused
+    before any bad value. Values are checked line by line, in file order."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        lines = list(enumerate(fh, start=1))
+    if lines[0][1].strip().replace(" ", "") != "mode,angle_deg,gain_linear":
+        raise ProfileError(f"{path}: line 1: expected header")
+    parsed = []
+    for lineno, line in lines[1:]:
+        if line.strip():
+            parts = line.strip().split(",")
+            if len(parts) != 3:
+                raise ProfileError(f"{path}: line {lineno}: expected 3 fields, got {len(parts)}")
+            try:
+                parsed.append((lineno, parts[0].strip(), [float(p) for p in parts]))
+            except ValueError as exc:
+                raise ProfileError(f"{path}: line {lineno}: {exc}") from None
+    rows = {}
+    for lineno, text, (value, angle, g) in parsed:
+        exact = Decimal(text)
+        if exact != exact.to_integral_value() or not -(2**63) <= exact < 2**63:
+            raise ProfileError(f"{path}: line {lineno}: mode must be an int64, got {text}")
+        if not math.isfinite(g) or g < 0.0:
+            raise ProfileError(f"{path}: line {lineno}: gain must be finite and >= 0, got {g}")
+        if not 0.0 <= angle < 360.0:
+            raise ProfileError(f"{path}: line {lineno}: angle must be in [0, 360), got {angle}")
+        if angle in rows.setdefault(int(exact), {}):
+            raise ProfileError(
+                f"{path}: line {lineno}: duplicate (mode, angle) = ({int(exact)}, {angle})")
+        rows[int(exact)][angle] = g
+    if not rows:
+        raise ProfileError(f"{path}: no profile rows")
+    modes = sorted(rows)
+    if len({tuple(sorted(rows[m])) for m in modes}) != 1:
+        raise ProfileError(f"{path}: modes list different angle sets")
+    angles = sorted(rows[modes[0]])
+    gains = np.array([[rows[m][a] for a in angles] for m in modes])
+    kind = "OA" if len(modes) == 1 and np.all(gains == 1.0) else "RA"
+    return AntennaProfile(modes=tuple(modes), angles_deg=angles, gains=gains, kind=kind)
+
+
+PROFILE_FIELDS = (
+    ["0", "1", " 2", "5.0", "1e3", "0.5", "-3", "9223372036854775807", "9223372036854775808",
+     "-9223372036854775808", "1e19", "nan", "inf"],
+    ["0", "90", "180.0", "1e2", " 45 ", "-0", "359.9999999", "360", "-1", "nan", "inf"],
+    ["1", "0.5", "0", "-0", "1e-320", "1e400", "-1", "inf", "nan"],
+)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_profile_csv_loads_as_the_line_by_line_oracle(data, tmp_path_factory):
+    # rows of the first fields of each pool load; up to two other lines
+    # reach every refusal, so both loads and refusals are compared
+    def row(size):
+        return st.tuples(*(st.sampled_from(pool[:size]) for pool in PROFILE_FIELDS)).map(",".join)
+
+    lines = data.draw(st.lists(row(5), max_size=8))
+    for _ in range(data.draw(st.integers(0, 2))):
+        other = st.one_of(row(None), st.sampled_from(["", " \t ", "1,2", "0,x,1"]))
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(other))
+    path = tmp_path_factory.mktemp("profile") / "p.csv"
+    path.write_text("mode,angle_deg,gain_linear\n" + "".join(f"{line}\n" for line in lines))
+    try:
+        want = oracle_load_profile(path)
+    except ProfileError as exc:
+        with pytest.raises(ProfileError) as info:
+            load_antenna_profile(path)
+        assert str(info.value) == str(exc)
+        return
+    got = load_antenna_profile(path)
+    assert (got.modes, got.kind) == (want.modes, want.kind)
+    assert got.angles_deg.tobytes() == want.angles_deg.tobytes()
+    assert got.gains.tobytes() == want.gains.tobytes()
+
+
+@pytest.mark.parametrize("profile", [
+    synthesize_rotated_beam(360),
+    AntennaProfile(modes=(-(2**63), 7, 2**63 - 1), angles_deg=[0.0, 1e-9, 123.456789, 359.9999],
+                   gains=[[0.1, 1 / 3, 2.0, 0.0], [1.0, 1e-300, 5e-324, 7.0], [1.0] * 4]),
+], ids=["rotated-360", "wide-modes-fine-angles"])
+def test_profile_csv_roundtrip_is_exact(tmp_path, profile):
+    path = tmp_path / "beam.csv"
+    save_antenna_profile(profile, path)
+    loaded = load_antenna_profile(path)
+    assert loaded.modes == profile.modes and loaded.kind == profile.kind
+    assert loaded.angles_deg.tobytes() == profile.angles_deg.tobytes()
+    assert loaded.gains.tobytes() == profile.gains.tobytes()
 
 
 @pytest.mark.parametrize("mode", [2**63, -(2**63) - 1, 2**64])

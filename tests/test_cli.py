@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -335,6 +336,36 @@ def test_commit_unsupported_symbol_size_exit_2_before_reading(tmp_path, capsys, 
     assert not (tmp_path / "c.bin").exists()
 
 
+def test_commit_shorter_than_one_block_exit_2(tmp_path, capsys):
+    from phykey.quantize import Bitstream
+    from phykey.traceio import write_bitstream
+
+    bits_path = tmp_path / "short.bits"
+    write_bitstream(bits_path, Bitstream(bits=np.ones(30, np.uint8), source_rounds=np.arange(30)))
+    code, out, err = run_cli(
+        capsys, "commit", str(bits_path), "--out", str(tmp_path / "c.bin"), "--seed", "1"
+    )
+    assert (code, out) == (2, "")
+    assert f"{bits_path}: holds 30 bits, fewer than one block of 60 bits" in err
+    assert not (tmp_path / "c.bin").exists()
+
+
+def test_open_strict_failure_counts_blocks_on_one_stderr_line(tmp_path, capsys):
+    # the attacked capture of the CI paper flow: most blocks fail to open
+    cfg = config_from_mapping({"seed": 3, "rounds": 5000, "attack": {"enabled": True, "d": 3.0}})
+    pipeline.run_experiment(cfg, out_dir=tmp_path / "run")
+    run_cli(capsys, "commit", str(tmp_path / "run" / "alice.bits"), "--out",
+            str(tmp_path / "c.bin"), "--seed", "3")
+    code, out, err = run_cli(capsys, "open", str(tmp_path / "run" / "bob.bits"),
+                             "--commitments", str(tmp_path / "c.bin"), "--strict")
+    assert code == 3
+    reason = json.loads(out)["reason"]
+    failed = reason.count("block ")
+    assert failed > 1 and reason.startswith("block ")
+    assert err.count("\n") == 1 and not re.search(r"block \d+:", err)
+    assert err.startswith(f"runtime failure: reconciliation failed: {failed} of ")
+
+
 def test_open_strict_failure_exit_3(tmp_path, capsys, rng):
     bits = rng.integers(0, 2, size=60).astype(np.uint8)
     from phykey.quantize import Bitstream
@@ -389,7 +420,7 @@ def test_gen_profile_emits_loadable_csv(tmp_path, capsys):
         "--front-to-back-db", "12",
     )
     assert code == 0
-    from phykey.antenna import load_antenna_profile
+    from phykey.traceio import load_antenna_profile
 
     profile = load_antenna_profile(out_path)
     assert profile.mode_count == 24

@@ -11,9 +11,10 @@ import json
 import pytest
 
 from phykey import pipeline
-from phykey.antenna import AntennaProfile, save_antenna_profile
+from phykey.antenna import AntennaProfile
 from phykey.cli import main
 from phykey.config import config_from_mapping
+from phykey.traceio import save_antenna_profile
 
 ARTIFACTS = ("report.json", "trace.csv", "alice.bits", "alice.bits.rounds",
              "bob.bits", "commitments.bin")

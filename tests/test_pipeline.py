@@ -5,10 +5,10 @@ import pytest
 
 from phykey import fuzzy, pipeline
 from phykey.analysis import guess_count_pmf
-from phykey.antenna import AntennaProfile, save_antenna_profile
+from phykey.antenna import AntennaProfile
 from phykey.config import config_from_mapping
 from phykey.errors import ContractError
-from phykey.traceio import export_trace_csv, ingest_trace, read_commitments
+from phykey.traceio import export_trace_csv, ingest_trace, read_commitments, save_antenna_profile
 
 
 def small_cfg(**over):

@@ -502,6 +502,19 @@ def test_truncated_commitment_header_rejected(tmp_path):
         read_commitments(path)
 
 
+def test_commitment_file_without_blocks_rejected(tmp_path, capsys):
+    # opening no blocks would hand out the key of the empty bitstream
+    path = tmp_path / "c.bin"
+    write_commitments(path, [], RsParams(m=4, n=15, k=11))
+    with pytest.raises(TraceFormatError, match=r"c\.bin: holds no blocks"):
+        read_commitments(path)
+    bits_path = tmp_path / "s.bits"
+    write_bitstream(bits_path, Bitstream(bits=np.ones(30, np.uint8), source_rounds=np.arange(30)))
+    assert main(["open", str(bits_path), "--commitments", str(path), "--strict"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "c.bin: holds no blocks" in captured.err
+
+
 def test_impossible_commitment_code_is_a_located_format_error(tmp_path, capsys):
     path = tmp_path / "c.bin"
     bits_path = tmp_path / "s.bits"
