@@ -19,7 +19,7 @@ from .antenna import AntennaProfile, calibrate_tx_power, omni_profile, synthesiz
 from .config import ExperimentConfig, parse_config
 from .errors import PhykeyError
 from .fading import FadingParams
-from .fuzzy import Commitment, ReconcileFailure, commit_stream, derive_key, open_stream, verify_keys
+from .fuzzy import Commitments, ReconcileFailure, commit_stream, derive_key, open_stream, verify_keys
 from .geometry import LinkPathSet, Topology, path_angles
 from .metrics import approximate_entropy, attack_metrics, bit_mismatch_rate, randomness_tests, secret_bit_rate
 from .pipeline import analyze_config, replay_trace, run_experiment, run_protocol, run_trials

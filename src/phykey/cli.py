@@ -186,6 +186,10 @@ def open_cmd(bitstream, commit_path, out, strict):
     """Open a commitment with the peer's bitstream."""
     stream = traceio.read_bitstream(bitstream)
     commitments, params = traceio.read_commitments(commit_path)
+    need = len(commitments) * params.block_bits
+    if stream.bits.size < need:
+        raise ContractError(f"{bitstream}: holds {stream.bits.size} bits, fewer than the {need} "
+                            f"bits of the {len(commitments)} blocks in {commit_path}")
     recovered = fuzzy.open_stream(stream.bits, commitments, params)
     if isinstance(recovered, fuzzy.ReconcileFailure):
         click.echo(json.dumps({"ok": False, "reason": recovered.reason}))

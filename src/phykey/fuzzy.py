@@ -39,10 +39,11 @@ def symbols_to_bits(symbols: np.ndarray, m: int) -> np.ndarray:
     return ((symbols[..., None] >> shifts) & 1).astype(np.uint8).reshape(-1)
 
 
-def _digests(y: np.ndarray, m: int) -> list[bytes]:
-    """sha256 of each row's packed bits, one digest per block."""
+def _digests(y: np.ndarray, m: int) -> np.ndarray:
+    """(blocks, 32) sha256 of each row's packed bits, one digest per block."""
     bits = symbols_to_bits(y, m).reshape(y.shape[0], y.shape[1] * m)
-    return [hashlib.sha256(row.tobytes()).digest() for row in np.packbits(bits, axis=1)]
+    rows = np.packbits(bits, axis=1)
+    return np.frombuffer(b"".join(hashlib.sha256(r).digest() for r in rows), np.uint8).reshape(-1, 32)
 
 
 def pack_bits(bits: np.ndarray) -> bytes:
@@ -58,21 +59,25 @@ def unpack_bits(blob: bytes, n_bits: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Commitment:
-    """Public opening value delta plus the digest of the private word."""
+class Commitments:
+    """One stream's public record, block b in row b: `deltas` (blocks,
+    block_bits) holds each delta's bits, `digests` (blocks, 32) the
+    sha256 of each private word. Both are uint8 and made read-only."""
 
-    delta: np.ndarray
-    verifier_digest: bytes
-    params: RsParams
+    deltas: np.ndarray
+    digests: np.ndarray
 
     def __post_init__(self):
-        delta = np.asarray(self.delta, dtype=np.uint8)
-        if delta.size != self.params.block_bits:
-            raise ContractError(
-                f"delta must be exactly {self.params.block_bits} bits, got {delta.size}"
-            )
-        delta.setflags(write=False)
-        object.__setattr__(self, "delta", delta)
+        deltas, digests = (np.asarray(a, dtype=np.uint8) for a in (self.deltas, self.digests))
+        if deltas.ndim != 2 or digests.shape != (len(deltas), 32):
+            raise ContractError(f"need (blocks, bits) deltas and (blocks, 32) digests, "
+                                f"got {deltas.shape} and {digests.shape}")
+        for name, a in (("deltas", deltas), ("digests", digests)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def __len__(self) -> int:
+        return len(self.deltas)
 
 
 @dataclass(frozen=True)
@@ -86,11 +91,11 @@ class ReconcileFailure:
 
 def commit_stream(
     s_a: np.ndarray, params: RsParams, rng: np.random.Generator
-) -> tuple[list[Commitment], int]:
+) -> tuple[Commitments, int]:
     """Commit a whole bitstream in one batch; the partial tail is dropped.
 
-    Returns the commitments and the number of bits covered. One draw of
-    blocks*k symbols equals one draw of k per block in turn.
+    Returns the stream's commitments and the number of bits covered. One
+    draw of blocks*k symbols equals one draw of k per block in turn.
     """
     s_a = np.asarray(s_a, dtype=np.uint8)
     blocks = s_a.size // params.block_bits
@@ -99,14 +104,10 @@ def commit_stream(
     y = rng.integers(0, 1 << params.m, size=blocks * params.k).reshape(blocks, params.k)
     codewords = codec(params).encode_blocks(y)
     deltas = s_a[:covered].reshape(shape) ^ symbols_to_bits(codewords, params.m).reshape(shape)
-    commitments = [
-        Commitment(delta=delta, verifier_digest=digest, params=params)
-        for delta, digest in zip(deltas, _digests(y, params.m))
-    ]
-    return commitments, covered
+    return Commitments(deltas, _digests(y, params.m)), covered
 
 
-def open_stream(s_b: np.ndarray, commitments: list[Commitment], params: RsParams):
+def open_stream(s_b: np.ndarray, commitments: Commitments, params: RsParams):
     """Open every block in one batch; any failing block fails the stream.
 
     The ReconcileFailure names every failing block, first one first. A
@@ -114,20 +115,22 @@ def open_stream(s_b: np.ndarray, commitments: list[Commitment], params: RsParams
     XORed with delta directly instead of re-encoding y'.
     """
     s_b = np.asarray(s_b, dtype=np.uint8)
+    deltas = commitments.deltas
+    if deltas.shape[1] != params.block_bits:
+        raise ContractError(f"commitments hold {deltas.shape[1]}-bit deltas, but "
+                            f"the code's blocks are {params.block_bits} bits")
     blocks = len(commitments)
     need = blocks * params.block_bits
     if s_b.size < need:
         raise ContractError(f"peer stream holds {s_b.size} bits, need {need}")
-    if not commitments:
+    if not blocks:
         return np.zeros(0, dtype=np.uint8)
-    deltas = np.stack([cm.delta for cm in commitments])
     received = bits_to_symbols(s_b[:need].reshape(blocks, -1) ^ deltas, params.m)
     codewords, failures = codec(params).decode_blocks(received.reshape(blocks, -1))
     failures = {b: f"decode: {reason}" for b, reason in failures.items()}
-    digests = _digests(codewords[:, : params.k], params.m)
-    for b, (cm, digest) in enumerate(zip(commitments, digests)):
-        if b not in failures and digest != cm.verifier_digest:
-            failures[b] = "digest mismatch"
+    mismatch = (_digests(codewords[:, : params.k], params.m) != commitments.digests).any(axis=1)
+    for b in np.flatnonzero(mismatch).tolist():
+        failures.setdefault(b, "digest mismatch")
     if failures:
         reason = "; ".join(f"block {b}: {r}" for b, r in sorted(failures.items()))
         return ReconcileFailure(reason, failed=len(failures))

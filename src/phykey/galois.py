@@ -38,8 +38,10 @@ class GF2m:
         self.order = 1 << m
         self.poly = PRIMITIVE_POLY[m]
         size = self.order - 1
-        exp = np.zeros(2 * size, dtype=np.int64)
-        log = np.zeros(self.order, dtype=np.int64)
+        # log(0) is a sentinel whose sums all land in a zero tail of exp, so
+        # array products need no zero test; scalar methods test for 0 first
+        exp = np.zeros(4 * size + 1, dtype=np.int64)
+        log = np.full(self.order, 2 * size, dtype=np.int64)
         x = 1
         for i in range(size):
             exp[i] = x
@@ -48,17 +50,9 @@ class GF2m:
             if x & self.order:
                 x ^= self.poly
         exp[size : 2 * size] = exp[:size]  # doubled so products skip the mod
-        # array twins: log(0) is a sentinel whose sums all land in a zero
-        # tail of the antilog table, so products need no zero test
-        log_z = log.copy()
-        log_z[0] = 2 * size
-        exp_z = np.concatenate([exp, np.zeros(2 * size + 1, dtype=np.int64)])
-        for table in (exp, log, log_z, exp_z):
+        for table in (exp, log):
             table.setflags(write=False)
-        self.exp = exp
-        self.log = log
-        self.log_z = log_z
-        self.exp_z = exp_z
+        self.exp, self.log = exp, log
 
     def check(self, a: int) -> int:
         if not 0 <= a < self.order:
@@ -92,11 +86,11 @@ class GF2m:
 
     def mul_array(self, a, b) -> np.ndarray:
         """Elementwise product of symbol arrays (unchecked, broadcasting)."""
-        return self.exp_z[self.log_z[a] + self.log_z[b]]
+        return self.exp[self.log[a] + self.log[b]]
 
     def div_array(self, a, b) -> np.ndarray:
         """Elementwise a / b of symbol arrays; b must be nonzero (unchecked)."""
-        return self.exp_z[self.log_z[a] - self.log[b] + (self.order - 1)]
+        return self.exp[self.log[a] - self.log[b] + (self.order - 1)]
 
 
 @lru_cache(maxsize=None)

@@ -112,7 +112,7 @@ def build_report(
     *,
     rng: np.random.Generator,
     include_attack_rounds: bool = True,
-) -> tuple[metrics.SessionReport, list[fuzzy.Commitment]]:
+) -> tuple[metrics.SessionReport, fuzzy.Commitments | None]:
     """Reconcile, verify, and assemble the session report.
 
     The run-level fields (scheme, `p_x_dbm`, `tx_power_gap_vs_oa_db` and
@@ -120,7 +120,7 @@ def build_report(
     and a replayed session of one config report them alike. The report
     lists one record per attacked round when include_attack_rounds is set
     and there are at most _ATTACK_ROUNDS_REPORT_LIMIT of them. Also
-    returns the commitments the reconciliation opened (none when Alice's
+    returns the commitments the reconciliation opened (None when Alice's
     stream is shorter than one block).
     """
     ell = len(protocol.s_a)
@@ -137,7 +137,7 @@ def build_report(
     verification_ok: bool | None = None
     reconciled_bits = 0
     parity_bits = 0
-    commitments: list[fuzzy.Commitment] = []
+    commitments = None
     if ell >= rs.block_bits:
         commitments, covered = fuzzy.commit_stream(protocol.s_a.bits, rs, rng)
         parity_bits = len(commitments) * rs.parity_bits

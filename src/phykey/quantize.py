@@ -27,7 +27,7 @@ class Bitstream:
         rounds = np.asarray(self.source_rounds, dtype=np.int64)
         if bits.size != rounds.size:
             raise ContractError("bits and source_rounds length mismatch")
-        if rounds.size > 1 and np.any(np.diff(rounds) <= 0):
+        if rounds.size > 1 and np.any(rounds[1:] <= rounds[:-1]):
             raise ContractError("source_rounds must be strictly increasing")
         if bits.size and not np.all((bits == 0) | (bits == 1)):
             raise ContractError("bits must be 0/1")

@@ -84,8 +84,8 @@ class ReedSolomon:
             factor[i] ^= 1
             rem = np.concatenate([rem[:, 1:], np.zeros((k, 1), dtype=np.int64)], axis=1)
             rem ^= gf.mul_array(factor[:, None], g[None, 1:])
-        # the parity and syndrome matrices, as logs (log_z: zero allowed)
-        self._parity_log = gf.log_z[rem]
+        # the parity and syndrome matrices, as logs (a zero's is the sentinel)
+        self._parity_log = gf.log[rem]
         degree = n - 1 - np.arange(n)
         self._syndrome_log = np.outer(degree, np.arange(nsym)) % q1
         # log of alpha^-degree per position, and (nsym, n) powers of it
@@ -95,10 +95,10 @@ class ReedSolomon:
     def _apply(self, symbols: np.ndarray, coef_log: np.ndarray) -> np.ndarray:
         """symbols @ coef over GF(2^m) for every row, one output column at a time."""
         gf = self.gf
-        log = gf.log_z[symbols]
+        log = gf.log[symbols]
         out = np.empty((len(symbols), coef_log.shape[1]), dtype=np.int64)
         for j in range(coef_log.shape[1]):
-            out[:, j] = np.bitwise_xor.reduce(gf.exp_z[log + coef_log[:, j]], axis=1)
+            out[:, j] = np.bitwise_xor.reduce(gf.exp[log + coef_log[:, j]], axis=1)
         return out
 
     def _check(self, symbols, length: int, name: str) -> np.ndarray:

@@ -58,7 +58,7 @@ import numpy as np
 
 from .antenna import _INT64_MODES, OA_KIND, RA_KIND, AntennaProfile
 from .errors import ContractError, ProfileError, TraceFormatError
-from .fuzzy import Commitment, pack_bits, unpack_bits
+from .fuzzy import Commitments, pack_bits, unpack_bits
 from .quantize import Bitstream
 from .reed_solomon import RsParams
 from .session import MeasurementTrace
@@ -418,17 +418,18 @@ def save_antenna_profile(profile: AntennaProfile, path) -> None:
 
 
 class _Table:
-    """The data rows of a CSV file whose header is line 1, as `_read_rows`'s
+    """The data rows of a CSV file from line `first_line` on, as `_read_rows`'s
     float64 `(rows, width)` array `data`, with the exact int64 columns and
-    located refusals of the trace and profile readers."""
+    located refusals of the trace, profile and sidecar readers."""
 
-    def __init__(self, path, fh, width: int, error, label: str):
-        self.path, self.fh, self.error, self.label, self.start = path, fh, error, label, fh.tell()
-        self.data = _read_rows(path, fh, width, float, np.float64, label, 2, error)
+    def __init__(self, path, fh, width: int, error, label: str, first_line: int = 2):
+        self.path, self.fh, self.error, self.label = path, fh, error, label
+        self.start, self.first = fh.tell(), first_line
+        self.data = _read_rows(path, fh, width, label, first_line, error)
 
     def _fields(self):  # (line number, stripped fields) of each row, read again
         self.fh.seek(self.start)
-        return ((n, [f.strip() for f in line.split(",")]) for n, line in _data_lines(self.fh, 2))
+        return ((n, [f.strip() for f in ln.split(",")]) for n, ln in _data_lines(self.fh, self.first))
 
     def exact_ints(self, column: int) -> tuple[np.ndarray, np.ndarray]:
         """The column as int64, exactly as written, and the mask of rows that
@@ -468,23 +469,22 @@ def _exact_int(text: str) -> int | None:
     return None
 
 
-def _read_rows(path, fh, width: int, parse, dtype, label: str, first_line: int,
-               error=TraceFormatError) -> np.ndarray:
-    """The rest of `fh` as a `(rows, width)` array of comma-separated numbers.
+def _read_rows(path, fh, width: int, label: str, first_line: int, error) -> np.ndarray:
+    """The rest of `fh` as a float64 `(rows, width)` array of comma-separated numbers.
 
     One `np.loadtxt` pass reads well-formed input. What it accepts is a
-    subset of `parse` (`float` or `_int64`) on each stripped field, with
-    the same values, so when it fails or finds another width the lines
-    are scanned again one by one with `parse`. That raises `error`
-    naming the first bad line as `<label> N`, or returns the rows of
-    input only `parse` reads (`1_000`, whitespace-only lines).
+    subset of `float` on each stripped field, with the same values, so
+    when it fails or finds another width the lines are scanned again one
+    by one with `float`. That raises `error` naming the first bad line as
+    `<label> N`, or returns the rows of input only `float` reads (`1_000`,
+    whitespace-only lines).
     """
     start = fh.tell()
     try:
         with warnings.catch_warnings():
             # an empty body is reported by the caller, not as a warning
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+            data = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
         if data.shape[1] == width or not data.size:
             return data.reshape(-1, width)
     except ValueError:
@@ -496,10 +496,10 @@ def _read_rows(path, fh, width: int, parse, dtype, label: str, first_line: int,
         if len(parts) != width:
             raise error(f"{path}: {label} {lineno}: expected {width} fields, got {len(parts)}")
         try:
-            rows.append([parse(v) for v in parts])
+            rows.append([float(v) for v in parts])
         except (ValueError, OverflowError) as exc:
             raise error(f"{path}: {label} {lineno}: {exc}") from None
-    return np.array(rows, dtype=dtype).reshape(-1, width)
+    return np.array(rows, dtype=np.float64).reshape(-1, width)
 
 
 def _data_lines(fh, first_line: int):
@@ -508,10 +508,6 @@ def _data_lines(fh, first_line: int):
         line = line.strip()
         if line:
             yield lineno, line
-
-
-def _int64(text: str) -> np.int64:
-    return np.int64(int(text))
 
 
 def _sidecar(path: Path) -> Path:
@@ -542,14 +538,20 @@ def read_bitstream(path) -> Bitstream:
     With a sidecar listing n rounds, the payload must be exactly the
     ceil(n / 8) bytes `write_bitstream` writes. Without one the whole
     padded byte payload is taken as bits and source rounds default to
-    0..n-1. Sidecar errors name the file line.
+    0..n-1. Sidecar lines are read as a trace's rows (`_Table`, no header):
+    a round is any int64 `float` reads (`1e3` is 1000), rounds increase
+    strictly, and errors name the file line as `line N`.
     """
     path = Path(path)
     blob = path.read_bytes()
     sidecar = _sidecar(path)
     if sidecar.exists():
         with open(sidecar, "r", encoding="utf-8", errors="replace") as fh:
-            rounds = _read_rows(sidecar, fh, 1, _int64, np.int64, "line", first_line=1)[:, 0]
+            table = _Table(sidecar, fh, 1, TraceFormatError, "line", first_line=1)
+            rounds, not_int = table.exact_ints(0)
+            down = np.r_[False, rounds[1:] <= rounds[:-1]]
+            table.refuse([(not_int, "round must be an int64, got {0}"),
+                          (down, "rounds must be strictly increasing, got {0}")])
         need = -(-rounds.size // 8)
         if len(blob) != need:
             raise TraceFormatError(
@@ -561,16 +563,14 @@ def read_bitstream(path) -> Bitstream:
     return Bitstream(bits=bits, source_rounds=np.arange(bits.size, dtype=np.int64))
 
 
-def write_commitments(path, commitments: list[Commitment], params: RsParams) -> None:
+def write_commitments(path, commitments: Commitments, params: RsParams) -> None:
+    blocks = np.hstack([commitments.digests, np.packbits(commitments.deltas, axis=1)])
     with open(path, "wb") as fh:
-        fh.write(_COMMIT_MAGIC)
-        fh.write(_COMMIT_HEADER.pack(params.m, params.n, params.k, len(commitments)))
-        for cm in commitments:
-            fh.write(cm.verifier_digest)
-            fh.write(pack_bits(cm.delta))
+        fh.write(_COMMIT_MAGIC + _COMMIT_HEADER.pack(params.m, params.n, params.k, len(blocks)))
+        fh.write(blocks.tobytes())
 
 
-def read_commitments(path) -> tuple[list[Commitment], RsParams]:
+def read_commitments(path) -> tuple[Commitments, RsParams]:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _COMMIT_MAGIC:
@@ -585,18 +585,13 @@ def read_commitments(path) -> tuple[list[Commitment], RsParams]:
             raise TraceFormatError(f"{path}: {exc}") from None
         if not count:
             raise TraceFormatError(f"{path}: holds no blocks")
-        blob_len = (params.block_bits + 7) // 8
-        commitments = []
-        for b in range(count):
-            digest = fh.read(32)
-            blob = fh.read(blob_len)
-            if len(digest) != 32 or len(blob) != blob_len:
-                raise TraceFormatError(f"{path}: truncated block {b}")
-            delta = unpack_bits(blob, params.block_bits)
-            commitments.append(
-                Commitment(delta=delta, verifier_digest=digest, params=params)
-            )
-        trailing = len(fh.read())
-        if trailing:
-            raise TraceFormatError(f"{path}: {trailing} trailing byte(s) after the last block")
-    return commitments, params
+        body = fh.read()
+    width = 32 + (params.block_bits + 7) // 8  # a block's digest, then its packed delta
+    extra = len(body) - count * width
+    if extra < 0:
+        raise TraceFormatError(f"{path}: truncated block {len(body) // width}")
+    if extra:
+        raise TraceFormatError(f"{path}: {extra} trailing byte(s) after the last block")
+    blocks = np.frombuffer(body, np.uint8).reshape(count, width)
+    deltas = np.unpackbits(blocks[:, 32:], axis=1, count=params.block_bits)
+    return Commitments(deltas, blocks[:, :32]), params

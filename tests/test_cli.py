@@ -350,6 +350,30 @@ def test_commit_shorter_than_one_block_exit_2(tmp_path, capsys):
     assert not (tmp_path / "c.bin").exists()
 
 
+def test_open_shorter_than_its_commitments_exit_2(tmp_path, capsys, monkeypatch):
+    from phykey import fuzzy
+    from phykey.quantize import Bitstream
+    from phykey.traceio import write_bitstream
+
+    bits = np.ones(130, np.uint8)
+    write_bitstream(tmp_path / "long.bits", Bitstream(bits=bits, source_rounds=np.arange(130)))
+    run_cli(capsys, "commit", str(tmp_path / "long.bits"), "--out", str(tmp_path / "c.bin"),
+            "--seed", "1")
+    short = tmp_path / "short.bits"
+    write_bitstream(short, Bitstream(bits=bits[:100], source_rounds=np.arange(100)))
+
+    def open_stream(*args):
+        raise AssertionError("opened a short stream")
+
+    monkeypatch.setattr(fuzzy, "open_stream", open_stream)
+    for strict in ((), ("--strict",)):
+        code, out, err = run_cli(capsys, "open", str(short), "--commitments",
+                                 str(tmp_path / "c.bin"), *strict)
+        assert (code, out) == (2, "")
+        assert err == (f"validation error: {short}: holds 100 bits, fewer than the 120 bits "
+                       f"of the 2 blocks in {tmp_path / 'c.bin'}\n")
+
+
 def test_open_strict_failure_counts_blocks_on_one_stderr_line(tmp_path, capsys):
     # the attacked capture of the CI paper flow: most blocks fail to open
     cfg = config_from_mapping({"seed": 3, "rounds": 5000, "attack": {"enabled": True, "d": 3.0}})

@@ -1,10 +1,13 @@
 import hashlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phykey.errors import ContractError
 from phykey.fuzzy import (
+    Commitments,
     ReconcileFailure,
     bits_to_symbols,
     challenge_response,
@@ -47,10 +50,11 @@ def test_self_commitment_gives_zero_delta(rng):
             draws.append((low, high, size))
             return y
 
-    (cm,), covered = commit_stream(s_a, RS15, FixedY())
-    assert draws == [(0, 16, 11)] and covered == 60
-    assert cm.verifier_digest == hashlib.sha256(np.packbits(symbols_to_bits(y, 4)).tobytes()).digest()
-    assert not cm.delta.any()
+    record, covered = commit_stream(s_a, RS15, FixedY())
+    assert draws == [(0, 16, 11)] and covered == 60 and len(record) == 1
+    digest = hashlib.sha256(np.packbits(symbols_to_bits(y, 4)).tobytes()).digest()
+    assert record.digests.shape == (1, 32) and record.digests.tobytes() == digest
+    assert record.deltas.shape == (1, 60) and not record.deltas.any()
 
 
 def test_commit_open_identity(rng):
@@ -97,7 +101,7 @@ def test_delta_hiding_per_bit_frequency(rng):
     s_a = rng.integers(0, 2, size=60).astype(np.uint8)
     trials = 10_000
     commitments, _ = commit_stream(np.tile(s_a, trials), RS15, rng)
-    freq = np.mean([cm.delta for cm in commitments], axis=0)
+    freq = commitments.deltas.mean(axis=0)
     assert len(commitments) == trials
     assert np.all(np.abs(freq - 0.5) < 0.02)
 
@@ -130,19 +134,46 @@ def test_stream_failure_names_every_failing_block(rng):
     out = open_stream(bad, commitments, RS15)
     assert isinstance(out, ReconcileFailure)
     # each block alone fails for the same reason, as block 0 of its own stream
-    singles = [open_stream(bad[b * 60 : (b + 1) * 60], [commitments[b]], RS15)
+    singles = [open_stream(bad[b * 60 : (b + 1) * 60], one_block(commitments, b), RS15)
                .reason.removeprefix("block 0: ") for b in (1, 4)]
     assert out.reason == f"block 1: {singles[0]}; block 4: {singles[1]}"
+
+
+def one_block(commitments, b):
+    return Commitments(commitments.deltas[b : b + 1], commitments.digests[b : b + 1])
+
+
+def test_commitments_are_one_read_only_record(rng):
+    commitments, _ = commit_stream(rng.integers(0, 2, size=3 * 60).astype(np.uint8), RS15, rng)
+    assert len(commitments) == 3
+    assert commitments.deltas.shape == (3, 60) and commitments.digests.shape == (3, 32)
+    for a in (commitments.deltas, commitments.digests):
+        assert a.dtype == np.uint8 and not a.flags.writeable
+    with pytest.raises(ContractError, match=r"\(blocks, 32\) digests"):
+        Commitments(commitments.deltas, commitments.digests[:2])
+    with pytest.raises(ContractError, match="deltas"):
+        Commitments(commitments.deltas[0], commitments.digests[:1])
+
+
+def test_open_refuses_a_record_of_another_width(rng):
+    # a record committed under RS(15, 11) over GF(16) has 60-bit deltas;
+    # opened as a 255-symbol GF(256) code it is refused, not broadcast
+    bits = rng.integers(0, 2, size=10 * 2040).astype(np.uint8)
+    commitments, _ = commit_stream(bits[: 10 * 60], RS15, rng)
+    with pytest.raises(ContractError, match="60-bit deltas, but the code's blocks are 2040 bits"):
+        open_stream(bits, commitments, RsParams(m=8, n=255, k=223))
+    with pytest.raises(ContractError, match="60-bit deltas"):
+        open_stream(bits, Commitments(np.zeros((0, 60)), np.zeros((0, 32))), RsParams(m=4, n=7, k=3))
 
 
 def test_stream_commit_draws_like_block_by_block_commits():
     bits = np.random.default_rng(3).integers(0, 2, size=4 * 60 + 7).astype(np.uint8)
     commitments, covered = commit_stream(bits, RS15, np.random.default_rng(9))
     rng = np.random.default_rng(9)
-    for b, cm in enumerate(commitments):
-        (single,), _ = commit_stream(bits[b * 60 : (b + 1) * 60], RS15, rng)
-        np.testing.assert_array_equal(cm.delta, single.delta)
-        assert cm.verifier_digest == single.verifier_digest
+    for b in range(len(commitments)):
+        single, _ = commit_stream(bits[b * 60 : (b + 1) * 60], RS15, rng)
+        np.testing.assert_array_equal(commitments.deltas[b : b + 1], single.deltas)
+        np.testing.assert_array_equal(commitments.digests[b : b + 1], single.digests)
     assert covered == 240 and len(commitments) == 4
 
 

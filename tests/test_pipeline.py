@@ -82,9 +82,8 @@ def test_commitment_artifact_is_the_set_the_report_verified(tmp_path, monkeypatc
     report, _, proto = pipeline.run_experiment(small_cfg(attack={"enabled": False}), tmp_path)
     written, params = read_commitments(tmp_path / "commitments.bin")
     assert report.reconciliation_ok and len(opened) == 1
-    assert [cm.verifier_digest for cm in written] == [cm.verifier_digest for cm in opened[0]]
-    for cm, verified in zip(written, opened[0]):
-        np.testing.assert_array_equal(cm.delta, verified.delta)
+    np.testing.assert_array_equal(written.digests, opened[0].digests)
+    np.testing.assert_array_equal(written.deltas, opened[0].deltas)
     recovered = open_stream(proto.s_b.bits, written, params)
     np.testing.assert_array_equal(recovered, proto.s_a.bits[: recovered.size])
 

@@ -137,6 +137,11 @@ def test_bitstream_invariants():
         Bitstream(bits=np.array([0, 1]), source_rounds=np.array([3, 3]))
     with pytest.raises(ContractError):
         Bitstream(bits=np.array([0, 2]), source_rounds=np.array([1, 2]))
+    # rounds are compared, not differenced: a difference past int64 does not wrap
+    wide = Bitstream(bits=np.array([0, 1]), source_rounds=np.array([-(2**63), 2**63 - 1]))
+    assert wide.source_rounds.tolist() == [-(2**63), 2**63 - 1]
+    with pytest.raises(ContractError, match="strictly increasing"):
+        Bitstream(bits=np.array([0, 1]), source_rounds=np.array([2**63 - 1, -(2**63)]))
 
 
 @given(

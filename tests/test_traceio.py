@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 import warnings
@@ -11,7 +12,7 @@ from phykey import traceio
 from phykey.cli import main
 from phykey.config import config_from_mapping
 from phykey.errors import TraceFormatError
-from phykey.fuzzy import commit_stream
+from phykey.fuzzy import Commitments, commit_stream
 from phykey.pipeline import run_experiment
 from phykey.quantize import Bitstream
 from phykey.reed_solomon import RsParams
@@ -64,6 +65,15 @@ def oracle_parse(path):
 
 def oracle_sidecar_text(stream):
     return "".join(f"{int(r)}\n" for r in stream.source_rounds)
+
+
+def oracle_write_commitments(path, commitments, params):
+    # the per-block writer: header, then each block's digest and packed delta
+    with open(path, "wb") as fh:
+        fh.write(b"PKFC" + struct.pack("<BHHI", params.m, params.n, params.k, len(commitments)))
+        for delta, digest in zip(commitments.deltas, commitments.digests):
+            fh.write(digest.tobytes())
+            fh.write(np.packbits(delta).tobytes())
 
 
 def oracle_sidecar_rounds(path):
@@ -240,9 +250,48 @@ def test_commitment_file_roundtrip(tmp_path, rng):
     back, back_params = read_commitments(path)
     assert back_params == params
     assert len(back) == len(commitments) == covered // params.block_bits
-    for a, b in zip(back, commitments):
-        np.testing.assert_array_equal(a.delta, b.delta)
-        assert a.verifier_digest == b.verifier_digest
+    np.testing.assert_array_equal(back.deltas, commitments.deltas)
+    np.testing.assert_array_equal(back.digests, commitments.digests)
+
+
+@st.composite
+def commitment_records(draw):
+    m = draw(st.integers(2, 8))
+    n = draw(st.integers(2, (1 << m) - 1))
+    params = RsParams(m=m, n=n, k=draw(st.integers(1, n - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = draw(st.integers(1, 20))
+    deltas = rng.integers(0, 2, size=(blocks, params.block_bits), dtype=np.uint8)
+    digests = rng.integers(0, 256, size=(blocks, 32), dtype=np.uint8)
+    return Commitments(deltas, digests), params
+
+
+@given(record=commitment_records())
+@settings(max_examples=60, deadline=None)
+def test_commitment_file_matches_per_block_oracle(record, tmp_path_factory):
+    commitments, params = record
+    tmp = tmp_path_factory.mktemp("commit")
+    write_commitments(tmp / "c.bin", commitments, params)
+    oracle_write_commitments(tmp / "oracle.bin", commitments, params)
+    assert (tmp / "c.bin").read_bytes() == (tmp / "oracle.bin").read_bytes()
+    back, back_params = read_commitments(tmp / "c.bin")
+    assert back_params == params and len(back) == len(commitments)
+    assert back.deltas.tobytes() == commitments.deltas.tobytes()
+    assert back.digests.tobytes() == commitments.digests.tobytes()
+    assert back.deltas.shape == commitments.deltas.shape and back.digests.shape == (len(back), 32)
+
+
+def test_commitment_file_cut_inside_a_block_names_it(tmp_path, rng):
+    params = RsParams(m=4, n=15, k=11)  # 32 + 8 bytes per block after a 13-byte header
+    commitments, _ = commit_stream(rng.integers(0, 2, size=4 * 60).astype(np.uint8), params, rng)
+    path = tmp_path / "c.bin"
+    write_commitments(path, commitments, params)
+    whole = path.read_bytes()
+    assert len(whole) == 13 + 4 * 40
+    for cut, block in ((13, 0), (13 + 5, 0), (13 + 40 + 32, 1), (13 + 3 * 40 + 39, 3)):
+        path.write_bytes(whole[:cut])
+        with pytest.raises(TraceFormatError, match=rf"c\.bin: truncated block {block}$"):
+            read_commitments(path)
 
 
 def test_commitment_bad_magic_rejected(tmp_path):
@@ -420,7 +469,7 @@ def test_undecodable_bytes_are_located(tmp_path):
     bits_path = tmp_path / "s.bits"
     write_bitstream(bits_path, Bitstream(bits=np.ones(3, np.uint8), source_rounds=np.arange(3)))
     (tmp_path / "s.bits.rounds").write_bytes(b"0\n1\xff\n2\n")
-    with pytest.raises(TraceFormatError, match="line 2: invalid literal"):
+    with pytest.raises(TraceFormatError, match="line 2: could not convert string to float"):
         read_bitstream(bits_path)
 
 
@@ -457,7 +506,7 @@ def test_malformed_sidecar_is_a_located_format_error(tmp_path, capsys):
     write_bitstream(bits_path, Bitstream(bits=np.ones(60, np.uint8), source_rounds=np.arange(60)))
     sidecar = tmp_path / "bad.bits.rounds"
     sidecar.write_text("0\n1\n\nx\n")
-    with pytest.raises(TraceFormatError, match=r"bad\.bits\.rounds: line 4: invalid literal"):
+    with pytest.raises(TraceFormatError, match=r"bad\.bits\.rounds: line 4: could not convert string to float"):
         read_bitstream(bits_path)
     for argv in (
         ["randomness", str(bits_path)],
@@ -477,6 +526,39 @@ def test_malformed_sidecar_is_a_located_format_error(tmp_path, capsys):
         read_bitstream(bits_path)
     assert main(["randomness", str(bits_path)]) == 2
     assert "bad.bits.rounds lists 10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("0\n5\n\n3\n", "line 4: rounds must be strictly increasing, got 3"),
+        ("0\n1\n1\n", "line 3: rounds must be strictly increasing, got 1"),
+        ("0\n9223372036854775808\n", "line 2: round must be an int64, got 9223372036854775808"),
+        ("-9223372036854775809\n0\n", "line 1: round must be an int64, got -9223372036854775809"),
+        ("0\n1.5\n-7\n", "line 2: round must be an int64, got 1.5"),
+        ("0\nnan\n", "line 2: round must be an int64, got nan"),
+        ("1e30\n", "line 1: round must be an int64, got 1e30"),
+        ("0\n1,2\n", "line 2: expected 1 fields, got 2"),
+    ],
+)
+def test_sidecar_refusals_name_the_file_line(text, error, tmp_path, capsys):
+    bits_path = tmp_path / "s.bits"
+    bits_path.write_bytes(b"\xff")
+    (tmp_path / "s.bits.rounds").write_text(text)
+    with pytest.raises(TraceFormatError, match=rf"s\.bits\.rounds: {re.escape(error)}$"):
+        read_bitstream(bits_path)
+    assert main(["randomness", str(bits_path)]) == 2
+    assert f"s.bits.rounds: {error}" in capsys.readouterr().err
+
+
+def test_sidecar_rounds_read_as_trace_numbers(tmp_path):
+    # a round is any number `float` reads that is an int64, exactly as written
+    bits_path = tmp_path / "s.bits"
+    bits_path.write_bytes(b"\xf0")
+    (tmp_path / "s.bits.rounds").write_text("-9223372036854775808\n1.0\n 1e3 \n9223372036854775807\n")
+    back = read_bitstream(bits_path)
+    assert back.source_rounds.tolist() == [-(2**63), 1, 1000, 2**63 - 1]
+    assert back.bits.tolist() == [1, 1, 1, 1]
 
 
 def test_commitment_trailing_bytes_rejected(tmp_path, capsys, rng):
@@ -505,7 +587,7 @@ def test_truncated_commitment_header_rejected(tmp_path):
 def test_commitment_file_without_blocks_rejected(tmp_path, capsys):
     # opening no blocks would hand out the key of the empty bitstream
     path = tmp_path / "c.bin"
-    write_commitments(path, [], RsParams(m=4, n=15, k=11))
+    write_commitments(path, Commitments(np.zeros((0, 60)), np.zeros((0, 32))), RsParams(m=4, n=15, k=11))
     with pytest.raises(TraceFormatError, match=r"c\.bin: holds no blocks"):
         read_commitments(path)
     bits_path = tmp_path / "s.bits"
