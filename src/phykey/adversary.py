@@ -240,14 +240,3 @@ def account_attacks(
         correct=correct,
         tail_success=tail,
     )
-
-
-def assemble_guess(
-    attack_trace: AttackTrace, bits_a: Bitstream, rng: np.random.Generator
-) -> np.ndarray:
-    """Mallory's full-key guess: recorded bits where she attacked, coin
-    flips everywhere else."""
-    guess = rng.integers(0, 2, size=len(bits_a), dtype=np.uint8)
-    pos, found = _key_positions(bits_a, attack_trace.round_index)
-    guess[pos] = attack_trace.kind[found]
-    return guess

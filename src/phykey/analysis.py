@@ -142,7 +142,7 @@ def closed_form_p0_p1(
     O0 and O1 attacks, and the number of degenerate modes left out.
 
     gains_ma is the profile's gain matrix on the M-A paths (a scenario's
-    `g_am`). p1 = mean over modes of Q1(nu/varsigma, r_plus/varsigma) and
+    `am.gains`). p1 = mean over modes of Q1(nu/varsigma, r_plus/varsigma) and
     p0 = mean of the complementary CDF term at r_minus, with
     r = 10^((q - P_x)/20) the amplitude matching threshold q in dBm.
     A mode's two tails share one Poisson series of (nu/varsigma)^2/2, and

@@ -33,7 +33,6 @@ class AntennaProfile:
     modes: tuple[int, ...]
     angles_deg: np.ndarray
     gains: np.ndarray
-    kind: str = RA_KIND
 
     def __post_init__(self):
         modes = tuple(int(m) for m in self.modes)
@@ -59,10 +58,6 @@ class AntennaProfile:
             raise ProfileError("all gains must be finite")
         if np.any(gains < 0.0):
             raise ProfileError("gains must be non-negative")
-        if self.kind not in (RA_KIND, OA_KIND):
-            raise ProfileError(f"unknown profile kind {self.kind!r}")
-        if self.kind == OA_KIND and (len(self.modes) != 1 or not np.all(gains == 1.0)):
-            raise ProfileError("OA profile must be a single mode with unit gain")
         angles.setflags(write=False)
         gains.setflags(write=False)
         object.__setattr__(self, "angles_deg", angles)
@@ -72,6 +67,11 @@ class AntennaProfile:
     @property
     def mode_count(self) -> int:
         return len(self.modes)
+
+    @property
+    def kind(self) -> str:
+        """OA_KIND for one mode with gain 1 at every angle, else RA_KIND."""
+        return OA_KIND if self.mode_count == 1 and bool(np.all(self.gains == 1.0)) else RA_KIND
 
     def gain_matrix(self, angles_deg) -> np.ndarray:
         """Interpolated gains for every mode at the given angles.
@@ -97,9 +97,7 @@ class AntennaProfile:
 
 def omni_profile() -> AntennaProfile:
     """Single-mode unit-gain profile (conventional omni antenna)."""
-    return AntennaProfile(
-        modes=(0,), angles_deg=np.array([0.0]), gains=np.array([[1.0]]), kind=OA_KIND
-    )
+    return AntennaProfile(modes=(0,), angles_deg=np.array([0.0]), gains=np.array([[1.0]]))
 
 
 def synthesize_rotated_beam(
@@ -126,9 +124,7 @@ def synthesize_rotated_beam(
     base = 10.0 ** (-atten_db / 20.0)
     # row u is base rolled by u: np.roll(base, u)[k] == base[(k - u) % 360]
     gains = base[(np.arange(angles.size) - np.arange(mode_count)[:, None]) % angles.size]
-    return AntennaProfile(
-        modes=tuple(range(mode_count)), angles_deg=angles, gains=gains, kind=RA_KIND
-    )
+    return AntennaProfile(modes=tuple(range(mode_count)), angles_deg=angles, gains=gains)
 
 
 def calibrate_tx_power(

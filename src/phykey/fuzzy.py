@@ -79,6 +79,12 @@ class Commitments:
     def __len__(self) -> int:
         return len(self.deltas)
 
+    def check_width(self, params: RsParams) -> None:
+        """ContractError unless each delta is one block of the params' code."""
+        if self.deltas.shape[1] != params.block_bits:
+            raise ContractError(f"commitments hold {self.deltas.shape[1]}-bit deltas, but "
+                                f"the code's blocks are {params.block_bits} bits")
+
 
 @dataclass(frozen=True)
 class ReconcileFailure:
@@ -116,9 +122,7 @@ def open_stream(s_b: np.ndarray, commitments: Commitments, params: RsParams):
     """
     s_b = np.asarray(s_b, dtype=np.uint8)
     deltas = commitments.deltas
-    if deltas.shape[1] != params.block_bits:
-        raise ContractError(f"commitments hold {deltas.shape[1]}-bit deltas, but "
-                            f"the code's blocks are {params.block_bits} bits")
+    commitments.check_width(params)
     blocks = len(commitments)
     need = blocks * params.block_bits
     if s_b.size < need:

@@ -1,6 +1,6 @@
 """Node/scatterer geometry and per-link path angles.
 
-All geometry is planar (2-D). A link's path set holds the departure
+All geometry is planar (2-D). A link's path angles are the departure
 angles seen from the transmitting node: index 0 is the line-of-sight
 bearing towards the receiver, indices 1..P are the bearings towards
 the scatterers (single-bounce reflections, one path per scatterer).
@@ -80,19 +80,8 @@ class Topology:
         return _dist(self.position(tx), self.position(rx))
 
 
-@dataclass(frozen=True)
-class LinkPathSet:
-    """Departure angles (degrees) of one link's paths; index 0 is LoS."""
-
-    angles_deg: tuple[float, ...]
-
-    @property
-    def path_count(self) -> int:
-        return len(self.angles_deg)
-
-
-def path_angles(topology: Topology, tx: str, rx: str) -> LinkPathSet:
-    """Path departure angles at the transmitter for the tx-rx link.
+def path_angles(topology: Topology, tx: str, rx: str) -> tuple[float, ...]:
+    """Path departure angles (degrees) at the transmitter for the tx-rx link.
 
     angles[0] is the direct bearing tx->rx; angles[l] (l >= 1) is the
     bearing tx->scatterer_l. One NLoS path per scatterer, always.
@@ -102,7 +91,4 @@ def path_angles(topology: Topology, tx: str, rx: str) -> LinkPathSet:
     p, q = topology.position(tx), topology.position(rx)
     if p == q:
         raise GeometryError(f"{tx} and {rx} are coincident")
-    angles = [bearing_deg(p, q)]
-    for s in topology.scatterers:
-        angles.append(bearing_deg(p, s))
-    return LinkPathSet(angles_deg=tuple(angles))
+    return (bearing_deg(p, q), *(bearing_deg(p, s) for s in topology.scatterers))

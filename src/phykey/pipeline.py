@@ -162,7 +162,6 @@ def build_report(
         apen = metrics.approximate_entropy(protocol.s_a.bits) if ell >= 8 else None
     mismatch = metrics.bit_mismatch_rate(protocol.s_a.bits, protocol.s_b.bits)
     scenario = cfg.build_scenario()
-    links, paths = scenario.links, scenario.links.ab.path_count
     return metrics.SessionReport(
         scheme=scenario.scheme,
         seed=cfg.seed,
@@ -186,9 +185,8 @@ def build_report(
         thresholds_bob=protocol.thresholds_bob,
         attack_rounds=attack.to_records() if listed else [],
         fading_k_factor={
-            "ab": links.fading_ab.k_factor(paths),
-            "ma": links.fading_am.k_factor(paths),
-            "mb": links.fading_mb.k_factor(paths),
+            name: link.fading.k_factor(link.path_count)
+            for name, link in (("ab", scenario.ab), ("ma", scenario.am), ("mb", scenario.mb))
         },
     ), commitments
 
@@ -315,9 +313,9 @@ def analyze_config(
         )
         q_minus, q_plus = thresholds(cal_trace.x_a, cfg.beta)
     check_thresholds(q_minus, q_plus)
-    fading, p_x = scenario.links.fading_am, scenario.p_x_dbm
+    am, p_x = scenario.am, scenario.p_x_dbm
     p0, p1, excluded_modes = closed_form_p0_p1(
-        scenario.profile, scenario.g_am, abs(fading.los_mean), fading.sigma0,
+        scenario.profile, am.gains, abs(am.fading.los_mean), am.fading.sigma0,
         q_minus, q_plus, p_x + _injection_offset_db(cfg),
     )
     e_kre = e_krr = None

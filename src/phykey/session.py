@@ -49,7 +49,7 @@ import numpy as np
 from .antenna import OA_KIND, AntennaProfile, calibrate_tx_power, omni_profile
 from .errors import ContractError
 from .fading import FadingParams, sample_fading_blocks
-from .geometry import LinkPathSet, Topology, path_angles
+from .geometry import Topology, path_angles
 
 RAKG = "RAKG"
 OAKG = "OAKG"
@@ -58,16 +58,21 @@ OAKG = "OAKG"
 _CHUNK_ROUNDS = 16384
 
 
-@dataclass(frozen=True)
-class LinkSet:
-    """Path sets and fading parameters for the three links."""
+@dataclass(frozen=True, eq=False)
+class Link:
+    """One link: its fading law and the read-only (modes, paths) gain table
+    that weights its paths, column 0 the LoS path. Only Alice's end carries
+    the profile, so the M-B table is one row of ones."""
 
-    ab: LinkPathSet
-    am: LinkPathSet
-    mb_path_count: int
-    fading_ab: FadingParams
-    fading_am: FadingParams
-    fading_mb: FadingParams
+    fading: FadingParams
+    gains: np.ndarray
+
+    def __post_init__(self):
+        self.gains.setflags(write=False)
+
+    @property
+    def path_count(self) -> int:
+        return self.gains.shape[1]
 
 
 @dataclass
@@ -95,19 +100,19 @@ class MeasurementTrace:
         return int(self.x_a.size)
 
 
-def build_links(topology: Topology, fading_cfg) -> LinkSet:
-    """Per-link path sets and fading parameters.
+def build_links(topology: Topology, fading_cfg, profile: AntennaProfile) -> tuple[Link, Link, Link]:
+    """The A-B, A-M and M-B links.
 
     By default the LoS amplitude decays as reference_amplitude *
     ref_distance / d with its phase advancing along the carrier, and
     sigma0 follows from the configured K-factor over P+1 paths; each
-    link can override its amplitude or K-factor individually.
+    link can override its amplitude or K-factor individually. The A-B
+    and A-M gains are the profile's on Alice's departure angles.
     """
-    ab = path_angles(topology, "alice", "bob")
-    am = path_angles(topology, "alice", "mallory")
     path_count = 1 + len(topology.scatterers)
 
-    def params(d: float, override) -> FadingParams:
+    def link(tx: str, rx: str, override, gains: np.ndarray) -> Link:
+        d = topology.distance(tx, rx)
         amp = fading_cfg.reference_amplitude * fading_cfg.reference_distance_m / d
         k = fading_cfg.k_factor
         if override is not None:
@@ -116,15 +121,14 @@ def build_links(topology: Topology, fading_cfg) -> LinkSet:
             if override.k_factor is not None:
                 k = override.k_factor
         phase = -2.0 * math.pi * d / topology.wavelength_m
-        return FadingParams.from_k_factor(amp, k, path_count, phase)
+        return Link(FadingParams.from_k_factor(amp, k, path_count, phase), gains)
 
-    return LinkSet(
-        ab=ab,
-        am=am,
-        mb_path_count=path_count,
-        fading_ab=params(topology.distance("alice", "bob"), getattr(fading_cfg, "ab", None)),
-        fading_am=params(topology.distance("alice", "mallory"), getattr(fading_cfg, "ma", None)),
-        fading_mb=params(topology.distance("mallory", "bob"), getattr(fading_cfg, "mb", None)),
+    return (
+        link("alice", "bob", getattr(fading_cfg, "ab", None),
+             profile.gain_matrix(path_angles(topology, "alice", "bob"))),
+        link("alice", "mallory", getattr(fading_cfg, "ma", None),
+             profile.gain_matrix(path_angles(topology, "alice", "mallory"))),
+        link("mallory", "bob", getattr(fading_cfg, "mb", None), np.ones((1, path_count))),
     )
 
 
@@ -164,16 +168,15 @@ def _block_channel(g: np.ndarray, a: np.ndarray, grid: np.ndarray) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """What a run derives from its config before drawing randomness: links,
-    the profile's gain matrices on the A-B and A-M paths, the calibrated
-    power and (RAKG only) its gap to the omni calibration. Built once per run."""
+    """What a run derives from its config before drawing randomness: the
+    profile, the A-B, A-M and M-B links, the calibrated power and (RAKG
+    only) its gap to the omni calibration. Built once per run."""
 
     scheme: str
-    topology: Topology
     profile: AntennaProfile
-    links: LinkSet
-    g_ab: np.ndarray
-    g_am: np.ndarray
+    ab: Link
+    am: Link
+    mb: Link
     p_x_dbm: float
     tx_power_gap_vs_oa_db: float | None
 
@@ -188,18 +191,14 @@ def build_scenario(
         raise ContractError(f"unknown scheme {scheme!r}")
     if scheme == OAKG and profile.kind != OA_KIND:
         raise ContractError("OAKG needs the omni (OA) profile")
-    links = build_links(topology, fading_cfg)
-    g_ab = profile.gain_matrix(links.ab.angles_deg)
-    g_am = profile.gain_matrix(links.am.angles_deg)
-    g_ab.setflags(write=False)
-    g_am.setflags(write=False)
-    calibration = (detection_threshold_dbm, abs(links.fading_ab.los_mean), links.fading_ab.sigma0)
-    p_x = calibrate_tx_power(profile, g_ab, *calibration)
+    ab, am, mb = build_links(topology, fading_cfg, profile)
+    calibration = (detection_threshold_dbm, abs(ab.fading.los_mean), ab.fading.sigma0)
+    p_x = calibrate_tx_power(profile, ab.gains, *calibration)
     gap = None
     if scheme == RAKG:
-        omni = omni_profile()
-        gap = p_x - calibrate_tx_power(omni, omni.gain_matrix(links.ab.angles_deg), *calibration)
-    return Scenario(scheme, topology, profile, links, g_ab, g_am, p_x, gap)
+        # the omni antenna weighs every path by 1, as the M-B table does
+        gap = p_x - calibrate_tx_power(omni_profile(), mb.gains, *calibration)
+    return Scenario(scheme, profile, ab, am, mb, p_x, gap)
 
 
 def simulate_session(
@@ -228,12 +227,11 @@ def simulate_session(
         raise ContractError("n_rounds must be >= 1")
     if coherence_block_rounds < 1:
         raise ContractError("coherence_block_rounds must be >= 1")
-    links, p_x = scenario.links, scenario.p_x_dbm
+    p_x = scenario.p_x_dbm
 
     n_blocks = -(-n_rounds // coherence_block_rounds)
-    a_ab = sample_fading_blocks(rng, links.fading_ab, links.ab.path_count, n_blocks)
-    a_am = sample_fading_blocks(rng, links.fading_am, links.am.path_count, n_blocks)
-    a_mb = sample_fading_blocks(rng, links.fading_mb, links.mb_path_count, n_blocks)
+    a_ab, a_am, a_mb = [sample_fading_blocks(rng, link.fading, link.path_count, n_blocks)
+                        for link in (scenario.ab, scenario.am, scenario.mb)]
     mode_idx = rng.integers(0, scenario.profile.mode_count, size=n_rounds)
 
     # one block never spans more rounds than the session has
@@ -257,9 +255,9 @@ def simulate_session(
         # rounds at the end
         block_mb = _rss(np.sum(a_mb, axis=1), p_x)
         del a_mb
-        clean_ab = _synthesize(scenario.g_ab, a_ab, mode_idx, shape, p_x)
+        clean_ab = _synthesize(scenario.ab.gains, a_ab, mode_idx, shape, p_x)
         del a_ab
-        clean_am = _synthesize(scenario.g_am, a_am, mode_idx, shape, p_x)
+        clean_am = _synthesize(scenario.am.gains, a_am, mode_idx, shape, p_x)
         del a_am
         if drawn:
             drawn.result()

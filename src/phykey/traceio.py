@@ -56,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .antenna import _INT64_MODES, OA_KIND, RA_KIND, AntennaProfile
+from .antenna import _INT64_MODES, AntennaProfile
 from .errors import ContractError, ProfileError, TraceFormatError
 from .fuzzy import Commitments, pack_bits, unpack_bits
 from .quantize import Bitstream
@@ -403,8 +403,7 @@ def load_antenna_profile(path) -> AntennaProfile:
     if (listed != listed[0]).any() or (a.reshape(modes.size, -1) != a[:listed[0]]).any():
         raise ProfileError(f"{path}: modes list different angle sets")
     gains = gains[order].reshape(modes.size, -1)
-    kind = OA_KIND if modes.size == 1 and np.all(gains == 1.0) else RA_KIND
-    return AntennaProfile(tuple(modes.tolist()), a[:listed[0]], gains, kind)
+    return AntennaProfile(tuple(modes.tolist()), a[:listed[0]], gains)
 
 
 def save_antenna_profile(profile: AntennaProfile, path) -> None:
@@ -564,6 +563,9 @@ def read_bitstream(path) -> Bitstream:
 
 
 def write_commitments(path, commitments: Commitments, params: RsParams) -> None:
+    """Write the record and its code; a record of another code's block
+    width is refused with a ContractError before the file is opened."""
+    commitments.check_width(params)
     blocks = np.hstack([commitments.digests, np.packbits(commitments.deltas, axis=1)])
     with open(path, "wb") as fh:
         fh.write(_COMMIT_MAGIC + _COMMIT_HEADER.pack(params.m, params.n, params.k, len(blocks)))

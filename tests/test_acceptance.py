@@ -48,16 +48,16 @@ def test_criterion_01_closed_form_matches_monte_carlo():
     cfg = config_from_mapping({"seed": 2024, "rounds": 200_000,
                                "attack": {"enabled": False}})
     scenario = cfg.build_scenario()
-    profile, links = scenario.profile, scenario.links
+    profile, am = scenario.profile, scenario.am
     assert profile.mode_count == 360
-    assert len(scenario.topology.scatterers) == 2
+    assert scenario.ab.path_count == 3
 
     trace = _simulate(cfg)
     q_minus, q_plus = thresholds(trace.x_a, cfg.beta)
     p_x = scenario.p_x_dbm
-    g_am = profile.gain_matrix(links.am.angles_deg)
+    g_am = am.gains
     p0_cf, p1_cf, _ = closed_form_p0_p1(
-        profile, g_am, abs(links.fading_am.los_mean), links.fading_am.sigma0,
+        profile, g_am, abs(am.fading.los_mean), am.fading.sigma0,
         q_minus, q_plus, p_x,
     )
 
@@ -65,11 +65,11 @@ def test_criterion_01_closed_form_matches_monte_carlo():
     rng = np.random.default_rng(777)
     n_samples = 1_000_000
     u = rng.integers(0, profile.mode_count, size=n_samples)
-    a = links.fading_am.sigma0 * (
-        rng.standard_normal((n_samples, links.am.path_count))
-        + 1j * rng.standard_normal((n_samples, links.am.path_count))
+    a = am.fading.sigma0 * (
+        rng.standard_normal((n_samples, am.path_count))
+        + 1j * rng.standard_normal((n_samples, am.path_count))
     )
-    a[:, 0] += links.fading_am.los_mean
+    a[:, 0] += am.fading.los_mean
     rss = 20.0 * np.log10(np.abs(np.sum(g_am[u] * a, axis=1))) + p_x
     p1_mc = float(np.mean(rss > q_plus))
     p0_mc = float(np.mean(rss < q_minus))

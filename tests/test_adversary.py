@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from phykey.adversary import (
-    AttackTrace,
     OpportunityKind,
     _key_positions,
     account_attacks,
     apply_attack,
-    assemble_guess,
     opportunity_masks,
     schedule_attacks,
 )
@@ -144,53 +142,6 @@ def test_account_attacks_repeat_injection_shares_observation():
     assert trace.m == 2
 
 
-def _columns(rounds, kinds, survived, correct, q_minus=-53.0, q_plus=-51.0):
-    n = len(rounds)
-    return AttackTrace(
-        q_minus=q_minus,
-        q_plus=q_plus,
-        round_index=np.asarray(rounds, dtype=np.int64),
-        kind=np.asarray(kinds, dtype=np.uint8),
-        survived=np.asarray(survived, dtype=bool).reshape(n),
-        correct=np.asarray(correct, dtype=bool).reshape(n),
-        tail_success=np.ones(n, dtype=bool),
-    )
-
-
-def test_assemble_guess_all_attacked_and_correct_reproduces_key(rng):
-    bits = Bitstream(
-        bits=np.array([1, 0, 1], dtype=np.uint8), source_rounds=np.array([1, 3, 5])
-    )
-    trace = _columns([1, 3, 5], [1, 0, 1], [True] * 3, [True] * 3)
-    guess = assemble_guess(trace, bits, rng)
-    np.testing.assert_array_equal(guess, bits.bits)
-
-
-def test_assemble_guess_pure_random_hits_at_coin_rate():
-    bits = Bitstream(
-        bits=np.zeros(6, dtype=np.uint8), source_rounds=np.arange(6)
-    )
-    empty = _columns([], [], [], [], q_minus=0.0, q_plus=1.0)
-    hits = 0
-    trials = 20_000
-    rng = np.random.default_rng(8)
-    for _ in range(trials):
-        if np.array_equal(assemble_guess(empty, bits, rng), bits.bits):
-            hits += 1
-    p = hits / trials
-    assert p == pytest.approx(0.5**6, abs=4 * np.sqrt(0.5**6 * (1 - 0.5**6) / trials))
-
-
-def test_assemble_guess_positional_audit(rng):
-    bits = Bitstream(
-        bits=np.array([1, 1, 0, 0], dtype=np.uint8), source_rounds=np.array([2, 4, 6, 8])
-    )
-    trace = _columns([4, 8], [1, 1], [True, True], [True, False], q_minus=0.0, q_plus=1.0)
-    guess = assemble_guess(trace, bits, rng)
-    assert guess[1] == 1  # round 4, attacked: recorded guess
-    assert guess[3] == 1  # round 8, attacked: recorded (wrong) guess
-
-
 # ------------------------------------------------------------ reference oracle
 # The sequential scheduler and per-round accounting the columnar code
 # replaced, kept as an independent statement of the same rules.
@@ -253,16 +204,6 @@ def _oracle_account(x_a, rss_ma, rss_mb, injected, d, beta, bits_a):
     return records
 
 
-def _oracle_guess(records, bits_a, rng):
-    guess = rng.integers(0, 2, size=len(bits_a), dtype=np.uint8)
-    position = {int(r): i for i, r in enumerate(bits_a.source_rounds)}
-    for rec in records:
-        pos = position.get(rec["round"])
-        if pos is not None:
-            guess[pos] = rec["guessed"]
-    return guess
-
-
 # Opportunity patterns ("1" = opportunity round) for the run-based
 # scheduler. With repeat_injection, acting on a run's last round keeps
 # Mallory jamming through the start of a run two rounds later, so that
@@ -319,10 +260,10 @@ def test_columnar_adversary_matches_sequential_oracle(repeat_injection):
             bits=rng.integers(0, 2, size=keyed.size, dtype=np.uint8), source_rounds=keyed
         )
 
-        _assert_accounting_matches_oracle(x_a, obs_ma, obs_mb, injected, d, beta, bits_a, seed)
+        _assert_accounting_matches_oracle(x_a, obs_ma, obs_mb, injected, d, beta, bits_a)
 
 
-def _assert_accounting_matches_oracle(x_a, rss_ma, rss_mb, injected, d, beta, bits_a, seed):
+def _assert_accounting_matches_oracle(x_a, rss_ma, rss_mb, injected, d, beta, bits_a):
     trace = account_attacks(x_a, rss_ma, rss_mb, injected, beta, bits_a)
     oracle = _oracle_account(x_a, rss_ma, rss_mb, injected, d, beta, bits_a)
     assert trace.to_records() == [
@@ -336,10 +277,6 @@ def _assert_accounting_matches_oracle(x_a, rss_ma, rss_mb, injected, d, beta, bi
         len(kept),
         sum(rec["kind"] == "O0" for rec in kept),
         sum(bool(rec["correct"]) for rec in kept),
-    )
-    np.testing.assert_array_equal(
-        assemble_guess(trace, bits_a, np.random.default_rng(seed)),
-        _oracle_guess(oracle, bits_a, np.random.default_rng(seed)),
     )
     # _key_positions: bitstream positions of the keyed attacked rounds, and
     # which attacked rounds are keyed
@@ -382,7 +319,7 @@ def test_accounting_matches_oracle_on_arbitrary_flags():
             bits=rng.integers(0, 2, size=keyed.sum(), dtype=np.uint8),
             source_rounds=np.flatnonzero(keyed),
         )
-        _assert_accounting_matches_oracle(x_a, rss_ma, rss_mb, injected, 3.0, 0.4, bits_a, 0)
+        _assert_accounting_matches_oracle(x_a, rss_ma, rss_mb, injected, 3.0, 0.4, bits_a)
     longest = 0
     for seed in range(60):
         rng = np.random.default_rng(seed)
@@ -396,7 +333,7 @@ def test_accounting_matches_oracle_on_arbitrary_flags():
         bits_a = Bitstream(
             bits=rng.integers(0, 2, size=keyed.size, dtype=np.uint8), source_rounds=keyed
         )
-        _assert_accounting_matches_oracle(x_a, rss_ma, rss_mb, injected, 3.0, 0.4, bits_a, seed)
+        _assert_accounting_matches_oracle(x_a, rss_ma, rss_mb, injected, 3.0, 0.4, bits_a)
     assert longest >= 5
 
 

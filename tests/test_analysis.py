@@ -13,7 +13,6 @@ from phykey.analysis import (
 )
 from phykey.antenna import AntennaProfile, omni_profile
 from phykey.errors import ContractError
-from phykey.geometry import LinkPathSet
 from phykey.rician import rician_params
 
 
@@ -43,8 +42,7 @@ def test_degenerate_mode_rejected():
     profile = AntennaProfile(
         modes=(0,), angles_deg=np.array([0.0]), gains=np.array([[0.0]])
     )
-    paths = LinkPathSet(angles_deg=(0.0,))
-    g = profile.gain_matrix(paths.angles_deg)
+    g = profile.gain_matrix((0.0,))
     _, varsigma = rician_params(g, 1.0, 1.0)
     assert varsigma.tolist() == [0.0]
     with pytest.raises(ContractError, match="every mode is degenerate"):
@@ -58,9 +56,8 @@ def test_amplitude_distribution_matches_rician(rng):
         angles_deg=np.array([0.0, 40.0, 300.0]),
         gains=np.array([[1.0, 0.55, 0.3]]),
     )
-    paths = LinkPathSet(angles_deg=(0.0, 40.0, 300.0))
     sigma0, los = 0.4, 2.0
-    g = profile.gain_matrix(paths.angles_deg)
+    g = profile.gain_matrix((0.0, 40.0, 300.0))
     (nu,), (varsigma,) = rician_params(g, los, sigma0)
     n = 1_000_000
     a = sigma0 * (rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)))
@@ -71,11 +68,10 @@ def test_amplitude_distribution_matches_rician(rng):
 
 
 def test_closed_form_single_mode_against_monte_carlo(rng):
-    paths = LinkPathSet(angles_deg=(0.0, 70.0))
     sigma0, los, p_x = 0.3, 1.5, 5.0
     q_minus, q_plus = 4.0, 9.0
     omni = omni_profile()
-    g = omni.gain_matrix(paths.angles_deg)
+    g = omni.gain_matrix((0.0, 70.0))
     p0, p1, _ = closed_form_p0_p1(omni, g, los, sigma0, q_minus, q_plus, p_x)
     n = 1_000_000
     a = sigma0 * (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))
@@ -88,9 +84,8 @@ def test_closed_form_single_mode_against_monte_carlo(rng):
 def test_closed_form_complementary_tails_at_shared_median(rng, beam_profile):
     # with q_plus == q_minus == any point, the two probabilities are exact
     # complements (amplitude law is continuous)
-    paths = LinkPathSet(angles_deg=(60.0, 20.3, 101.9))
     q = -62.0
-    g = beam_profile.gain_matrix(paths.angles_deg)
+    g = beam_profile.gain_matrix((60.0, 20.3, 101.9))
     p0, p1, _ = closed_form_p0_p1(beam_profile, g, 1e-4, 2e-6, q, q, 5.0)
     assert p0 + p1 == pytest.approx(1.0, abs=1e-9)
 
@@ -98,7 +93,7 @@ def test_closed_form_complementary_tails_at_shared_median(rng, beam_profile):
 def test_closed_form_excludes_degenerate_modes():
     gains = np.array([[1.0], [0.0]])
     profile = AntennaProfile(modes=(0, 1), angles_deg=np.array([0.0]), gains=gains)
-    g = profile.gain_matrix(LinkPathSet(angles_deg=(0.0,)).angles_deg)
+    g = profile.gain_matrix((0.0,))
     with pytest.warns(UserWarning, match="degenerate"):
         p0, p1, _ = closed_form_p0_p1(profile, g, 1.0, 0.5, -3.0, 3.0, 0.0)
     assert 0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0

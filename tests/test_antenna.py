@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from phykey import analysis, antenna
 from phykey.antenna import AntennaProfile, calibrate_tx_power, omni_profile, synthesize_rotated_beam
+from phykey.config import config_from_mapping
 from phykey.errors import CalibrationError, ProfileError
-from phykey.geometry import LinkPathSet, Topology, path_angles
+from phykey.geometry import Topology, path_angles
 from phykey.rician import rician_params
+from phykey.session import build_scenario
 from phykey.traceio import load_antenna_profile, save_antenna_profile
 
 
@@ -30,6 +32,23 @@ def test_single_mode_unit_csv_is_oa_equivalent(tmp_path):
     assert profile.kind == "OA"
     assert profile.mode_count == 1
     assert profile.gain_matrix([123.4]).tolist() == [[1.0]]
+
+
+def test_profile_kind_is_derived_from_its_gains(tmp_path):
+    # a one-mode beam with no front-to-back ratio is the omni table: it is
+    # OA before and after a save and load, and OAKG takes it either way
+    flat = synthesize_rotated_beam(mode_count=1, front_to_back_db=0.0)
+    path = tmp_path / "flat.csv"
+    save_antenna_profile(flat, path)
+    loaded = load_antenna_profile(path)
+    assert flat.kind == loaded.kind == "OA"
+    assert synthesize_rotated_beam(mode_count=1).kind == "RA"
+    assert AntennaProfile(modes=(0, 1), angles_deg=[0.0], gains=np.ones((2, 1))).kind == "RA"
+    cfg = config_from_mapping({"seed": 0, "scheme": "OAKG"})
+    for profile in (flat, loaded):
+        scenario = build_scenario(cfg.build_topology(), profile, cfg.fading, "OAKG",
+                                  cfg.detection_threshold_dbm)
+        assert scenario.p_x_dbm == cfg.build_scenario().p_x_dbm
 
 
 def test_midpoint_linear_interpolation():
@@ -231,8 +250,7 @@ def oracle_load_profile(path):
         raise ProfileError(f"{path}: modes list different angle sets")
     angles = sorted(rows[modes[0]])
     gains = np.array([[rows[m][a] for a in angles] for m in modes])
-    kind = "OA" if len(modes) == 1 and np.all(gains == 1.0) else "RA"
-    return AntennaProfile(modes=tuple(modes), angles_deg=angles, gains=gains, kind=kind)
+    return AntennaProfile(modes=tuple(modes), angles_deg=angles, gains=gains)
 
 
 PROFILE_FIELDS = (
@@ -300,8 +318,7 @@ TOP = Topology(alice=(0, 0), bob=(10, 0), mallory=(5, 5))
 
 def _ab_gains(profile, paths=None):
     """The profile's gain matrix on TOP's A->B paths, or on the given ones."""
-    paths = paths or path_angles(TOP, "alice", "bob")
-    return profile.gain_matrix(paths.angles_deg)
+    return profile.gain_matrix(paths or path_angles(TOP, "alice", "bob"))
 
 
 def test_calibrate_oa_inverts_rss_formula():
@@ -355,7 +372,7 @@ def test_zero_gain_mode_excluded_with_warning(monkeypatch):
         p_x = calibrate_tx_power(profile, _ab_gains(profile, paths), -75.0, 1e-4, 2e-6)
     with pytest.warns(UserWarning, match="excluding 1 degenerate mode"):
         analysis.closed_form_p0_p1(
-            profile, profile.gain_matrix(paths.angles_deg), 1e-4, 2e-6, -80.0, -70.0, p_x
+            profile, profile.gain_matrix(paths), 1e-4, 2e-6, -80.0, -70.0, p_x
         )
     (cal_nu, cal_vs), (cf_nu, cf_vs) = seen
     assert cal_nu.shape == (6,) and cf_nu.shape == (7,) and cf_vs[6] == 0.0
@@ -372,6 +389,5 @@ def test_all_zero_modes_rejected():
 
 
 def test_calibrate_with_explicit_paths():
-    paths = LinkPathSet(angles_deg=(0.0, 90.0))
-    p = calibrate_tx_power(omni_profile(), _ab_gains(omni_profile(), paths), -75.0, 1e-4, 1e-12)
+    p = calibrate_tx_power(omni_profile(), _ab_gains(omni_profile(), (0.0, 90.0)), -75.0, 1e-4, 1e-12)
     assert math.isfinite(p)

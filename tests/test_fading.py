@@ -107,16 +107,18 @@ def _session(overrides=None, profile=None, noise_sigma_db=0.0, rounds=400, seed=
     return trace, scenario
 
 
-def _brute_force_rss_ab(trace, links, profile, seed, block_rounds, p_x):
+def _brute_force_rss_ab(trace, scenario, seed, block_rounds):
     """Replay the session's draws in its order (A-B, A-M, M-B blocks, then
-    modes) and map each round's mode-weighted A-B sum to RSS at power p_x."""
+    modes) and map each round's mode-weighted A-B sum to RSS at the
+    scenario's power."""
     rng = np.random.default_rng(seed)
     n_blocks = -(-trace.n_rounds // block_rounds)
-    a_ab = sample_fading_blocks(rng, links.fading_ab, links.ab.path_count, n_blocks)
-    sample_fading_blocks(rng, links.fading_am, links.am.path_count, n_blocks)
-    sample_fading_blocks(rng, links.fading_mb, links.mb_path_count, n_blocks)
-    modes = rng.integers(0, profile.mode_count, size=trace.n_rounds)
-    g = profile.gain_matrix(links.ab.angles_deg)
+    ab, am, mb = scenario.ab, scenario.am, scenario.mb
+    a_ab = sample_fading_blocks(rng, ab.fading, ab.path_count, n_blocks)
+    sample_fading_blocks(rng, am.fading, am.path_count, n_blocks)
+    sample_fading_blocks(rng, mb.fading, mb.path_count, n_blocks)
+    modes = rng.integers(0, scenario.profile.mode_count, size=trace.n_rounds)
+    g, p_x = ab.gains, scenario.p_x_dbm
     rss = np.empty(trace.n_rounds)
     for i, mode in enumerate(modes):
         h = sum(gl * al for gl, al in zip(g[mode], a_ab[i // block_rounds]))
@@ -154,8 +156,7 @@ def test_rss_inverts_calibration_example():
 
 def test_rss_is_mode_weighted_sum_in_db(beam_profile):
     trace, scenario = _session(profile=beam_profile)
-    expected = _brute_force_rss_ab(trace, scenario.links, beam_profile, 3, BLOCK_ROUNDS,
-                                   scenario.p_x_dbm)
+    expected = _brute_force_rss_ab(trace, scenario, 3, BLOCK_ROUNDS)
     np.testing.assert_allclose(trace.x_a, expected, rtol=0, atol=1e-9)
 
 
@@ -172,7 +173,6 @@ def test_rss_zero_gain_is_erasure():
 
 def test_rss_noise_statistics(beam_profile):
     trace, scenario = _session(profile=beam_profile, noise_sigma_db=2.0, rounds=20_000)
-    noise = trace.x_a - _brute_force_rss_ab(trace, scenario.links, beam_profile, 3,
-                                            BLOCK_ROUNDS, scenario.p_x_dbm)
+    noise = trace.x_a - _brute_force_rss_ab(trace, scenario, 3, BLOCK_ROUNDS)
     assert np.mean(noise) == pytest.approx(0.0, abs=0.1)
     assert np.std(noise) == pytest.approx(2.0, rel=0.05)

@@ -3,26 +3,23 @@ import math
 import pytest
 
 from phykey.errors import GeometryError
-from phykey.geometry import LinkPathSet, Topology, bearing_deg, path_angles
+from phykey.geometry import Topology, bearing_deg, path_angles
 
 
 def test_axis_aligned_los_no_scatterers():
     top = Topology(alice=(0, 0), bob=(10, 0), mallory=(5, 5))
-    paths = path_angles(top, "alice", "bob")
-    assert paths.angles_deg == (0.0,)
-    assert paths.path_count == 1
+    assert path_angles(top, "alice", "bob") == (0.0,)
 
 
 def test_perpendicular_scatterer():
     top = Topology(alice=(0, 0), bob=(10, 0), mallory=(5, 5), scatterers=((0, 5),))
-    paths = path_angles(top, "alice", "bob")
-    assert paths.angles_deg == (0.0, 90.0)
+    assert path_angles(top, "alice", "bob") == (0.0, 90.0)
 
 
 def test_paper_topology_alice_to_mallory_is_60_degrees(topology):
     # hand trigonometry: dx = 5, dy = 5*sqrt(3) -> atan2 = 60 degrees
-    paths = path_angles(topology, "alice", "mallory")
-    assert math.isclose(paths.angles_deg[0], 60.0, abs_tol=1e-12)
+    angles = path_angles(topology, "alice", "mallory")
+    assert math.isclose(angles[0], 60.0, abs_tol=1e-12)
 
 
 def test_path_count_always_one_plus_scatterers():
@@ -30,12 +27,12 @@ def test_path_count_always_one_plus_scatterers():
         scat = tuple((1.0 + i, 2.0 + i) for i in range(k))
         top = Topology(alice=(0, 0), bob=(10, 0), mallory=(5, 5), scatterers=scat)
         for tx, rx in [("alice", "bob"), ("alice", "mallory"), ("mallory", "bob")]:
-            assert path_angles(top, tx, rx).path_count == 1 + k
+            assert len(path_angles(top, tx, rx)) == 1 + k
 
 
 def test_angles_normalized_to_half_open_circle():
     top = Topology(alice=(0, 0), bob=(-10, -1e-9), mallory=(5, 5))
-    a = path_angles(top, "alice", "bob").angles_deg[0]
+    a = path_angles(top, "alice", "bob")[0]
     assert 0.0 <= a < 360.0
 
 
@@ -67,7 +64,3 @@ def test_non_finite_position_rejected():
 def test_unknown_node_rejected(topology):
     with pytest.raises(GeometryError):
         topology.position("eve")
-
-
-def test_link_path_set_is_value_object():
-    assert LinkPathSet(angles_deg=(0.0, 90.0)).path_count == 2

@@ -20,7 +20,6 @@ from phykey.analysis import (
 from phykey.antenna import synthesize_rotated_beam
 from phykey.config import config_from_mapping
 from phykey.errors import ContractError
-from phykey.geometry import LinkPathSet
 from phykey.pipeline import analyze_config
 from phykey.rician import rician_params
 
@@ -181,14 +180,14 @@ def test_closed_form_bit_identical_to_per_mode_full_window(geometry):
         cfg = config_from_mapping({"seed": 1234})
         scenario = cfg.build_scenario()
         counts = analyze_config(cfg).counts
-        fading = scenario.links.fading_am
-        profile, g = scenario.profile, scenario.g_am
+        fading = scenario.am.fading
+        profile, g = scenario.profile, scenario.am.gains
         los, sigma0 = abs(fading.los_mean), fading.sigma0
         q_minus, q_plus, p_x = counts["q_minus"], counts["q_plus"], scenario.p_x_dbm
     else:
         # K = los^2 / (2 sigma0^2) = 1250; thresholds where Q1 spans 0 to 1
         profile = synthesize_rotated_beam(mode_count=360, front_to_back_db=20.0)
-        g = profile.gain_matrix(LinkPathSet(angles_deg=(60.0, 20.3, 101.9)).angles_deg)
+        g = profile.gain_matrix((60.0, 20.3, 101.9))
         los, sigma0, q_minus, q_plus, p_x = 1e-4, 2e-6, -80.0, -75.0, 5.0
     assert profile.mode_count == 360
     nu, varsigma = rician_params(g, los, sigma0)
@@ -217,7 +216,7 @@ def test_underflowing_arguments_take_the_exact_zero_cases(a, b, expected):
 def test_closed_form_with_underflowing_mode_ratio():
     # nu/varsigma = 1e-170 squares to 0.0: the Rayleigh tails, as for nu == 0
     profile = synthesize_rotated_beam(mode_count=4, front_to_back_db=20.0)
-    g = profile.gain_matrix(LinkPathSet(angles_deg=(30.0,)).angles_deg)
+    g = profile.gain_matrix((30.0,))
     p0, p1, _ = closed_form_p0_p1(profile, g, 1e-170, 1.0, -3.0, 3.0, 0.0)
     p0_rayleigh, p1_rayleigh, _ = closed_form_p0_p1(profile, g, 0.0, 1.0, -3.0, 3.0, 0.0)
     assert (p0, p1) == (p0_rayleigh, p1_rayleigh)

@@ -364,6 +364,18 @@ def test_report_extras_expose_k_factors():
     assert all(v == pytest.approx(300.0) for v in k.values())
 
 
+@pytest.mark.parametrize("fading", [{}, {"ab": {"k_factor": 3.5}}, {"ma": {"k_factor": 0.25}},
+                                    {"mb": {"k_factor": 40.0}}],
+                         ids=["defaults", "ab", "ma", "mb"])
+def test_report_k_factor_is_the_configured_one_per_link(fading):
+    cfg = small_cfg(rounds=2000, fading=fading)
+    report, _, _ = pipeline.run_experiment(cfg)
+    assert list(report.fading_k_factor) == ["ab", "ma", "mb"]
+    for name, got in report.fading_k_factor.items():
+        want = fading.get(name, {}).get("k_factor", cfg.fading.k_factor)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_rakg_report_carries_finite_power_gap():
     report, _, _ = pipeline.run_experiment(small_cfg(rounds=2000))
     assert report.tx_power_gap_vs_oa_db is not None

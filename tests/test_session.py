@@ -209,18 +209,31 @@ def test_rakg_wide_band_filters_small_noise():
     assert len(proto.l_b) < len(proto.l_a)
 
 
+@pytest.mark.parametrize("scheme", ["RAKG", "OAKG"])
+def test_scenario_links_are_read_only_with_one_path_count(scheme):
+    scenario = config_from_mapping({"seed": 0, "scheme": scheme}).build_scenario()
+    links = (scenario.ab, scenario.am, scenario.mb)
+    for link in links:
+        assert not link.gains.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            link.gains[0, 0] = 0.5
+    assert [link.path_count for link in links] == [3, 3, 3]
+    assert scenario.ab.gains.shape == scenario.am.gains.shape == (scenario.profile.mode_count, 3)
+    assert scenario.mb.gains.tolist() == [[1.0, 1.0, 1.0]]
+
+
 def _oracle_session(scenario, n_rounds, coherence, noise_sigma_db, rng):
     """simulate_session drawn in the same order, with each link's channel as a
     per-round gather of gains and block coefficients summed over the paths."""
-    links, p_x = scenario.links, scenario.p_x_dbm
+    ab, am, mb, p_x = scenario.ab, scenario.am, scenario.mb, scenario.p_x_dbm
     n_blocks = -(-n_rounds // coherence)
     block = np.arange(n_rounds) // coherence
-    a_ab = sample_fading_blocks(rng, links.fading_ab, links.ab.path_count, n_blocks)
-    a_am = sample_fading_blocks(rng, links.fading_am, links.am.path_count, n_blocks)
-    a_mb = sample_fading_blocks(rng, links.fading_mb, links.mb_path_count, n_blocks)
+    a_ab = sample_fading_blocks(rng, ab.fading, ab.path_count, n_blocks)
+    a_am = sample_fading_blocks(rng, am.fading, am.path_count, n_blocks)
+    a_mb = sample_fading_blocks(rng, mb.fading, mb.path_count, n_blocks)
     mode_idx = rng.integers(0, scenario.profile.mode_count, size=n_rounds)
-    h_ab = np.sum(scenario.g_ab[mode_idx] * a_ab[block], axis=1)
-    h_am = np.sum(scenario.g_am[mode_idx] * a_am[block], axis=1)
+    h_ab = np.sum(ab.gains[mode_idx] * a_ab[block], axis=1)
+    h_am = np.sum(am.gains[mode_idx] * a_am[block], axis=1)
     h_mb = np.sum(a_mb[block], axis=1)
     with np.errstate(divide="ignore"):
         clean_ab, rss_ma, rss_mb = (20.0 * np.log10(np.abs(h)) + p_x for h in (h_ab, h_am, h_mb))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from phykey import traceio
 from phykey.cli import main
 from phykey.config import config_from_mapping
-from phykey.errors import TraceFormatError
+from phykey.errors import ContractError, TraceFormatError
 from phykey.fuzzy import Commitments, commit_stream
 from phykey.pipeline import run_experiment
 from phykey.quantize import Bitstream
@@ -252,6 +252,18 @@ def test_commitment_file_roundtrip(tmp_path, rng):
     assert len(back) == len(commitments) == covered // params.block_bits
     np.testing.assert_array_equal(back.deltas, commitments.deltas)
     np.testing.assert_array_equal(back.digests, commitments.digests)
+
+
+def test_write_commitments_refuses_another_codes_width(tmp_path):
+    # a 10-block RS(15,11) record written as RS(255,223) used to read back
+    # as "truncated block 1"; it is refused before the file is opened
+    params = RsParams(m=4, n=15, k=11)
+    commitments, _ = commit_stream(np.ones(10 * params.block_bits, np.uint8), params,
+                                   np.random.default_rng(0))
+    path = tmp_path / "c.bin"
+    with pytest.raises(ContractError, match="60-bit deltas, but the code's blocks are 2040 bits"):
+        write_commitments(path, commitments, RsParams(m=8, n=255, k=223))
+    assert not path.exists()
 
 
 @st.composite
