@@ -3,10 +3,10 @@
 Under i.i.d. uniform mode selection the per-attack success
 probabilities reduce to unconditional Rician tails of the M-A link,
 averaged over modes (Marcum Q kernels), with each mode's Rician
-parameters taken from the profile's gain matrix on the M-A paths.
-From (p0, p1) and the attack
-counts follow the guess-count PMF, the expected recovery rates, and
-the whole-key guessing probability with its random-guess comparison.
+parameters read from the `session.Link` by `rician.rician_params`.
+From (p0, p1) and the attack counts follow the guess-count PMF, the
+expected recovery rates, and the whole-key guessing probability with
+its random-guess comparison.
 
 A mode's two tails share one Poisson series. Each series is exponentiated
 only on a Bernstein window outside which exp gives exactly +0.0, and adding
@@ -129,33 +129,29 @@ def marcum_q1(a: float, b: float) -> float:
     return _marcum_q1_tails(x, ys, his, *_series_tables(max(his, default=0)))[0]
 
 
+# the benchmark's tracer (perfbench/tracing.py) reads the `profile` argument by name
 def closed_form_p0_p1(
-    profile,
-    gains_ma,
-    los_mean_amplitude: float,
-    sigma0: float,
-    q_minus: float,
-    q_plus: float,
-    p_x_dbm: float,
+    profile, link, q_minus: float, q_plus: float, p_x_dbm: float
 ) -> tuple[float, float, int]:
     """(p0, p1, excluded modes): mode-averaged success probabilities for
     O0 and O1 attacks, and the number of degenerate modes left out.
 
-    gains_ma is the profile's gain matrix on the M-A paths (a scenario's
-    `am.gains`). p1 = mean over modes of Q1(nu/varsigma, r_plus/varsigma) and
-    p0 = mean of the complementary CDF term at r_minus, with
-    r = 10^((q - P_x)/20) the amplitude matching threshold q in dBm.
-    A mode's two tails share one Poisson series of (nu/varsigma)^2/2, and
-    every mode slices one k and log k! table built for the longest series.
-    Degenerate modes (varsigma == 0: zero gain on every M-A path) are
-    excluded with a warning, mirroring power calibration.
+    `link` is a `session.Link` whose gain rows are the profile's modes (a
+    scenario's `am` for Mallory's attacks). p1 = mean over modes of
+    Q1(nu/varsigma, r_plus/varsigma) and p0 = mean of the complementary
+    CDF term at r_minus, with r = 10^((q - P_x)/20) the amplitude matching
+    threshold q in dBm. A mode's two tails share one Poisson series of
+    (nu/varsigma)^2/2, and every mode slices one k and log k! table built
+    for the longest series. Degenerate modes (varsigma == 0: zero gain on
+    every path of the link) are excluded with a warning, as power
+    calibration excludes them.
     """
     r_plus = 10.0 ** ((q_plus - p_x_dbm) / 20.0)
     r_minus = 10.0 ** ((q_minus - p_x_dbm) / 20.0)
-    nu, varsigma = rician_params(gains_ma, los_mean_amplitude, sigma0)
+    nu, varsigma = rician_params(link)
     live = varsigma > 0.0
     if not np.any(live):
-        raise ContractError("every mode is degenerate on the M-A link")
+        raise ContractError("every mode is degenerate on the link")
     if not np.all(live):
         dead = [profile.modes[i] for i in np.flatnonzero(~live)]
         warnings.warn(

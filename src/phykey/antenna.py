@@ -4,8 +4,9 @@ A profile is a dense gain table over (mode, angle). Gains are linear
 weights applied directly to per-path fading coefficients; between
 listed angles the gain is interpolated linearly with wraparound at
 360 degrees. An omnidirectional (OA) profile is the degenerate single
-mode with gain 1 everywhere. Profile CSV files are read and written by
-`traceio`.
+mode with gain 1 everywhere. Power calibration reads the A->B link's
+per-mode Rician law with `rician.rician_params`. Profile CSV files are
+read and written by `traceio`.
 """
 from __future__ import annotations
 
@@ -127,36 +128,34 @@ def synthesize_rotated_beam(
     return AntennaProfile(modes=tuple(range(mode_count)), angles_deg=angles, gains=gains)
 
 
-def calibrate_tx_power(
-    profile: AntennaProfile,
-    gains: np.ndarray,
-    detection_threshold_dbm: float,
-    los_mean_amplitude: float,
-    sigma0: float,
-) -> float:
+def calibrate_tx_power(profile: AntennaProfile, link, detection_threshold_dbm: float) -> float:
     """Transmit power (dBm) so every usable mode reaches the detection threshold.
 
-    `gains` is the profile's gain matrix on the A->B paths (column 0 the
-    LoS path). For each mode the expected Alice->Bob RSS is
-    20*log10(mean Rician amplitude) + P_x; the returned P_x is the maximum
-    over modes of the minimum power meeting the threshold. Modes with zero
-    gain on every A->B path have no finite calibration and are excluded
-    with a warning.
+    `link` is the A->B `session.Link`: its gains are the profile's on the
+    A->B paths (column 0 the LoS path), its fading their law. For each mode
+    the expected Alice->Bob RSS is 20*log10(mean Rician amplitude) + P_x;
+    the returned P_x is the maximum over modes of the minimum power meeting
+    the threshold. Degenerate modes (varsigma == 0: zero gain on every A->B
+    path) have no finite calibration and are excluded with a warning, as
+    `analysis.closed_form_p0_p1` excludes them; with sigma0 == 0 every mode is.
     """
     if not np.isfinite(detection_threshold_dbm):
         raise CalibrationError("detection threshold must be finite")
-    usable = np.any(gains > 0.0, axis=1)
-    if not np.any(usable):
-        raise CalibrationError("every mode has zero gain on all A->B paths")
-    if not np.all(usable):
-        dead = [profile.modes[i] for i in np.nonzero(~usable)[0]]
+    nu, varsigma = rician_params(link)
+    live = varsigma > 0.0
+    if not np.any(live):
+        raise CalibrationError(
+            "every mode has zero gain on all A->B paths or sigma0 == 0, so no power calibrates"
+        )
+    if not np.all(live):
+        dead = [profile.modes[i] for i in np.flatnonzero(~live)]
         warnings.warn(
             f"excluding {len(dead)} zero-gain mode(s) from calibration: {dead[:8]}...",
             stacklevel=2,
         )
-    nu, varsigma = rician_params(gains[usable], los_mean_amplitude, sigma0)
-    mean_amp = rician_mean_amplitude(nu, varsigma)
-    if np.any(mean_amp <= 0.0):
-        raise CalibrationError("degenerate mode with zero mean amplitude")
+    mean_amp = rician_mean_amplitude(nu[live], varsigma[live])
+    # also refuses a NaN, which no comparison passes
+    if not np.all(mean_amp > 0.0):
+        raise CalibrationError("degenerate mode with zero or undefined mean amplitude")
     p_x = detection_threshold_dbm - 20.0 * np.log10(mean_amp)
     return float(np.max(p_x))

@@ -33,12 +33,6 @@ class FadingParams:
         if not (self.sigma0 >= 0.0 and math.isfinite(self.sigma0)):
             raise ContractError("sigma0 must be finite and >= 0")
 
-    def k_factor(self, path_count: int) -> float:
-        """Ratio of LoS power to total diffuse power over P+1 paths."""
-        if self.sigma0 == 0.0:
-            return math.inf
-        return abs(self.los_mean) ** 2 / (2.0 * self.sigma0**2 * path_count)
-
     @classmethod
     def from_k_factor(
         cls, los_amplitude: float, k_factor: float, path_count: int, los_phase_rad: float = 0.0

@@ -185,7 +185,7 @@ def build_report(
         thresholds_bob=protocol.thresholds_bob,
         attack_rounds=attack.to_records() if listed else [],
         fading_k_factor={
-            name: link.fading.k_factor(link.path_count)
+            name: link.k_factor
             for name, link in (("ab", scenario.ab), ("ma", scenario.am), ("mb", scenario.mb))
         },
     ), commitments
@@ -313,10 +313,9 @@ def analyze_config(
         )
         q_minus, q_plus = thresholds(cal_trace.x_a, cfg.beta)
     check_thresholds(q_minus, q_plus)
-    am, p_x = scenario.am, scenario.p_x_dbm
+    p_x = scenario.p_x_dbm
     p0, p1, excluded_modes = closed_form_p0_p1(
-        scenario.profile, am.gains, abs(am.fading.los_mean), am.fading.sigma0,
-        q_minus, q_plus, p_x + _injection_offset_db(cfg),
+        scenario.profile, scenario.am, q_minus, q_plus, p_x + _injection_offset_db(cfg)
     )
     e_kre = e_krr = None
     key_guess = None

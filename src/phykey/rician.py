@@ -1,12 +1,12 @@
 """Per-mode Rician amplitude parameters and moments.
 
-The channel under one antenna mode is a complex Gaussian with mean
-g(u, theta_0) * los_mean and per-quadrature variance
+The channel of one link under one antenna mode is a complex Gaussian
+with mean g(u, theta_0) * los_mean and per-quadrature variance
 sigma0^2 * sum_l g(u, theta_l)^2, so its amplitude is Rician with
 noncentrality nu(u) = g(u, theta_0) * |los_mean| and scale
-varsigma(u) = sigma0 * sqrt(sum_l g(u, theta_l)^2). The gains g are
-the rows of `AntennaProfile.gain_matrix`, the same matrix the simulator
-weights its path coefficients with.
+varsigma(u) = sigma0 * sqrt(sum_l g(u, theta_l)^2). los_mean and sigma0
+are the link's `fading`, and the gains g are the rows of its `gains`
+table, the same matrix the simulator weights its path coefficients with.
 
 `i0e_i1e` is Cephes' scaled Bessel pair (Moshier, 1989): Chebyshev series
 on t in [-1, 1] of e^-x I0(x) and e^-x I1(x)/x at x = 4(t+1), and of
@@ -80,15 +80,16 @@ def i0e_i1e(x):
     return i0, i1
 
 
-def rician_params(gains, los_mean_amplitude: float, sigma0: float):
-    """Rician (nu, varsigma) of |h| for every mode of a (modes, paths) gain matrix.
+def rician_params(link):
+    """Rician (nu, varsigma) of |h| for every mode of a link, one per row of
+    its (modes, paths) `gains`, column 0 the LoS path, under its `fading`.
 
-    Column 0 is the LoS path. A mode with varsigma == 0 (zero gain on
-    every path) is degenerate: its amplitude law is not Rician.
+    A mode with varsigma == 0 (zero gain on every path, or sigma0 == 0)
+    is degenerate: its amplitude law is not Rician.
     """
-    gains = np.asarray(gains, dtype=float)
-    nu = gains[:, 0] * los_mean_amplitude
-    varsigma = sigma0 * np.sqrt(np.sum(gains**2, axis=1))
+    gains, fading = link.gains, link.fading
+    nu = gains[:, 0] * abs(fading.los_mean)
+    varsigma = fading.sigma0 * np.sqrt(np.sum(gains**2, axis=1))
     return nu, varsigma
 
 

@@ -74,6 +74,13 @@ class Link:
     def path_count(self) -> int:
         return self.gains.shape[1]
 
+    @property
+    def k_factor(self) -> float:
+        """Ratio of LoS power to total diffuse power over the link's paths."""
+        if self.fading.sigma0 == 0.0:
+            return math.inf
+        return abs(self.fading.los_mean) ** 2 / (2.0 * self.fading.sigma0**2 * self.path_count)
+
 
 @dataclass
 class MeasurementTrace:
@@ -192,12 +199,12 @@ def build_scenario(
     if scheme == OAKG and profile.kind != OA_KIND:
         raise ContractError("OAKG needs the omni (OA) profile")
     ab, am, mb = build_links(topology, fading_cfg, profile)
-    calibration = (detection_threshold_dbm, abs(ab.fading.los_mean), ab.fading.sigma0)
-    p_x = calibrate_tx_power(profile, ab.gains, *calibration)
+    p_x = calibrate_tx_power(profile, ab, detection_threshold_dbm)
     gap = None
     if scheme == RAKG:
         # the omni antenna weighs every path by 1, as the M-B table does
-        gap = p_x - calibrate_tx_power(omni_profile(), mb.gains, *calibration)
+        omni_ab = Link(ab.fading, mb.gains)
+        gap = p_x - calibrate_tx_power(omni_profile(), omni_ab, detection_threshold_dbm)
     return Scenario(scheme, profile, ab, am, mb, p_x, gap)
 
 

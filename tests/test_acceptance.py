@@ -56,10 +56,7 @@ def test_criterion_01_closed_form_matches_monte_carlo():
     q_minus, q_plus = thresholds(trace.x_a, cfg.beta)
     p_x = scenario.p_x_dbm
     g_am = am.gains
-    p0_cf, p1_cf, _ = closed_form_p0_p1(
-        profile, g_am, abs(am.fading.los_mean), am.fading.sigma0,
-        q_minus, q_plus, p_x,
-    )
+    p0_cf, p1_cf, _ = closed_form_p0_p1(profile, am, q_minus, q_plus, p_x)
 
     # Monte Carlo oracle: fresh mode + fresh fading per sample on the M-A link
     rng = np.random.default_rng(777)

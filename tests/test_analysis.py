@@ -12,14 +12,17 @@ from phykey.analysis import (
     key_guess_probability,
 )
 from phykey.antenna import AntennaProfile, omni_profile
+from phykey.config import config_from_mapping
 from phykey.errors import ContractError
+from phykey.fading import FadingParams
 from phykey.rician import rician_params
+from phykey.session import Link
 
 
 def test_rician_params_direct_substitution():
-    # one row per mode: nu = g_0 * |los|, varsigma = sigma0 * ||g||
+    # one row per mode: nu = g_0 * |los_mean| (|3 + 4j| = 5), varsigma = sigma0 * ||g||
     gains = np.array([[2.0, 0.0], [3.0, 4.0]])
-    nu, varsigma = rician_params(gains, los_mean_amplitude=5.0, sigma0=1.0)
+    nu, varsigma = rician_params(Link(FadingParams(los_mean=3 + 4j, sigma0=1.0), gains))
     np.testing.assert_allclose(nu, [10.0, 15.0])
     np.testing.assert_allclose(varsigma, [2.0, 5.0])
 
@@ -31,7 +34,7 @@ def test_rician_params_los_only():
         gains=np.array([[1.0, 0.0, 0.0]]),
     )
     gains = profile.gain_matrix((0.0, 90.0, 180.0))
-    nu, varsigma = rician_params(gains, los_mean_amplitude=3.3, sigma0=0.7)
+    nu, varsigma = rician_params(Link(FadingParams(los_mean=3.3, sigma0=0.7), gains))
     assert nu.tolist() == pytest.approx([3.3])
     assert varsigma.tolist() == pytest.approx([0.7])
 
@@ -42,11 +45,11 @@ def test_degenerate_mode_rejected():
     profile = AntennaProfile(
         modes=(0,), angles_deg=np.array([0.0]), gains=np.array([[0.0]])
     )
-    g = profile.gain_matrix((0.0,))
-    _, varsigma = rician_params(g, 1.0, 1.0)
+    link = Link(FadingParams(los_mean=1.0, sigma0=1.0), profile.gain_matrix((0.0,)))
+    _, varsigma = rician_params(link)
     assert varsigma.tolist() == [0.0]
     with pytest.raises(ContractError, match="every mode is degenerate"):
-        closed_form_p0_p1(profile, g, 1.0, 1.0, -3.0, 3.0, 0.0)
+        closed_form_p0_p1(profile, link, -3.0, 3.0, 0.0)
 
 
 def test_amplitude_distribution_matches_rician(rng):
@@ -58,7 +61,7 @@ def test_amplitude_distribution_matches_rician(rng):
     )
     sigma0, los = 0.4, 2.0
     g = profile.gain_matrix((0.0, 40.0, 300.0))
-    (nu,), (varsigma,) = rician_params(g, los, sigma0)
+    (nu,), (varsigma,) = rician_params(Link(FadingParams(los, sigma0), g))
     n = 1_000_000
     a = sigma0 * (rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)))
     a[:, 0] += los
@@ -71,8 +74,8 @@ def test_closed_form_single_mode_against_monte_carlo(rng):
     sigma0, los, p_x = 0.3, 1.5, 5.0
     q_minus, q_plus = 4.0, 9.0
     omni = omni_profile()
-    g = omni.gain_matrix((0.0, 70.0))
-    p0, p1, _ = closed_form_p0_p1(omni, g, los, sigma0, q_minus, q_plus, p_x)
+    link = Link(FadingParams(los, sigma0), omni.gain_matrix((0.0, 70.0)))
+    p0, p1, _ = closed_form_p0_p1(omni, link, q_minus, q_plus, p_x)
     n = 1_000_000
     a = sigma0 * (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))
     a[:, 0] += los
@@ -81,25 +84,50 @@ def test_closed_form_single_mode_against_monte_carlo(rng):
     assert float(np.mean(rss < q_minus)) == pytest.approx(p0, abs=0.005)
 
 
+def test_closed_form_on_the_mb_link_against_monte_carlo():
+    # the kernel reads any link: on the default scenario's M-B link (omni at
+    # both ends) its tails match a seeded Monte Carlo of the M-B amplitude.
+    # That RSS spreads over about 0.35 dB at K = 300, so the thresholds sit
+    # at its own quantiles, taken from a separate pilot draw
+    scenario = config_from_mapping({"seed": 3}).build_scenario()
+    mb, p_x = scenario.mb, scenario.p_x_dbm
+    assert mb.gains.shape == (1, 3)
+    rng = np.random.default_rng(2718)
+
+    def mb_rss(n):
+        shape = (n, mb.path_count)
+        a = mb.fading.sigma0 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        a[:, 0] += mb.fading.los_mean
+        return 20.0 * np.log10(np.abs((mb.gains[0] * a).sum(axis=1))) + p_x
+
+    q_minus, q_plus = np.quantile(mb_rss(10_000), [0.2, 0.7])
+    p0, p1, excluded = closed_form_p0_p1(omni_profile(), mb, q_minus, q_plus, p_x)
+    n = 1_000_000
+    rss = mb_rss(n)
+    assert excluded == 0 and 0.1 < p0 < 0.3 and 0.2 < p1 < 0.4
+    for p_cf, p_mc in ((p0, np.mean(rss < q_minus)), (p1, np.mean(rss > q_plus))):
+        assert abs(float(p_mc) - p_cf) <= 4.0 * math.sqrt(p_cf * (1.0 - p_cf) / n)
+
+
 def test_closed_form_complementary_tails_at_shared_median(rng, beam_profile):
     # with q_plus == q_minus == any point, the two probabilities are exact
     # complements (amplitude law is continuous)
     q = -62.0
-    g = beam_profile.gain_matrix((60.0, 20.3, 101.9))
-    p0, p1, _ = closed_form_p0_p1(beam_profile, g, 1e-4, 2e-6, q, q, 5.0)
+    link = Link(FadingParams(1e-4, 2e-6), beam_profile.gain_matrix((60.0, 20.3, 101.9)))
+    p0, p1, _ = closed_form_p0_p1(beam_profile, link, q, q, 5.0)
     assert p0 + p1 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_closed_form_excludes_degenerate_modes():
     gains = np.array([[1.0], [0.0]])
     profile = AntennaProfile(modes=(0, 1), angles_deg=np.array([0.0]), gains=gains)
-    g = profile.gain_matrix((0.0,))
+    link = Link(FadingParams(1.0, 0.5), profile.gain_matrix((0.0,)))
     with pytest.warns(UserWarning, match="degenerate"):
-        p0, p1, _ = closed_form_p0_p1(profile, g, 1.0, 0.5, -3.0, 3.0, 0.0)
+        p0, p1, _ = closed_form_p0_p1(profile, link, -3.0, 3.0, 0.0)
     assert 0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0
     # the count analyze_config reports comes from the same exclusion
     with pytest.warns(UserWarning, match="excluding 1 degenerate"):
-        counted = closed_form_p0_p1(profile, g, 1.0, 0.5, -3.0, 3.0, 0.0)
+        counted = closed_form_p0_p1(profile, link, -3.0, 3.0, 0.0)
     assert counted == (p0, p1, 1)
 
 

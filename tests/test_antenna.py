@@ -10,9 +10,10 @@ from phykey import analysis, antenna
 from phykey.antenna import AntennaProfile, calibrate_tx_power, omni_profile, synthesize_rotated_beam
 from phykey.config import config_from_mapping
 from phykey.errors import CalibrationError, ProfileError
+from phykey.fading import FadingParams
 from phykey.geometry import Topology, path_angles
 from phykey.rician import rician_params
-from phykey.session import build_scenario
+from phykey.session import Link, build_scenario
 from phykey.traceio import load_antenna_profile, save_antenna_profile
 
 
@@ -316,15 +317,16 @@ def test_profile_refuses_mode_outside_int64(mode):
 TOP = Topology(alice=(0, 0), bob=(10, 0), mallory=(5, 5))
 
 
-def _ab_gains(profile, paths=None):
-    """The profile's gain matrix on TOP's A->B paths, or on the given ones."""
-    return profile.gain_matrix(paths or path_angles(TOP, "alice", "bob"))
+def _ab_link(profile, los, sigma0, paths=None):
+    """A link of LoS amplitude los and diffuse sigma0, weighted by the
+    profile's gain matrix on TOP's A->B paths, or on the given ones."""
+    return Link(FadingParams(los, sigma0), profile.gain_matrix(paths or path_angles(TOP, "alice", "bob")))
 
 
 def test_calibrate_oa_inverts_rss_formula():
     # mean channel amplitude 1e-4 at threshold -75 dBm -> P_x = 5 dBm;
     # with sigma0 -> 0 the Rician mean collapses to the LoS amplitude
-    p_x = calibrate_tx_power(omni_profile(), _ab_gains(omni_profile()), -75.0, 1e-4, 1e-12)
+    p_x = calibrate_tx_power(omni_profile(), _ab_link(omni_profile(), 1e-4, 1e-12), -75.0)
     assert p_x == pytest.approx(-75.0 - 20.0 * math.log10(1e-4), abs=1e-6)
 
 
@@ -334,16 +336,16 @@ def test_degenerate_ra_matches_oa_power():
         angles_deg=np.array([0.0]),
         gains=np.ones((3, 1)),
     )
-    p_flat = calibrate_tx_power(flat, _ab_gains(flat), -75.0, 1e-4, 2e-6)
-    p_oa = calibrate_tx_power(omni_profile(), _ab_gains(omni_profile()), -75.0, 1e-4, 2e-6)
+    p_flat = calibrate_tx_power(flat, _ab_link(flat, 1e-4, 2e-6), -75.0)
+    p_oa = calibrate_tx_power(omni_profile(), _ab_link(omni_profile(), 1e-4, 2e-6), -75.0)
     assert p_flat == pytest.approx(p_oa, abs=1e-12)
 
 
 def test_calibration_monotone_in_threshold():
     profile = synthesize_rotated_beam(mode_count=36, front_to_back_db=15.0)
-    base = calibrate_tx_power(profile, _ab_gains(profile), -75.0, 1e-4, 2e-6)
+    base = calibrate_tx_power(profile, _ab_link(profile, 1e-4, 2e-6), -75.0)
     for delta in (0.5, 3.0, 11.0):
-        raised = calibrate_tx_power(profile, _ab_gains(profile), -75.0 + delta, 1e-4, 2e-6)
+        raised = calibrate_tx_power(profile, _ab_link(profile, 1e-4, 2e-6), -75.0 + delta)
         assert raised == pytest.approx(base + delta, abs=1e-9)
 
 
@@ -351,33 +353,31 @@ def test_zero_gain_mode_excluded_with_warning(monkeypatch):
     gains = np.array([[1.0], [0.0]])
     profile = AntennaProfile(modes=(0, 1), angles_deg=np.array([0.0]), gains=gains)
     with pytest.warns(UserWarning, match="zero-gain"):
-        p_x = calibrate_tx_power(profile, _ab_gains(profile), -75.0, 1e-4, 2e-6)
+        p_x = calibrate_tx_power(profile, _ab_link(profile, 1e-4, 2e-6), -75.0)
     assert math.isfinite(p_x)
 
-    # calibration and the closed form agree on (nu, varsigma) of the live
-    # modes: both read them from rician_params on the profile's gain matrix
+    # calibration and the closed form read (nu, varsigma) of every mode from
+    # one rician_params(link) call each, and leave out the same dead mode
     beam = synthesize_rotated_beam(mode_count=6, front_to_back_db=15.0)
     profile = AntennaProfile(modes=tuple(range(7)), angles_deg=beam.angles_deg,
                              gains=np.vstack([beam.gains, np.zeros(360)]))
+    link = _ab_link(profile, 1e-4, 2e-6)
     seen = []
 
-    def recording(*args):
-        seen.append(rician_params(*args))
+    def recording(arg):
+        seen.append(rician_params(arg))
         return seen[-1]
 
     monkeypatch.setattr(antenna, "rician_params", recording)
     monkeypatch.setattr(analysis, "rician_params", recording)
-    paths = path_angles(TOP, "alice", "bob")
-    with pytest.warns(UserWarning, match="zero-gain"):
-        p_x = calibrate_tx_power(profile, _ab_gains(profile, paths), -75.0, 1e-4, 2e-6)
+    with pytest.warns(UserWarning, match="zero-gain mode"):
+        p_x = calibrate_tx_power(profile, link, -75.0)
     with pytest.warns(UserWarning, match="excluding 1 degenerate mode"):
-        analysis.closed_form_p0_p1(
-            profile, profile.gain_matrix(paths), 1e-4, 2e-6, -80.0, -70.0, p_x
-        )
+        analysis.closed_form_p0_p1(profile, link, -80.0, -70.0, p_x)
     (cal_nu, cal_vs), (cf_nu, cf_vs) = seen
-    assert cal_nu.shape == (6,) and cf_nu.shape == (7,) and cf_vs[6] == 0.0
-    np.testing.assert_array_equal(cal_nu, cf_nu[:6])
-    np.testing.assert_array_equal(cal_vs, cf_vs[:6])
+    assert cal_nu.shape == (7,) and cal_vs[6] == 0.0 and np.all(cal_vs[:6] > 0.0)
+    np.testing.assert_array_equal(cal_nu, cf_nu)
+    np.testing.assert_array_equal(cal_vs, cf_vs)
 
 
 def test_all_zero_modes_rejected():
@@ -385,9 +385,26 @@ def test_all_zero_modes_rejected():
         modes=(0,), angles_deg=np.array([0.0]), gains=np.array([[0.0]])
     )
     with pytest.raises(CalibrationError):
-        calibrate_tx_power(profile, _ab_gains(profile), -75.0, 1e-4, 2e-6)
+        calibrate_tx_power(profile, _ab_link(profile, 1e-4, 2e-6), -75.0)
 
 
 def test_calibrate_with_explicit_paths():
-    p = calibrate_tx_power(omni_profile(), _ab_gains(omni_profile(), (0.0, 90.0)), -75.0, 1e-4, 1e-12)
+    link = _ab_link(omni_profile(), 1e-4, 1e-12, (0.0, 90.0))
+    p = calibrate_tx_power(omni_profile(), link, -75.0)
     assert math.isfinite(p)
+
+
+def test_nan_mean_amplitude_is_not_a_power(monkeypatch):
+    monkeypatch.setattr(antenna, "rician_mean_amplitude", lambda nu, vs: np.full(nu.shape, np.nan))
+    with pytest.raises(CalibrationError, match="zero or undefined mean amplitude"):
+        calibrate_tx_power(omni_profile(), _ab_link(omni_profile(), 1e-4, 2e-6), -75.0)
+
+
+@pytest.mark.parametrize("scheme", ["RAKG", "OAKG"])
+def test_k_factor_rounding_sigma0_to_zero_refused_at_scenario_build(scheme):
+    # K = 1e308 over 3 paths overflows 2 K P, so sigma0 is 0.0: the build
+    # refuses it instead of passing a NaN p_x_dbm on to the session
+    assert FadingParams.from_k_factor(1e-4, 1e308, 3).sigma0 == 0.0
+    cfg = config_from_mapping({"seed": 1, "scheme": scheme, "fading": {"k_factor": 1e308}})
+    with pytest.raises(CalibrationError, match="sigma0 == 0"):
+        cfg.build_scenario()

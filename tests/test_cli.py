@@ -215,6 +215,16 @@ def test_profile_without_usable_mode_exits_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_k_factor_rounding_sigma0_to_zero_exits_2_at_calibration(tmp_path, capsys, command):
+    # K = 1e308 leaves sigma0 == 0.0: the run used to go on with a NaN p_x_dbm
+    # and fail far from the cause, at the thresholds of an all-NaN session
+    cfg = write_cfg(tmp_path, BASE_CFG + "fading: {k_factor: 1e308}\n")
+    code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert code == 2 and out == ""
+    assert re.search(r"^validation error: .* or sigma0 == 0, so no power calibrates$", err, re.M)
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
 @pytest.mark.parametrize("config, rows", [
     (b"seed: 7\nrounds: 60\xff00\n", None),
     (None, b"0,0,1\n0,180,0.\xff5\n"),

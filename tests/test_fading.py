@@ -6,7 +6,7 @@ import pytest
 from phykey.antenna import AntennaProfile, omni_profile, synthesize_rotated_beam
 from phykey.config import config_from_mapping
 from phykey.fading import FadingParams, sample_fading_blocks
-from phykey.session import build_scenario, simulate_session
+from phykey.session import Link, build_scenario, simulate_session
 
 
 def _one_block(rng, params, path_count):
@@ -41,8 +41,10 @@ def test_same_seed_identical_state():
 
 
 def test_k_factor_definition():
+    # from_k_factor and Link.k_factor invert each other over the link's paths
     params = FadingParams.from_k_factor(1e-4, k_factor=30.0, path_count=3)
-    assert params.k_factor(3) == pytest.approx(30.0)
+    assert Link(params, np.ones((1, 3))).k_factor == pytest.approx(30.0)
+    assert Link(FadingParams(los_mean=1e-4, sigma0=0.0), np.ones((1, 3))).k_factor == math.inf
 
 
 # h = sum_l g(mode, theta_l) * a_l, with g a row of the profile's gain matrix

@@ -376,8 +376,16 @@ def test_report_k_factor_is_the_configured_one_per_link(fading):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_rakg_report_carries_finite_power_gap():
-    report, _, _ = pipeline.run_experiment(small_cfg(rounds=2000))
-    assert report.tx_power_gap_vs_oa_db is not None
-    assert np.isfinite(report.tx_power_gap_vs_oa_db)
-    assert report.tx_power_gap_vs_oa_db >= 0.0
+@pytest.mark.parametrize("scheme", ["RAKG", "OAKG"])
+def test_rakg_report_carries_finite_power_gap(scheme):
+    # the OAKG case is the tier-1 twin of CI's paper-flow check on an OAKG
+    # report.json: no power gap, and K-factors for ab, ma and mb
+    report, _, _ = pipeline.run_experiment(small_cfg(scheme=scheme, rounds=2000))
+    fields = report.to_dict()
+    assert fields["scheme"] == scheme
+    assert sorted(fields["fading_k_factor"]) == ["ab", "ma", "mb"]
+    gap = fields["tx_power_gap_vs_oa_db"]
+    if scheme == "OAKG":
+        assert gap is None
+    else:
+        assert gap is not None and np.isfinite(gap) and gap >= 0.0
